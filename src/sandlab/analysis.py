@@ -21,19 +21,18 @@ lexicographic) so the structurally smallest witnesses surface first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
 
 from .automaton import (
     SandAutomaton,
     _core_cap,
-    _delta_from_entries,
     apply,
     apply_window,
+    column_image,
     image_height,
 )
 from .config import Configuration, Tail, equals, first_difference
 from .errors import DomainError
-from .heights import MINUS_INF, PLUS_INF, Infinity, is_finite
+from .heights import MINUS_INF, PLUS_INF
 from .rng import Lcg64, sample_configuration
 
 WITNESS_FOUND = "WITNESS_FOUND"
@@ -111,12 +110,13 @@ def _weighted_tuples(width, weight, values):
                 yield (v,) + rest
 
 
-def _is_primitive(values: tuple) -> bool:
+def _primitive_root(values: tuple) -> tuple:
+    """The shortest word whose repetitions spell `values`."""
     p = len(values)
     for q in range(1, p):
         if p % q == 0 and values == values[:q] * (p // q):
-            return False
-    return True
+            return values[:q]
+    return values
 
 
 # -- injectivity --------------------------------------------------------------
@@ -135,9 +135,11 @@ def check_injective_bounded(
     Class "F": every configuration with support inside [-n, n] and heights
     in [-h, h]. Class "P": every periodic configuration of period <= p
     (primitive value words only; repetitions denote the same sequences)
-    anchored at column 0, heights in [-h, h]. Images are compared on a
-    window that determines them completely, so any key collision is a real
-    collision; each reported pair is nevertheless re-verified.
+    anchored at column 0, heights in [-h, h]. Images are compared by a key
+    that determines them completely, so any key collision is a real
+    collision; each reported pair is nevertheless re-verified. Both
+    classes refuse to start when they would enumerate more than
+    `max_candidates` configurations.
     """
     if klass not in ("F", "P"):
         raise DomainError(f"class must be 'F' or 'P', got {klass!r}")
@@ -149,11 +151,6 @@ def check_injective_bounded(
     if klass == "F":
         width = 2 * n_or_p + 1
         total = len(values) ** width
-        if total > max_candidates:
-            raise DomainError(
-                f"enumeration of {total} candidates exceeds the guard "
-                f"({max_candidates})"
-            )
         candidates = (
             (Configuration(-n_or_p, tup), tup)
             for tup in _tuples_by_weight(width, values)
@@ -162,18 +159,25 @@ def check_injective_bounded(
             automaton, cfg, -n_or_p - automaton.radius, n_or_p + automaton.radius
         )
     else:
+        total = sum(len(values) ** q for q in range(1, n_or_p + 1))
+
         def periodic_candidates():
             for q in range(1, n_or_p + 1):
                 for tup in _tuples_by_weight(q, values):
-                    if _is_primitive(tup):
+                    if _primitive_root(tup) == tup:
                         yield Configuration.periodic(tup), tup
 
         candidates = periodic_candidates()
-        window = lcm(*range(1, n_or_p + 1))
-        def key_of(cfg):
-            q = len(cfg.right.values)
-            one_period = apply_window(automaton, cfg, 0, q - 1)
-            return tuple(one_period[j % q] for j in range(window))
+        # Both images are anchored at column 0, so they are equal exactly
+        # when their one-period words have the same primitive root.
+        key_of = lambda cfg: _primitive_root(
+            apply_window(automaton, cfg, 0, len(cfg.right.values) - 1)
+        )
+    if total > max_candidates:
+        raise DomainError(
+            f"enumeration of {total} candidates exceeds the guard "
+            f"({max_candidates})"
+        )
 
     seen = {}
     visited = 0
@@ -285,22 +289,6 @@ def _background_image(automaton, bg):
     return image_height(automaton, flat, 0)
 
 
-def _constant_below(cfg, bound, value) -> bool:
-    """True iff cfg.height(i) == value for every i < bound."""
-    c = cfg.canonicalize()
-    if any(v != value for v in c.left.values) or c.left.effective_slope() != 0:
-        return False
-    return all(c.height(i) == value for i in range(c.core_start, bound))
-
-
-def _constant_above(cfg, bound, value) -> bool:
-    """True iff cfg.height(i) == value for every i > bound."""
-    c = cfg.canonicalize()
-    if any(v != value for v in c.right.values) or c.right.effective_slope() != 0:
-        return False
-    return all(c.height(i) == value for i in range(bound + 1, c.core_end + 1))
-
-
 def _linear_preimage_dfs(automaton, target, n, values, bgl, bgr):
     """DFS over column assignments on [-n, n] with fixed backgrounds.
 
@@ -310,12 +298,15 @@ def _linear_preimage_dfs(automaton, target, n, values, bgl, bgr):
     images up front.
     """
     r = automaton.radius
-    if not _constant_below(target, -n - r, _background_image(automaton, bgl)):
-        return None, 0
-    if not _constant_above(target, n + r, _background_image(automaton, bgr)):
+    goal = target.heights(-n - r, n + r)
+    img_l = _background_image(automaton, bgl)
+    img_r = _background_image(automaton, bgr)
+    if not equals(
+        target, Configuration(-n - r, goal, Tail((img_l,), 0), Tail((img_r,), 0))
+    ):
         return None, 0
     width = 2 * n + 1
-    goal = target.heights(-n - r, n + r)
+    offsets = (*range(-r, 0), *range(1, r + 1))
     assign = []
     nodes = 0
 
@@ -327,15 +318,8 @@ def _linear_preimage_dfs(automaton, target, n, values, bgl, bgr):
         return assign[col + n]
 
     def image_ok(i):
-        centre = column(i)
-        if isinstance(centre, Infinity):
-            return centre == goal[i + n + r]
-        m = centre
-        entries = tuple(
-            _beta_r(r, m, column(i + off))
-            for off in (*range(-r, 0), *range(1, r + 1))
-        )
-        return centre + _delta_from_entries(automaton, entries) == goal[i + n + r]
+        neighbours = (column(i + off) for off in offsets)
+        return column_image(automaton, column(i), neighbours) == goal[i + n + r]
 
     def dfs():
         nonlocal nodes
@@ -360,34 +344,21 @@ def _linear_preimage_dfs(automaton, target, n, values, bgl, bgr):
     return dfs(), nodes
 
 
-def _beta_r(r, m, v):
-    if isinstance(v, Infinity):
-        return v
-    if v > m + r:
-        return PLUS_INF
-    if v < m - r:
-        return MINUS_INF
-    return v - m
-
-
 def _cyclic_preimage_dfs(automaton, target, q, values):
     """DFS over one period of a q-periodic candidate (anchored at 0)."""
     r = automaton.radius
     goal = target.heights(0, q - 1)
+    offsets = (*range(-r, 0), *range(1, r + 1))
     assign = []
     nodes = 0
 
     def image_ok(i, wrap):
         centre = assign[i % q] if wrap else assign[i]
-        if isinstance(centre, Infinity):
-            return centre == goal[i % q]
-        m = centre
         if wrap:
-            window = (assign[(i + off) % q] for off in (*range(-r, 0), *range(1, r + 1)))
+            neighbours = (assign[(i + off) % q] for off in offsets)
         else:
-            window = (assign[i + off] for off in (*range(-r, 0), *range(1, r + 1)))
-        entries = tuple(_beta_r(r, m, v) for v in window)
-        return centre + _delta_from_entries(automaton, entries) == goal[i % q]
+            neighbours = (assign[i + off] for off in offsets)
+        return column_image(automaton, centre, neighbours) == goal[i % q]
 
     def dfs():
         nonlocal nodes

@@ -122,24 +122,24 @@ def _delta_from_entries(automaton, entries):
     return automaton.default_delta
 
 
-def _entries_around(automaton, window, centre):
-    """Beta-readings of the 2r neighbour heights around a centre height."""
+def column_image(automaton: SandAutomaton, centre: Height, neighbours) -> Height:
+    """Height after one step of a column of height `centre` whose 2r
+    neighbours, left to right without the centre, are `neighbours`.
+    Infinite columns are fixed."""
+    if isinstance(centre, Infinity):
+        return centre
     r = automaton.radius
-    m = 0 if isinstance(centre, Infinity) else centre
-    return tuple(beta(r, m, v) for v in window)
+    entries = tuple(beta(r, centre, v) for v in neighbours)
+    return centre + _delta_from_entries(automaton, entries)
 
 
 def image_height(automaton: SandAutomaton, c: Configuration, i: int) -> Height:
     """Height of column i after one step. Infinite columns are fixed."""
-    centre = c.height(i)
-    if isinstance(centre, Infinity):
-        return centre
     r = automaton.radius
-    window = tuple(
-        c.height(i + off) for off in (*range(-r, 0), *range(1, r + 1))
-    )
-    return centre + _delta_from_entries(
-        automaton, _entries_around(automaton, window, centre)
+    return column_image(
+        automaton,
+        c.height(i),
+        (c.height(i + off) for off in (*range(-r, 0), *range(1, r + 1))),
     )
 
 

@@ -77,6 +77,11 @@ class Tail:
             return self.slope
         return 0
 
+    def step(self, L: int) -> int:
+        """Rise of the finite entries over L columns, L a multiple of the
+        period length (0 when no period entry is finite)."""
+        return self.effective_slope() * (L // len(self.values))
+
 
 ZERO_TAIL = Tail((0,), 0)
 
@@ -221,64 +226,51 @@ class Configuration:
 # -- sequence equality -----------------------------------------------------
 
 
+def aligned_span(x: Configuration, y: Configuration):
+    """(lo, hi, Ll, Lr) for a pair of configurations.
+
+    Columns lo..hi hold column 0 and both cores, so left of lo both
+    sequences are pure left tails and right of hi pure right tails. Ll and
+    Lr are the lcm of the two tail periods on each side: beyond the span,
+    every residue class of columns mod Ll (resp. Lr) is an affine
+    progression in each sequence, rising by `Tail.step` per Ll (Lr)
+    columns, or a constant infinity.
+    """
+    lo = min(x.core_start, y.core_start, 0)
+    hi = max(x.core_end, y.core_end, 0)
+    Ll = lcm(len(x.left.values), len(y.left.values))
+    Lr = lcm(len(x.right.values), len(y.right.values))
+    return lo, hi, Ll, Lr
+
+
 def equals(x: Configuration, y: Configuration) -> bool:
     """True iff x and y denote the same bi-infinite sequence."""
-    A = min(x.core_start, y.core_start)
-    B = max(x.core_end, y.core_end)
-    for i in range(A, B + 1):
-        if x.height(i) != y.height(i):
-            return False
-    return _tails_agree(x, y, B, x.right, y.right, +1) and _tails_agree(
-        x, y, A, x.left, y.left, -1
-    )
-
-
-def _tails_agree(x, y, edge, tx, ty, direction) -> bool:
-    # Beyond `edge` both configurations are in pure tail territory. One
-    # shared lcm window pins the values; matching per-window increments
-    # then pin everything further out.
-    L = lcm(len(tx.values), len(ty.values))
-    saw_finite = False
-    for j in range(1, L + 1):
-        hx = x.height(edge + direction * j)
-        if hx != y.height(edge + direction * j):
-            return False
-        saw_finite = saw_finite or is_finite(hx)
-    if not saw_finite:
-        return True
-    return tx.effective_slope() * (L // len(tx.values)) == ty.effective_slope() * (
-        L // len(ty.values)
-    )
+    return first_difference(x, y) is None
 
 
 def first_difference(x: Configuration, y: Configuration):
-    """Some column where x and y differ, or None. Deterministic."""
-    A = min(x.core_start, y.core_start)
-    B = max(x.core_end, y.core_end)
-    DL = min(A, 0)
-    DR = max(B, 0)
-    Lr = lcm(len(x.right.values), len(y.right.values))
-    Ll = lcm(len(x.left.values), len(y.left.values))
-    for j in range(DL - Ll, DR + Lr + 1):
+    """A column where x and y differ, or None when they are equal.
+
+    With (lo, hi, Ll, Lr) = aligned_span(x, y), the column returned is:
+    the least differing column in lo-Ll..hi+Lr when there is one; else,
+    when the right tails rise by different steps per Lr columns, the
+    first finite column right of hi plus Lr; else, when the left tails do,
+    the first finite column left of lo minus Ll.
+    """
+    lo, hi, Ll, Lr = aligned_span(x, y)
+    for j in range(lo - Ll, hi + Lr + 1):
         if x.height(j) != y.height(j):
             return j
-    # values agree on the lcm windows; only a slope mismatch can remain
-    for direction, edge, L in ((+1, DR, Lr), (-1, DL, Ll)):
-        for rho in range(1, L + 1):
-            j0 = edge + direction * rho
-            u, v = x.height(j0), y.height(j0)
-            if not is_finite(u):
-                continue
-            su = _pattern_step(x, direction, Lr if direction > 0 else Ll)
-            sv = _pattern_step(y, direction, Lr if direction > 0 else Ll)
-            if su != sv:
-                return j0 + direction * L
+    # Both lcm windows agree, so only a per-window step can still differ;
+    # it shows one window out from the first finite column.
+    for tx, ty, edge, d, L in (
+        (x.right, y.right, hi, +1, Lr),
+        (x.left, y.left, lo, -1, Ll),
+    ):
+        if tx.step(L) != ty.step(L):
+            window = range(edge + d, edge + d * (L + 1), d)
+            return next(j for j in window if is_finite(x.height(j))) + d * L
     return None
-
-
-def _pattern_step(c, direction, L):
-    t = c.right if direction > 0 else c.left
-    return t.effective_slope() * (L // len(t.values))
 
 
 # -- aggregate measures ----------------------------------------------------

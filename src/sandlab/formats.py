@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from .automaton import NEG, POS, SandAutomaton, WILDCARD, validate_rule
 from .config import Configuration, Tail, equals
-from .errors import ParseError
+from .errors import ParseError, RuleError
 from .heights import Infinity, MINUS_INF, PLUS_INF
 
 RULE_HEADER = "sand-rule v1"
@@ -129,7 +129,7 @@ def parse_rule_file(text: str) -> SandAutomaton:
         rules.append((pattern, _parse_int(delta_text, num)))
     try:
         return validate_rule(radius, rules, default)
-    except Exception as exc:
+    except RuleError as exc:
         raise ParseError(str(exc))
 
 

@@ -17,9 +17,8 @@ in closed form instead of scanning gauges one by one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
-from .config import Configuration, equals
+from .config import Configuration, aligned_span
 from .errors import DomainError
 from .heights import Height, Infinity, MINUS_INF, PLUS_INF, is_finite
 
@@ -135,19 +134,12 @@ def distance(x: Configuration, y: Configuration) -> Distance:
     x0, y0 = x.height(0), y.height(0)
     if x0 != y0:
         return Distance.dyadic(0)
-    if equals(x, y):
-        return Distance.zero()
     m = 0 if isinstance(x0, Infinity) else x0
 
     best = None
-    # Window wide enough that everything beyond it is pure tail on either
-    # side of zero, aligned for both configurations.
-    A = min(x.core_start, y.core_start)
-    B = max(x.core_end, y.core_end)
-    Lr = lcm(len(x.right.values), len(y.right.values))
-    Ll = lcm(len(x.left.values), len(y.left.values))
-    DR = max(B, 0) + Lr
-    DL = min(A, 0) - Ll
+    lo, hi, Ll, Lr = aligned_span(x, y)
+    DR = hi + Lr
+    DL = lo - Ll
     for j in range(DL, DR + 1):
         if j == 0:
             continue
@@ -159,23 +151,21 @@ def distance(x: Configuration, y: Configuration) -> Distance:
 
     # Beyond the window each residue class is an affine progression per
     # configuration; minimise per class in closed form.
-    sx = x.right.effective_slope() * (Lr // len(x.right.values))
-    sy = y.right.effective_slope() * (Lr // len(y.right.values))
+    sx, sy = x.right.step(Lr), y.right.step(Lr)
     for rho in range(Lr):
         j0 = DR + 1 + rho
         cand = _class_minimum(j0, Lr, x.height(j0), sx, y.height(j0), sy, m)
         if cand is not None and (best is None or cand < best):
             best = cand
-    tx = x.left.effective_slope() * (Ll // len(x.left.values))
-    ty = y.left.effective_slope() * (Ll // len(y.left.values))
+    tx, ty = x.left.step(Ll), y.left.step(Ll)
     for rho in range(Ll):
         j0 = DL - 1 - rho
         cand = _class_minimum(-j0, Ll, x.height(j0), tx, y.height(j0), ty, m)
         if cand is not None and (best is None or cand < best):
             best = cand
 
-    if best is None:  # pragma: no cover - unequal configurations always differ
-        raise AssertionError("no differing column found for unequal configurations")
+    if best is None:  # no column and no residue class separates them
+        return Distance.zero()
     return Distance.dyadic(best)
 
 
@@ -234,13 +224,3 @@ def _class_minimum(a0, L, u0, su, v0, sv, m):
         if best is None or val < best:
             best = val
     return best
-
-
-def naive_distance_exponent(x: Configuration, y: Configuration, max_gauge: int):
-    """Scan gauges 0..max_gauge for the least separating one (None if all
-    agree). Exponential-value-blind reference used to cross-check
-    `distance`; only viable for small separations."""
-    for l in range(max_gauge + 1):
-        if diff_vector(x, 0, l) != diff_vector(y, 0, l):
-            return l
-    return None

@@ -26,9 +26,11 @@ from sandlab.config import (
     sum_grains,
 )
 from sandlab.heights import MINUS_INF, PLUS_INF
-from sandlab.metric import Distance, distance, naive_distance_exponent
+from sandlab.metric import Distance, distance
 from sandlab.rng import Lcg64, sample_configuration
 from sandlab import zoo
+
+from naive_scan import naive_distance_exponent
 
 ZERO = Configuration.finite({})
 ZOO_NAMES = ("S", "Sr", "L", "X", "Y")

@@ -1,5 +1,7 @@
 """Tests for the bounded decision procedures and witness reports."""
 
+import tracemalloc
+
 import pytest
 
 from sandlab.analysis import (
@@ -58,6 +60,22 @@ def test_injective_periodic_counts_primitive_tuples():
     assert r.details["candidates"] == 7 + (49 - 7) + (343 - 7)
 
 
+def test_injective_periodic_key_is_one_primitive_word():
+    S = zoo.make("S")
+    small = check_injective_bounded(S, "P", 4, 1)
+    tracemalloc.start()
+    try:
+        large = check_injective_bounded(S, "P", 14, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert large.verdict == small.verdict == WITNESS_FOUND
+    assert large.witness == small.witness
+    assert large.details["candidates"] == small.details["candidates"] == 8
+    # an lcm(1..14)-long key would hold 360,360 entries per candidate
+    assert peak < 1 << 20
+
+
 def test_injective_rejects_bad_class():
     with pytest.raises(DomainError):
         check_injective_bounded(zoo.make("S"), "EC", 1, 1)
@@ -66,6 +84,8 @@ def test_injective_rejects_bad_class():
 def test_injective_guard_on_candidate_count():
     with pytest.raises(DomainError):
         check_injective_bounded(zoo.make("S"), "F", 8, 8, max_candidates=1000)
+    with pytest.raises(DomainError):
+        check_injective_bounded(zoo.make("S"), "P", 8, 2, max_candidates=1000)
 
 
 def test_preimage_found_and_reverified():

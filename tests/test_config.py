@@ -22,6 +22,8 @@ from sandlab.errors import DomainError
 from sandlab.heights import MINUS_INF, PLUS_INF
 from sandlab.rng import Lcg64, sample_configuration
 
+from naive_scan import naive_equals
+
 
 def test_finite_constructor_heights():
     c = Configuration.finite({0: 4, 1: 2, -3: -1})
@@ -169,6 +171,76 @@ def test_first_difference_reports_a_real_difference():
             assert equals(x, y)
         else:
             assert x.height(j) != y.height(j)
+
+
+def _spelt_out(c, lo, hi, left_copies, right_copies):
+    """c rebuilt with core lo..hi and each tail period written out
+    `left_copies` / `right_copies` times."""
+    lp, rp = len(c.left.values) * left_copies, len(c.right.values) * right_copies
+    left_step = c.left.slope * left_copies
+    right_step = c.right.slope * right_copies
+    return Configuration.general(
+        lo,
+        c.heights(lo, hi),
+        Tail(tuple(c.height(lo - 1 - j) for j in range(lp)), left_step),
+        Tail(tuple(c.height(hi + 1 + j) for j in range(rp)), right_step),
+    )
+
+
+def _equality_pairs():
+    rng = Lcg64(4242)
+    for k in range(300):
+        infs = k % 3 == 0
+        x = sample_configuration(rng, height=2, include_infinities=infs)
+        yield x, sample_configuration(rng, height=2, include_infinities=infs)
+        lo, hi = min(x.core_start, 0) - 2, max(x.core_end, 0) + 2
+        wide = _spelt_out(x, lo, hi, 2, 3)
+        yield x, wide
+        # the same with one column or one tail step changed
+        core = list(wide.core)
+        col = rng.below(len(core))
+        core[col] = 0 if core[col] != 0 else 1
+        yield x, Configuration(lo, tuple(core), wide.left, wide.right)
+        steeper = Tail(wide.right.values, wide.right.slope + 1)
+        yield x, Configuration(lo, wide.core, wide.left, steeper)
+        steeper = Tail(wide.left.values, wide.left.slope - 1)
+        yield Configuration(lo, wide.core, steeper, wide.right), x
+    for values, slope in (
+        ((3, -1, 4), 2),
+        ((0, PLUS_INF), -3),
+        ((5,), 7),
+        ((1, 2, 1, 2), 0),
+    ):
+        c = Configuration.affine(values, slope)
+        p = len(values)
+        yield c.shift(p).raise_by(slope), c
+        yield c.shift(-2 * p).raise_by(-2 * slope), c
+        yield c.shift(1), c
+        yield Configuration.affine(values * 3, 3 * slope), c
+        yield _spelt_out(c, -4, 5, 1, 1), c
+        yield _spelt_out(c, -4, 5, 1, 1).raise_by(1), c
+
+
+def test_equals_and_first_difference_match_naive_scan():
+    for x, y in _equality_pairs():
+        same = naive_equals(x, y)
+        assert equals(x, y) is same
+        assert equals(y, x) is same
+        col = first_difference(x, y)
+        if same:
+            assert col is None
+        else:
+            assert col is not None and x.height(col) != y.height(col)
+
+
+def test_first_difference_finds_a_slope_only_mismatch():
+    # equal on every column of the aligned lcm windows, apart further out
+    x = Configuration(1, (), Tail((0,), 0), Tail((5,), 1))
+    y = Configuration(1, (), Tail((0,), 0), Tail((5, 6), 3))
+    assert x.heights(-3, 2) == y.heights(-3, 2)
+    assert first_difference(x, y) == 3
+    assert x.height(3) != y.height(3)
+    assert not equals(x, y)
 
 
 def test_sum_grains():
