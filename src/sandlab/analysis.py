@@ -22,14 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .automaton import (
-    SandAutomaton,
-    _core_cap,
-    apply,
-    apply_window,
-    column_image,
-    image_height,
-)
+from .automaton import SandAutomaton, _core_cap, apply, window_image
 from .config import Configuration, Tail, equals, first_difference
 from .errors import DomainError
 from .heights import MINUS_INF, PLUS_INF
@@ -148,31 +141,28 @@ def check_injective_bounded(
     values = _height_values(h, include_infinities)
     bounds = {("window" if klass == "F" else "period"): n_or_p, "height": h}
 
+    r = automaton.radius
     if klass == "F":
         width = 2 * n_or_p + 1
         total = len(values) ** width
-        candidates = (
-            (Configuration(-n_or_p, tup), tup)
-            for tup in _tuples_by_weight(width, values)
-        )
-        key_of = lambda cfg: apply_window(
-            automaton, cfg, -n_or_p - automaton.radius, n_or_p + automaton.radius
-        )
+        candidates = _tuples_by_weight(width, values)
+        pad = (0,) * (2 * r)
+        key_of = lambda tup: tuple(window_image(automaton, pad + tup + pad))
+        build = lambda tup: Configuration(-n_or_p, tup)
     else:
         total = sum(len(values) ** q for q in range(1, n_or_p + 1))
-
-        def periodic_candidates():
-            for q in range(1, n_or_p + 1):
-                for tup in _tuples_by_weight(q, values):
-                    if _primitive_root(tup) == tup:
-                        yield Configuration.periodic(tup), tup
-
-        candidates = periodic_candidates()
+        candidates = (
+            tup
+            for q in range(1, n_or_p + 1)
+            for tup in _tuples_by_weight(q, values)
+            if _primitive_root(tup) == tup
+        )
         # Both images are anchored at column 0, so they are equal exactly
         # when their one-period words have the same primitive root.
-        key_of = lambda cfg: _primitive_root(
-            apply_window(automaton, cfg, 0, len(cfg.right.values) - 1)
+        key_of = lambda tup: _primitive_root(
+            tuple(window_image(automaton, _cyclic_read(tup, r)))
         )
+        build = Configuration.periodic
     if total > max_candidates:
         raise DomainError(
             f"enumeration of {total} candidates exceeds the guard "
@@ -181,12 +171,11 @@ def check_injective_bounded(
 
     seen = {}
     visited = 0
-    for cfg, tup in candidates:
+    for tup in candidates:
         visited += 1
-        key = key_of(cfg)
+        key = key_of(tup)
         if key in seen:
-            other = seen[key]
-            pair = (other.canonicalize(), cfg.canonicalize())
+            pair = (build(seen[key]).canonicalize(), build(tup).canonicalize())
             if not verify_witness_pair(automaton, *pair):  # pragma: no cover
                 raise AssertionError("image-key collision failed re-verification")
             return WitnessReport(
@@ -198,7 +187,7 @@ def check_injective_bounded(
                 PROOF,
                 {"candidates": visited},
             )
-        seen[key] = cfg
+        seen[key] = tup
     return WitnessReport(
         EXHAUSTED_NO_WITNESS,
         None,
@@ -208,6 +197,13 @@ def check_injective_bounded(
         EVIDENCE,
         {"candidates": visited},
     )
+
+
+def _cyclic_read(word, r):
+    """Heights of columns -r..q-1+r of the periodic configuration whose
+    columns 0..q-1 carry `word` (q = len(word))."""
+    q = len(word)
+    return [word[k % q] for k in range(-r, q + r)]
 
 
 # -- pre-image search ---------------------------------------------------------
@@ -283,12 +279,6 @@ def check_preimage_bounded(
     )
 
 
-def _background_image(automaton, bg):
-    """Image height of a column deep inside a constant-bg region."""
-    flat = Configuration(0, (), Tail((bg,), 0), Tail((bg,), 0))
-    return image_height(automaton, flat, 0)
-
-
 def _linear_preimage_dfs(automaton, target, n, values, bgl, bgr):
     """DFS over column assignments on [-n, n] with fixed backgrounds.
 
@@ -299,90 +289,80 @@ def _linear_preimage_dfs(automaton, target, n, values, bgl, bgr):
     """
     r = automaton.radius
     goal = target.heights(-n - r, n + r)
-    img_l = _background_image(automaton, bgl)
-    img_r = _background_image(automaton, bgr)
+    img_l = window_image(automaton, [bgl] * (2 * r + 1))[0]
+    img_r = window_image(automaton, [bgr] * (2 * r + 1))[0]
     if not equals(
         target, Configuration(-n - r, goal, Tail((img_l,), 0), Tail((img_r,), 0))
     ):
         return None, 0
-    width = 2 * n + 1
-    offsets = (*range(-r, 0), *range(1, r + 1))
-    assign = []
-    nodes = 0
 
-    def column(col):
-        if col < -n:
-            return bgl
-        if col > n:
-            return bgr
-        return assign[col + n]
+    # row holds columns -n-2r.., so its last 2r+1 entries are the window
+    # of the column whose image the newest column fixes
+    def prefix_ok(row):
+        k = len(row) - 2 * r - 1
+        return window_image(automaton, row[k:])[0] == goal[k]
 
-    def image_ok(i):
-        neighbours = (column(i + off) for off in offsets)
-        return column_image(automaton, column(i), neighbours) == goal[i + n + r]
+    def complete(row):
+        edge = window_image(automaton, row[-2 * r :] + [bgr] * (2 * r))
+        if tuple(edge) != goal[-2 * r :]:
+            return None
+        return Configuration(
+            -n, tuple(row[2 * r :]), Tail((bgl,), 0), Tail((bgr,), 0)
+        )
 
-    def dfs():
-        nonlocal nodes
-        j = -n + len(assign)
-        if len(assign) == width:
-            for i in range(n - r + 1, n + r + 1):
-                if not image_ok(i):
-                    return None
-            return Configuration(
-                -n, tuple(assign), Tail((bgl,), 0), Tail((bgr,), 0)
-            )
-        for v in values:
-            assign.append(v)
-            nodes += 1
-            if image_ok(j - r):
-                hit = dfs()
-                if hit is not None:
-                    return hit
-            assign.pop()
-        return None
-
-    return dfs(), nodes
+    return _dfs([bgl] * (2 * r), 2 * n + 1, values, prefix_ok, complete)
 
 
 def _cyclic_preimage_dfs(automaton, target, q, values):
     """DFS over one period of a q-periodic candidate (anchored at 0)."""
     r = automaton.radius
     goal = target.heights(0, q - 1)
-    offsets = (*range(-r, 0), *range(1, r + 1))
-    assign = []
+
+    def prefix_ok(word):
+        # columns r..q-1-r have their whole window inside the word
+        i = len(word) - 1 - r
+        return not r <= i <= q - 1 - r or (
+            window_image(automaton, word[i - r :])[0] == goal[i]
+        )
+
+    def complete(word):
+        if tuple(window_image(automaton, _cyclic_read(word, r))) != goal:
+            return None
+        return Configuration.periodic(tuple(word))
+
+    return _dfs([], q, values, prefix_ok, complete)
+
+
+def _dfs(prefix, width, values, prefix_ok, complete):
+    """Depth-first search over `width` more entries appended to `prefix`,
+    in ascending lexicographic order of `values`, without recursion.
+
+    `prefix_ok(row)` vets the newest entry of a partial row and
+    `complete(row)` turns a full row into a witness or None. Returns
+    (witness or None, nodes visited).
+    """
+    row = list(prefix)
+    nxt = [0]  # per open depth, the index in `values` to try next
     nodes = 0
-
-    def image_ok(i, wrap):
-        centre = assign[i % q] if wrap else assign[i]
-        if wrap:
-            neighbours = (assign[(i + off) % q] for off in offsets)
-        else:
-            neighbours = (assign[i + off] for off in offsets)
-        return column_image(automaton, centre, neighbours) == goal[i % q]
-
-    def dfs():
-        nonlocal nodes
-        j = len(assign)
-        if j == q:
-            for i in range(q):
-                if not (r <= i <= q - 1 - r):
-                    if not image_ok(i, wrap=True):
-                        return None
-            return Configuration.periodic(tuple(assign))
-        for v in values:
-            assign.append(v)
-            nodes += 1
-            i = j - r
-            if r <= i <= q - 1 - r and not image_ok(i, wrap=False):
-                assign.pop()
+    while nxt:
+        k = nxt[-1]
+        if k == len(values):
+            nxt.pop()
+            if nxt:
+                row.pop()
+            continue
+        nxt[-1] = k + 1
+        row.append(values[k])
+        nodes += 1
+        if prefix_ok(row):
+            if len(nxt) < width:
+                nxt.append(0)
                 continue
-            hit = dfs()
-            if hit is not None:
-                return hit
-            assign.pop()
-        return None
-
-    return dfs(), nodes
+            found = complete(row)
+            if found is not None:
+                return found, nodes
+        row.pop()
+    return None, nodes
 
 
 # -- nilpotency ---------------------------------------------------------------

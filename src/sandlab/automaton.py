@@ -7,8 +7,15 @@ nothing matches. Pattern atoms are exact values, the two infinities, a
 wildcard, or the sign classes POS / NEG (which include the respective
 infinity).
 
-The global map adds the matched delta to every finite column; infinite
-columns never change. `apply` realises one synchronous step exactly on the
+That first-match scan defines the rule, but evaluation goes through a
+memo: the 2r readings of a column, left to right, are the digits of one
+base-(2r+3) reading code (-infinity -> 0, d -> d + r + 1, +infinity ->
+2r + 2), and each automaton keeps a dict from code to delta that the scan
+fills on first use. `window_image` is the one evaluator: it maps a flat
+run of heights to the images of its inner columns.
+
+The global map adds the delta to every finite column; infinite columns
+never change. `apply` realises one synchronous step exactly on the
 core-plus-tails representation: tail windows shift rigidly under the map,
 so the image keeps each period length and slope, and only a bounded
 neighbourhood of the core needs explicit evaluation.
@@ -17,12 +24,12 @@ neighbourhood of the core needs explicit evaluation.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import Configuration, Tail
 from .errors import CoreBoundExceeded, DomainError, RuleError
 from .heights import Height, Infinity, MINUS_INF, PLUS_INF, is_finite
-from .metric import DifferenceVector, beta
+from .metric import DifferenceVector
 
 
 class _Marker:
@@ -63,6 +70,8 @@ class SandAutomaton:
     radius: int
     rules: tuple = ()
     default_delta: int = 0
+    #: reading code -> delta, filled on first use (see `window_image`)
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def validate_rule(radius: int, lines, default_delta: int = 0) -> SandAutomaton:
@@ -72,31 +81,35 @@ def validate_rule(radius: int, lines, default_delta: int = 0) -> SandAutomaton:
     beta-readings of columns (i-r, ..., i-1, i+1, ..., i+r) in that order.
     """
     if isinstance(radius, bool) or not isinstance(radius, int) or radius < 1:
-        raise RuleError(f"radius must be an integer >= 1, got {radius!r}")
+        raise RuleError(f"radius must be an integer >= 1, got {radius!r}", "radius")
     if not isinstance(default_delta, int) or abs(default_delta) > radius:
         raise RuleError(
-            f"default delta must lie in [-{radius}, {radius}], got {default_delta!r}"
+            f"default delta must lie in [-{radius}, {radius}], got {default_delta!r}",
+            "default",
         )
     checked = []
     for idx, (pattern, delta) in enumerate(lines):
         pattern = tuple(pattern)
         if len(pattern) != 2 * radius:
             raise RuleError(
-                f"rule {idx}: pattern has {len(pattern)} atoms, expected {2 * radius}"
+                f"rule {idx}: pattern has {len(pattern)} atoms, expected {2 * radius}",
+                idx,
             )
         for atom in pattern:
             if isinstance(atom, (_Marker, Infinity)):
                 continue
             if isinstance(atom, bool) or not isinstance(atom, int):
-                raise RuleError(f"rule {idx}: bad atom {atom!r}")
+                raise RuleError(f"rule {idx}: bad atom {atom!r}", idx)
             if abs(atom) > radius:
                 raise RuleError(
                     f"rule {idx}: atom {atom} outside the readable window "
-                    f"[-{radius}, {radius}]"
+                    f"[-{radius}, {radius}]",
+                    idx,
                 )
         if isinstance(delta, bool) or not isinstance(delta, int) or abs(delta) > radius:
             raise RuleError(
-                f"rule {idx}: delta must lie in [-{radius}, {radius}], got {delta!r}"
+                f"rule {idx}: delta must lie in [-{radius}, {radius}], got {delta!r}",
+                idx,
             )
         checked.append(Rule(pattern, delta))
     return SandAutomaton(radius, tuple(checked), default_delta)
@@ -122,30 +135,72 @@ def _delta_from_entries(automaton, entries):
     return automaton.default_delta
 
 
-def column_image(automaton: SandAutomaton, centre: Height, neighbours) -> Height:
-    """Height after one step of a column of height `centre` whose 2r
-    neighbours, left to right without the centre, are `neighbours`.
-    Infinite columns are fixed."""
-    if isinstance(centre, Infinity):
-        return centre
+def _readings(r: int, code: int) -> tuple:
+    """The 2r readings whose reading code is `code`."""
+    top = 2 * r + 2
+    out = []
+    for _ in range(2 * r):
+        code, digit = divmod(code, top + 1)
+        out.append(
+            MINUS_INF if digit == 0 else PLUS_INF if digit == top else digit - r - 1
+        )
+    return tuple(reversed(out))
+
+
+def _lookup(automaton: SandAutomaton, code: int) -> int:
+    """Delta at one reading code, scanned and memoised on first use."""
+    delta = automaton.memo.get(code)
+    if delta is None:
+        entries = _readings(automaton.radius, code)
+        delta = automaton.memo[code] = _delta_from_entries(automaton, entries)
+    return delta
+
+
+def same_local_rule(a: SandAutomaton, b: SandAutomaton) -> bool:
+    """True iff a and b have one radius and the same delta at every reading
+    code, so they define the same global map however their tables read."""
+    r = a.radius
+    return r == b.radius and all(
+        _lookup(a, code) == _lookup(b, code) for code in range((2 * r + 3) ** (2 * r))
+    )
+
+
+def window_image(automaton: SandAutomaton, hs) -> list:
+    """Images of the columns hs[r:-r] of a flat run of heights `hs`.
+
+    Each finite column reads its 2r neighbours straight from the height
+    differences into a reading code (module docstring) and adds the
+    memoised delta; infinite columns are fixed.
+    """
     r = automaton.radius
-    entries = tuple(beta(r, centre, v) for v in neighbours)
-    return centre + _delta_from_entries(automaton, entries)
+    top = 2 * r + 2
+    offsets = (*range(-r, 0), *range(1, r + 1))
+    memo = automaton.memo
+    out = []
+    for i in range(r, len(hs) - r):
+        centre = hs[i]
+        if isinstance(centre, Infinity):
+            out.append(centre)
+            continue
+        code = 0
+        for off in offsets:
+            d = hs[i + off] - centre  # an infinity minus an int stays put
+            code = code * (top + 1) + (0 if d < -r else d + r + 1 if d <= r else top)
+        delta = memo.get(code)
+        out.append(centre + (_lookup(automaton, code) if delta is None else delta))
+    return out
 
 
 def image_height(automaton: SandAutomaton, c: Configuration, i: int) -> Height:
     """Height of column i after one step. Infinite columns are fixed."""
     r = automaton.radius
-    return column_image(
-        automaton,
-        c.height(i),
-        (c.height(i + off) for off in (*range(-r, 0), *range(1, r + 1))),
-    )
+    return window_image(automaton, c.heights(i - r, i + r))[0]
 
 
 def apply_window(automaton: SandAutomaton, c: Configuration, lo: int, hi: int):
-    """Image heights of columns lo..hi, each evaluated directly."""
-    return tuple(image_height(automaton, c, i) for i in range(lo, hi + 1))
+    """Image heights of columns lo..hi."""
+    r = automaton.radius
+    return tuple(window_image(automaton, c.heights(lo - r, hi + r)))
 
 
 def apply(automaton: SandAutomaton, c: Configuration) -> Configuration:
@@ -154,23 +209,20 @@ def apply(automaton: SandAutomaton, c: Configuration) -> Configuration:
     Tail columns further than r from the core see a window that is a rigid
     copy of the one a full period earlier (shifted by the slope, which the
     readings cancel), so their deltas repeat with the tail period and the
-    image tail keeps the same length and slope. Everything nearer the core
-    is evaluated column by column.
+    image tail keeps the same length and slope. One flat read covers the
+    core image, r columns either side of it, and one period of each tail
+    image beyond that.
     """
     r = automaton.radius
     a = c.core_start
     b = c.core_end
-    core = tuple(image_height(automaton, c, i) for i in range(a - r, b + r + 1))
-    pr = len(c.right.values)
     pl = len(c.left.values)
-    right = Tail(
-        tuple(image_height(automaton, c, b + r + 1 + j) for j in range(pr)),
-        c.right.slope,
-    )
-    left = Tail(
-        tuple(image_height(automaton, c, a - r - 1 - j) for j in range(pl)),
-        c.left.slope,
-    )
+    pr = len(c.right.values)
+    # img[k] is the image of column a - r - pl + k
+    img = window_image(automaton, c.heights(a - 2 * r - pl, b + 2 * r + pr))
+    core = tuple(img[pl : len(img) - pr])
+    left = Tail(tuple(img[pl - 1 :: -1]), c.left.slope)
+    right = Tail(tuple(img[len(img) - pr :]), c.right.slope)
     return Configuration(a - r, core, left, right).canonicalize()
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import analysis, formats, zoo
 from .analysis import BOUND_EXCEEDED, EXHAUSTED_NO_WITNESS, WITNESS_FOUND
-from .automaton import apply, iterate
+from .automaton import apply, iterate, same_local_rule
 from .config import Configuration, equals
 from .errors import (
     CoreBoundExceeded,
@@ -170,7 +170,7 @@ def _cmd_zoo(args):
 
 def _cmd_preimage(args):
     automaton = _load_rule(args.automaton)
-    if automaton != zoo.make_L():
+    if not same_local_rule(automaton, zoo.make_L()):
         raise DomainError(
             "the explicit pre-image construction is specific to the "
             "left-matching rule; pass --automaton L"

@@ -226,18 +226,20 @@ class Configuration:
 # -- sequence equality -----------------------------------------------------
 
 
-def aligned_span(x: Configuration, y: Configuration):
+def aligned_span(x: Configuration, y: Configuration, anchored: bool = True):
     """(lo, hi, Ll, Lr) for a pair of configurations.
 
-    Columns lo..hi hold column 0 and both cores, so left of lo both
-    sequences are pure left tails and right of hi pure right tails. Ll and
-    Lr are the lcm of the two tail periods on each side: beyond the span,
-    every residue class of columns mod Ll (resp. Lr) is an affine
-    progression in each sequence, rising by `Tail.step` per Ll (Lr)
+    Columns lo..hi hold both cores and, when `anchored`, column 0, so left
+    of lo both sequences are pure left tails and right of hi pure right
+    tails. Ll and Lr are the lcm of the two tail periods on each side:
+    beyond the span, every residue class of columns mod Ll (resp. Lr) is an
+    affine progression in each sequence, rising by `Tail.step` per Ll (Lr)
     columns, or a constant infinity.
     """
-    lo = min(x.core_start, y.core_start, 0)
-    hi = max(x.core_end, y.core_end, 0)
+    lo = min(x.core_start, y.core_start)
+    hi = max(x.core_end, y.core_end)
+    if anchored:
+        lo, hi = min(lo, 0), max(hi, 0)
     Ll = lcm(len(x.left.values), len(y.left.values))
     Lr = lcm(len(x.right.values), len(y.right.values))
     return lo, hi, Ll, Lr
@@ -245,7 +247,8 @@ def aligned_span(x: Configuration, y: Configuration):
 
 def equals(x: Configuration, y: Configuration) -> bool:
     """True iff x and y denote the same bi-infinite sequence."""
-    return first_difference(x, y) is None
+    # no column is reported, so the scan need not reach column 0
+    return _difference(x, y, *aligned_span(x, y, anchored=False)) is None
 
 
 def first_difference(x: Configuration, y: Configuration):
@@ -257,7 +260,10 @@ def first_difference(x: Configuration, y: Configuration):
     first finite column right of hi plus Lr; else, when the left tails do,
     the first finite column left of lo minus Ll.
     """
-    lo, hi, Ll, Lr = aligned_span(x, y)
+    return _difference(x, y, *aligned_span(x, y))
+
+
+def _difference(x, y, lo, hi, Ll, Lr):
     for j in range(lo - Ll, hi + Lr + 1):
         if x.height(j) != y.height(j):
             return j

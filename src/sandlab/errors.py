@@ -10,7 +10,15 @@ class DomainError(SandlabError):
 
 
 class RuleError(SandlabError):
-    """A rule table failed validation (arity, delta range, bad atom)."""
+    """A rule table failed validation (arity, delta range, bad atom).
+
+    `part` names what is at fault when known: "radius", "default", or the
+    0-based index of the offending rule.
+    """
+
+    def __init__(self, message, part=None):
+        super().__init__(message)
+        self.part = part
 
 
 class ParseError(SandlabError):

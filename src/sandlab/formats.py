@@ -101,11 +101,14 @@ def parse_rule_file(text: str) -> SandAutomaton:
     radius = None
     default = 0
     raw_rules = []
+    where = {}  # RuleError.part -> line number
     for num, line in lines[1:]:
         if line.startswith("radius:"):
             radius = _parse_int(line.split(":", 1)[1], num)
+            where["radius"] = num
         elif line.startswith("default:"):
             default = _parse_int(line.split(":", 1)[1], num)
+            where["default"] = num
         elif line.startswith("rule:"):
             raw_rules.append((num, line[len("rule:"):].strip()))
         else:
@@ -113,7 +116,8 @@ def parse_rule_file(text: str) -> SandAutomaton:
     if radius is None:
         raise ParseError("missing 'radius:' line")
     rules = []
-    for num, body in raw_rules:
+    for idx, (num, body) in enumerate(raw_rules):
+        where[idx] = num
         if "->" not in body:
             raise ParseError("rule needs '(pattern) -> delta'", num)
         pat_text, delta_text = body.rsplit("->", 1)
@@ -121,16 +125,12 @@ def parse_rule_file(text: str) -> SandAutomaton:
         if not (pat_text.startswith("(") and pat_text.endswith(")")):
             raise ParseError("pattern must be parenthesised", num)
         tokens = [t.strip() for t in pat_text[1:-1].split(",") if t.strip()]
-        if len(tokens) != 2 * radius:
-            raise ParseError(
-                f"pattern has {len(tokens)} atoms, expected {2 * radius}", num
-            )
         pattern = tuple(_parse_atom(t, num) for t in tokens)
         rules.append((pattern, _parse_int(delta_text, num)))
     try:
         return validate_rule(radius, rules, default)
     except RuleError as exc:
-        raise ParseError(str(exc))
+        raise ParseError(str(exc), where.get(exc.part))
 
 
 def _parse_int(token, line):

@@ -2,12 +2,16 @@
 
 They read configurations only through `height` and the tail period
 lengths, so they share no logic with `equals`, `first_difference` or
-`distance`.
+`distance`; the image reference evaluates each column on its own, from
+its difference vector and the first-match scan, so it shares no logic
+with `window_image` or its memo.
 """
 
 from math import lcm
 
+from sandlab.automaton import local_delta
 from sandlab.config import Configuration
+from sandlab.heights import Infinity
 from sandlab.metric import diff_vector
 
 
@@ -33,3 +37,15 @@ def naive_distance_exponent(x: Configuration, y: Configuration, max_gauge: int):
         if diff_vector(x, 0, l) != diff_vector(y, 0, l):
             return l
     return None
+
+
+def naive_image_heights(automaton, c: Configuration, lo: int, hi: int) -> tuple:
+    """Image heights of columns lo..hi, one column at a time."""
+    r = automaton.radius
+    out = []
+    for i in range(lo, hi + 1):
+        h = c.height(i)
+        if not isinstance(h, Infinity):
+            h += local_delta(automaton, diff_vector(c, i, r))
+        out.append(h)
+    return tuple(out)

@@ -96,6 +96,15 @@ def test_preimage_found_and_reverified():
     assert equals(apply(zoo.make("S"), r.witness), two)
 
 
+def test_preimage_search_reaches_a_window_of_600():
+    # 1,201 columns deep: the search must not recurse once per column
+    S = zoo.make("S")
+    target = apply(S, Configuration.finite({-600: 1, -3: -1, 0: 1, 1: 1, 600: 1}))
+    r = check_preimage_bounded(S, target, "F", 600, 1)
+    assert r.verdict == WITNESS_FOUND
+    assert equals(apply(S, r.witness), target)
+
+
 def test_preimage_exhausts_for_mirror_target():
     two = Configuration.finite({0: 2})
     r = check_preimage_bounded(zoo.make("Sr"), two, "F", 3, 4)

@@ -1,5 +1,8 @@
 """Tests for rule validation and exact global-map application."""
 
+import itertools
+import random
+
 import pytest
 
 from sandlab.automaton import (
@@ -12,14 +15,18 @@ from sandlab.automaton import (
     image_height,
     iterate,
     local_delta,
+    same_local_rule,
     validate_rule,
+    window_image,
 )
 from sandlab.config import Configuration, Tail, equals, has_infinite_column
 from sandlab.errors import CoreBoundExceeded, DomainError, RuleError
 from sandlab.heights import MINUS_INF, PLUS_INF
-from sandlab.metric import diff_vector
+from sandlab.metric import DifferenceVector, diff_vector
 from sandlab.rng import Lcg64, sample_configuration
 from sandlab import zoo
+
+from naive_scan import naive_image_heights
 
 ZERO = Configuration.finite({})
 
@@ -106,7 +113,50 @@ def test_apply_window_matches_apply():
             cc = c.canonicalize()
             lo = cc.core_start - 2 * len(cc.left.values) - 3
             hi = cc.core_end + 2 * len(cc.right.values) + 3
-            assert apply_window(a, c, lo, hi) == img.heights(lo, hi)
+            want = naive_image_heights(a, c, lo, hi)
+            assert apply_window(a, c, lo, hi) == want
+            assert img.heights(lo, hi) == want
+
+
+def _random_table(rnd, r):
+    atoms = [*range(-r, r + 1), PLUS_INF, MINUS_INF, WILDCARD, POS, NEG]
+    lines = [
+        (tuple(rnd.choice(atoms) for _ in range(2 * r)), rnd.randint(-r, r))
+        for _ in range(rnd.randint(0, 8))
+    ]
+    return validate_rule(r, lines, rnd.randint(-r, r))
+
+
+def test_lookup_matches_first_match_scan_at_every_reading():
+    rnd = random.Random(20031)
+    tables = [zoo.make(name) for name in ("S", "Sr", "L", "X", "Y")]
+    tables += [_random_table(rnd, r) for r in (1, 1, 2, 2, 3)]
+    for a in tables:
+        r = a.radius
+        readings = [MINUS_INF, *range(-r, r + 1), PLUS_INF]
+        # a saturated reading comes from an infinite column or from a
+        # finite one out of range
+        offsets = [{v: v for v in readings} for _ in range(6)]
+        for m in range(3, 6):
+            offsets[m].update({MINUS_INF: -r - m + 2, PLUS_INF: r + m - 2})
+        for k, entries in enumerate(itertools.product(readings, repeat=2 * r)):
+            centre = k % 7 - 3
+            offset = offsets[k % 6]
+            hs = [centre + offset[v] for v in entries]
+            hs.insert(r, centre)
+            want = local_delta(a, DifferenceVector(entries, r, centre))
+            assert window_image(a, hs) == [centre + want]
+
+
+def test_same_local_rule_compares_the_function():
+    L = zoo.make("L")
+    spelt_out = validate_rule(
+        1, [((MINUS_INF, WILDCARD), -1), ((NEG, WILDCARD), -1), ((POS, WILDCARD), 1)], 0
+    )
+    assert spelt_out != L
+    assert same_local_rule(spelt_out, L)
+    assert not same_local_rule(zoo.make("S"), L)
+    assert not same_local_rule(validate_rule(2, [], 0), validate_rule(1, [], 0))
 
 
 def test_shift_and_vertical_invariance():

@@ -112,6 +112,18 @@ def test_preimage_rejects_other_rules(capsys):
     assert "left" in err
 
 
+def test_preimage_accepts_any_table_of_the_left_rule(tmp_path, capsys):
+    rule = tmp_path / "left.rule"
+    rule.write_text(
+        "sand-rule v1\nradius: 1\nrule: (-inf, *) -> -1\n"
+        "rule: (neg, *) -> -1\nrule: (pos, *) -> 1\n"
+    )
+    argv = ["preimage", "--config", cfg("step-two-level"), "--automaton"]
+    want = run_cli(argv + ["L"], capsys)
+    assert want[0] == 0
+    assert run_cli(argv + [str(rule)], capsys) == want
+
+
 def test_crown_outputs_two_configs(capsys):
     code, out, err = run_cli(
         ["crown", "--rule", "S", "--config-a", cfg("sandpile-collision-a"),
@@ -176,6 +188,18 @@ def test_check_surjective_exit_codes(capsys):
         ["check-surjective", "--rule", "S", "--target",
          cfg("two-grain-column"), "--class", "F", "--window", "2",
          "--height", "3"],
+        capsys,
+    )
+    assert code == 0
+    assert "verdict: WITNESS_FOUND" in out
+
+
+def test_check_surjective_wide_window(tmp_path, capsys):
+    target = tmp_path / "ridge.cfg"
+    target.write_text("sand-config v1\nkind: finite\nat -600 1\nat 0 1\nat 1 1\n")
+    code, out, err = run_cli(
+        ["check-surjective", "--rule", "S", "--target", str(target),
+         "--class", "F", "--window", "600", "--height", "1"],
         capsys,
     )
     assert code == 0

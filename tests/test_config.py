@@ -233,6 +233,24 @@ def test_equals_and_first_difference_match_naive_scan():
             assert col is not None and x.height(col) != y.height(col)
 
 
+def test_equals_reads_only_around_the_cores(monkeypatch):
+    far = 10**7
+    x = Configuration.finite({far: 1, far + 1: 2})
+    calls = 0
+    height = Configuration.height
+
+    def counted(self, i):
+        nonlocal calls
+        calls += 1
+        assert calls < 100, "equals scans far beyond the cores"
+        return height(self, i)
+
+    monkeypatch.setattr(Configuration, "height", counted)
+    assert equals(x, Configuration.finite({far: 1, far + 1: 2}))
+    assert not equals(x, Configuration.finite({far: 1, far + 2: 2}))
+    assert not equals(x.shift(3), x)
+
+
 def test_first_difference_finds_a_slope_only_mismatch():
     # equal on every column of the aligned lcm windows, apart further out
     x = Configuration(1, (), Tail((0,), 0), Tail((5,), 1))

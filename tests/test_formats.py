@@ -58,6 +58,19 @@ def test_rule_file_bad_delta():
         parse_rule_file("sand-rule v1\nradius: 1\nrule: (0, 0) -> 5\n")
 
 
+def test_rule_file_validation_errors_carry_line_numbers():
+    cases = (
+        ("sand-rule v1\nradius: 1\n# a comment\nrule: (0, 0) -> 5\n", 4),
+        ("sand-rule v1\n\nradius: 0\n", 3),
+        ("sand-rule v1\nradius: 0\nrule: (0, 0) -> 0\n", 2),
+        ("sand-rule v1\nradius: 1\ndefault: 3\n", 3),
+    )
+    for text, line in cases:
+        with pytest.raises(ParseError) as info:
+            parse_rule_file(text)
+        assert info.value.line == line
+
+
 def test_rule_file_unknown_line():
     with pytest.raises(ParseError) as info:
         parse_rule_file("sand-rule v1\nradius: 1\nwat: 3\n")
