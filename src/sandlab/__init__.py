@@ -75,67 +75,3 @@ from .zoo import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BOUND_EXCEEDED",
-    "Configuration",
-    "CoreBoundExceeded",
-    "DifferenceVector",
-    "Distance",
-    "DomainError",
-    "EXHAUSTED_NO_WITNESS",
-    "Height",
-    "Infinity",
-    "InternalConsistencyError",
-    "Lcg64",
-    "MINUS_INF",
-    "NEG",
-    "POS",
-    "PLUS_INF",
-    "ParseError",
-    "RuleError",
-    "SandAutomaton",
-    "SandlabError",
-    "Tail",
-    "WILDCARD",
-    "WITNESS_FOUND",
-    "WitnessReport",
-    "apply",
-    "apply_window",
-    "beta",
-    "build_L_preimage",
-    "check_injective_bounded",
-    "check_nilpotent_bounded",
-    "check_preimage_bounded",
-    "crown_lift",
-    "diff_vector",
-    "distance",
-    "emit_config_file",
-    "emit_dump",
-    "emit_rule_file",
-    "equals",
-    "first_difference",
-    "image_height",
-    "is_finite",
-    "is_finite_class",
-    "iterate",
-    "local_delta",
-    "make",
-    "make_L",
-    "make_S",
-    "make_Sr",
-    "make_X",
-    "make_Y",
-    "parse_config_file",
-    "parse_dump",
-    "parse_rule_file",
-    "periodic_splice",
-    "render_ascii",
-    "sample_configuration",
-    "splice_match_indices",
-    "sum_grains",
-    "support_radius",
-    "validate_rule",
-    "verify_right_inverse",
-    "verify_witness_pair",
-]

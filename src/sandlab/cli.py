@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Every run is described by a RunManifest (subcommand plus the inputs that
-fully determine it), which is echoed into the report header so identical
-invocations produce byte-identical output. Exit codes:
+Every verdict report is described by a RunManifest (subcommand plus the
+inputs that fully determine it), which is echoed into the report header so
+identical invocations produce byte-identical output. Exit codes:
 
     0  clean outcome for the subcommand (simulation done, check exhausted
        with nothing to find, witness verified, pre-image produced, ...)
@@ -127,15 +127,6 @@ def _emit_report(manifest, report, clean_verdicts) -> tuple:
 
 
 def _cmd_simulate(args):
-    manifest = RunManifest(
-        "simulate",
-        {
-            "rule": args.rule,
-            "config": args.config,
-            "steps": args.steps,
-            "render": args.render or "none",
-        },
-    )
     automaton = _load_rule(args.rule)
     c = _load_config(args.config)
     result = iterate(automaton, c, args.steps, args.max_core)
@@ -435,10 +426,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     code, text = run(args)
-    stream = sys.stdout if code == EXIT_OK else sys.stderr
-    if code in (EXIT_OK, EXIT_VERDICT, EXIT_BOUND) and not text.startswith("error:"):
-        stream = sys.stdout
-    stream.write(text)
+    (sys.stderr if text.startswith("error:") else sys.stdout).write(text)
     return code
 
 

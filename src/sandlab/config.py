@@ -26,15 +26,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import DomainError
-from .heights import (
-    Height,
-    Infinity,
-    MINUS_INF,
-    PLUS_INF,
-    ext_add,
-    height_sort_key,
-    is_finite,
-)
+from .heights import Height, Infinity, ext_add, height_sort_key, is_finite
 
 
 def _check_height(v) -> Height:
@@ -82,6 +74,20 @@ class Tail:
         period length (0 when no period entry is finite)."""
         return self.effective_slope() * (L // len(self.values))
 
+    def rebased(self, k: int) -> "Tail":
+        """The same progression with its boundary moved k columns outward:
+        rebased(k).at(j) == at(j + k)."""
+        if not k:
+            return self
+        p = len(self.values)
+        return Tail(tuple(self.at(k + j) for j in range(p)), self.slope)
+
+    def mirror(self) -> "Tail":
+        """The left tail that continues this right tail backwards from the
+        same boundary: mirror().at(j) == at(-1 - j)."""
+        p = len(self.values)
+        return Tail(tuple(self.at(-1 - j) for j in range(p)), -self.slope)
+
 
 ZERO_TAIL = Tail((0,), 0)
 
@@ -123,16 +129,8 @@ class Configuration:
         values = tuple(_check_height(v) for v in values)
         if not values:
             raise DomainError("period must be non-empty")
-        p = len(values)
-
-        def at(i):
-            k, idx = divmod(i, p)
-            v = values[idx]
-            return v if isinstance(v, Infinity) else v + slope * k
-
         right = Tail(values, slope)
-        left = Tail(tuple(at(-1 - j) for j in range(p)), -slope)
-        return cls(0, (), left, right)
+        return cls(0, (), right.mirror(), right)
 
     @classmethod
     def general(cls, core_start: int, core, left, right) -> "Configuration":
@@ -332,96 +330,53 @@ def has_infinite_column(c: Configuration) -> bool:
 # is unique).
 
 
-def _back_extension(tail: Tail) -> Height:
-    """The value the tail would predict one column before its first."""
-    v = tail.values[-1]
-    return v if isinstance(v, Infinity) else v - tail.slope
-
-
-def _extend_back(tail: Tail) -> Tail:
-    return Tail((_back_extension(tail),) + tail.values[:-1], tail.slope)
-
-
-def _drop_front(tail: Tail) -> Tail:
-    v = tail.values
-    return Tail(v[1:] + (ext_add(v[0], tail.slope),), tail.slope)
-
-
 def _reduce_tail(tail: Tail) -> Tail:
-    values = tail.values
+    """The primitive period of the tail, with slope 0 when no entry is
+    finite; the tail itself when it already is one."""
     slope = tail.effective_slope()
-    p = len(values)
+    p = len(tail.values)
     for q in range(1, p):
         if p % q or (slope * q) % p:
             continue
         t = slope * q // p
-        ok = True
-        for j in range(p):
-            expected = values[j] if isinstance(values[j], Infinity) else values[j] + t
-            k, idx = divmod(j + q, p)
-            v = values[idx]
-            actual = v if isinstance(v, Infinity) else v + slope * k
-            if actual != expected:
-                ok = False
-                break
-        if ok:
-            return Tail(values[:q], t)
-    return Tail(values, slope)
-
-
-def _fully_affine_rebased(anchor, left, right):
-    """If the whole sequence satisfies x_{i+q} = x_i + s, return the
-    canonically anchored representation, else None."""
-    qR, sR = len(right.values), right.slope
-    qL = len(left.values)
-    if qR % qL or left.slope * (qR // qL) != -sR:
-        return None
-    probe = Configuration(anchor, (), left, right)
-    for k in range(qR):
-        lo = probe.height(anchor - qR + k)
-        hi = probe.height(anchor + k)
-        if hi != (lo if isinstance(lo, Infinity) else lo + sR):
-            return None
-    if sR != 0:
-        base = 0
-    else:
-        window = lambda s: tuple(
-            height_sort_key(probe.height(s + j)) for j in range(qR)
-        )
-        base = min(range(qR), key=window)
-    vals = tuple(probe.height(base + j) for j in range(qR))
-    back = tuple(probe.height(base - 1 - j) for j in range(qR))
-    return Configuration(base, (), Tail(back, -sR), Tail(vals, sR))
+        if all(tail.at(j + q) == ext_add(tail.at(j), t) for j in range(p - q)):
+            return Tail(tail.values[:q], t)
+    return tail if slope == tail.slope else Tail(tail.values, slope)
 
 
 def _canonicalize(c: Configuration) -> Configuration:
     left = _reduce_tail(c.left)
     right = _reduce_tail(c.right)
-    core = list(c.core)
-    start = c.core_start
+    core = c.core
+    # count the edge columns each tail predicts, then re-anchor it once
+    hi = len(core)
+    while hi and core[hi - 1] == right.at(hi - 1 - len(core)):
+        hi -= 1
+    lo = 0
+    while lo < hi and core[lo] == left.at(-1 - lo):
+        lo += 1
+    start = c.core_start + lo
+    left = left.rebased(-lo)
+    right = right.rebased(hi - len(core))
+    if lo < hi:
+        return Configuration(start, core[lo:hi], left, right)
 
-    while core and core[-1] == _back_extension(right):
-        right = _extend_back(right)
-        core.pop()
-    while core and core[0] == _back_extension(left):
-        left = _extend_back(left)
-        core.pop(0)
-        start += 1
-    if core:
-        return Configuration(start, tuple(core), left, right)
-
-    anchor = start
-    rebased = _fully_affine_rebased(anchor, left, right)
-    if rebased is not None:
-        return rebased
+    if left == right.mirror():
+        # globally affine-periodic: anchor 0 (slope != 0) or the anchor in
+        # [0, p) whose period window is least
+        base = 0
+        if right.slope == 0:
+            window = lambda b: [
+                height_sort_key(v) for v in right.rebased(b - start).values
+            ]
+            base = min(range(len(right.values)), key=window)
+        right = right.rebased(base - start)
+        return Configuration(base, (), right.mirror(), right)
     # not globally affine-periodic, so the set of valid anchors is bounded
     # below; slide to its minimum
-    for _ in range(10**7):
-        if left.values[0] != _back_extension(right):
-            break
-        right = _extend_back(right)
-        left = _drop_front(left)
-        anchor -= 1
-    else:  # pragma: no cover
-        raise AssertionError("canonical anchor slide failed to terminate")
-    return Configuration(anchor, (), _reduce_tail(left), right)
+    n = 0
+    while left.at(n) == right.at(-1 - n):
+        n += 1
+        if n == 10**7:  # pragma: no cover
+            raise AssertionError("canonical anchor slide failed to terminate")
+    return Configuration(start - n, (), left.rebased(n), right.rebased(-n))

@@ -35,7 +35,7 @@ Configuration files:
 from __future__ import annotations
 
 from .automaton import NEG, POS, SandAutomaton, WILDCARD, validate_rule
-from .config import Configuration, Tail, equals
+from .config import ZERO_TAIL, Configuration
 from .errors import ParseError, RuleError
 from .heights import Infinity, MINUS_INF, PLUS_INF
 
@@ -221,29 +221,22 @@ def emit_config_file(c: Configuration) -> str:
     """Canonical text form: the simplest kind that reproduces the sequence."""
     cc = c.canonicalize()
     out = [CONFIG_HEADER]
-    zero = Tail((0,), 0)
-    if cc.left == zero and cc.right == zero:
+    if cc.left == ZERO_TAIL and cc.right == ZERO_TAIL:
         out.append("kind: finite")
         for off, v in enumerate(cc.core):
             if v != 0:
                 out.append(f"at {cc.core_start + off} {format_height(v)}")
         return "\n".join(out) + "\n"
-    if not cc.core:
+    if not cc.core and cc.left == cc.right.mirror():
         # globally affine-periodic sequences can be anchored anywhere, so
         # read one period off columns 0..q-1 and emit the friendly kind
-        q = len(cc.right.values)
-        anchored = cc.heights(0, q - 1)
-        probe = Configuration.affine(anchored, cc.right.slope)
-        if equals(probe, cc):
-            vals = " ".join(format_height(v) for v in anchored)
-            if cc.right.slope == 0:
-                out.append("kind: periodic")
-                out.append(f"period: {vals}")
-            else:
-                out.append("kind: affine")
-                out.append(f"period: {vals}")
-                out.append(f"slope: {cc.right.slope}")
-            return "\n".join(out) + "\n"
+        slope = cc.right.slope
+        period = cc.right.rebased(-cc.core_start).values
+        out.append("kind: affine" if slope else "kind: periodic")
+        out.append("period: " + " ".join(format_height(v) for v in period))
+        if slope:
+            out.append(f"slope: {slope}")
+        return "\n".join(out) + "\n"
     out.append("kind: general")
     out.append(f"core-start: {cc.core_start}")
     out.append(("core: " + " ".join(format_height(v) for v in cc.core)).rstrip())

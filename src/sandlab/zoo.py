@@ -60,15 +60,10 @@ def make_S() -> SandAutomaton:
 
 
 def make_Sr() -> SandAutomaton:
-    return validate_rule(
-        1,
-        [
-            ((PLUS_INF, MINUS_INF), 0),
-            ((PLUS_INF, _W), -1),
-            ((_W, MINUS_INF), +1),
-        ],
-        0,
-    )
+    """S with every arrow reversed: each delta and the default negated."""
+    S = make_S()
+    rules = [(rule.pattern, -rule.delta) for rule in S.rules]
+    return validate_rule(S.radius, rules, -S.default_delta)
 
 
 def make_L() -> SandAutomaton:
@@ -184,13 +179,6 @@ def build_L_preimage(c: Configuration) -> Configuration:
 # -- crown padding ------------------------------------------------------------
 
 
-def _periodic_at(values, start: int) -> Configuration:
-    """The |values|-periodic configuration with c_{start+t} = values[t]."""
-    p = len(values)
-    rotated = tuple(values[(j - start) % p] for j in range(p))
-    return Configuration.periodic(rotated)
-
-
 def crown_lift(c1: Configuration, c2: Configuration, automaton: SandAutomaton):
     """Turn a finite-class collision into a periodic one.
 
@@ -212,7 +200,7 @@ def crown_lift(c1: Configuration, c2: Configuration, automaton: SandAutomaton):
 
     def lift(c):
         values = tuple(c.height(i) if abs(i) <= k else 0 for i in window)
-        return _periodic_at(values, -(k + r)).canonicalize()
+        return Configuration.periodic(values).shift(-(k + r)).canonicalize()
 
     return lift(c1), lift(c2)
 
@@ -267,4 +255,4 @@ def periodic_splice(
     """
     k1, k2 = splice_match_indices(automaton, c, c0, period)
     block = tuple(c.height(i) for i in range(k1, k2))
-    return _periodic_at(block, k1).canonicalize()
+    return Configuration.periodic(block).shift(k1).canonicalize()

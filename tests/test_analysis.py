@@ -170,6 +170,29 @@ def test_nilpotency_bound_exceeded_on_fixed_point():
     assert r.details.get("fixed_point") is True
 
 
+def test_nilpotency_zero_test_stays_near_a_drifting_orbit(monkeypatch):
+    # under L this pair drifts one column per step; the zero test must not
+    # scan the columns between the orbit and column 0
+    reads = []
+    height = Configuration.height
+
+    def counted(self, i):
+        reads.append(i)
+        return height(self, i)
+
+    monkeypatch.setattr(Configuration, "height", counted)
+    r = check_nilpotent_bounded(
+        zoo.make("L"), Configuration.finite({0: 3, 1: 1}), 400
+    )
+    assert len(reads) < 20 * 400
+    assert r.verdict == BOUND_EXCEEDED
+    assert r.grade == EVIDENCE
+    assert r.witness is None
+    assert r.bounds == {"steps": 400}
+    assert r.details == {"steps_done": 400}
+    assert r.evidence_note.startswith("no zero configuration within the step bound")
+
+
 def test_nilpotency_identity_rule_never_resolves():
     r = check_nilpotent_bounded(IDENTITY, Configuration.finite({0: 1}), 50)
     assert r.verdict == BOUND_EXCEEDED

@@ -135,25 +135,75 @@ def test_canonical_form_is_stable():
     assert cc.canonicalize() is cc
 
 
+def _is_globally_affine(c):
+    """x_{i+p} = x_i + s everywhere, p and s read off the right tail."""
+    right = c.canonicalize().right
+    return naive_equals(c.shift(-len(right.values)), c.raise_by(right.slope))
+
+
 def test_canonical_unique_across_rebuilds():
+    """Every rebuild of a sequence, its core window moved into either tail
+    or emptied and its tail periods written out again, that denotes the
+    same sequence has the same canonical form."""
     rng = Lcg64(2024)
-    for k in range(400):
-        c = sample_configuration(rng, height=3, include_infinities=(k % 3 == 0))
+    samples = [
+        sample_configuration(rng, height=3, include_infinities=(k % 3 == 0))
+        for k in range(400)
+    ]
+    samples += [
+        Configuration.affine((2, PLUS_INF, -1), 3),
+        Configuration.affine((1, 0), -2).shift(5),
+        Configuration.general(4, (), ((MINUS_INF, 1), 2), ((1, 3), 0)),
+        Configuration.general(-3, (), ((0,), 0), ((0, PLUS_INF), -1)),
+        Configuration.general(1, (5,), ((PLUS_INF, 2, 2), 1), ((2, 2), 0)),
+        Configuration.general(0, (), ((0,), 0), ((0, 0, 1), 0)),
+        Configuration.general(2, (), ((0,), 0), ((0, 1), 1)),
+        Configuration.general(-1, (), ((PLUS_INF,), 0), ((PLUS_INF, 3), 2)),
+    ]
+    moved = {True: 0, False: 0}
+    for k, c in enumerate(samples):
         cc = c.canonicalize()
         a, b = cc.core_start, cc.core_end
-        lp, rp = len(cc.left.values), len(cc.right.values)
-        wide = Configuration.general(
-            a - 2,
-            tuple(cc.height(i) for i in range(a - 2, b + 3)),
-            Tail(tuple(cc.height(a - 3 - j) for j in range(2 * lp)), 2 * cc.left.slope),
-            Tail(tuple(cc.height(b + 3 + j) for j in range(3 * rp)), 3 * cc.right.slope),
-        )
+        p = max(len(cc.left.values), len(cc.right.values))
+        wide = _spelt_out(cc, a - 2, b + 2, 2, 3)
         assert equals(wide, c)
-        w = wide.canonicalize()
-        assert w.core_start == cc.core_start
-        assert w.core == cc.core
-        assert w.left == cc.left
-        assert w.right == cc.right
+        rebuilds = [wide]
+        for d in range(-2 * p, 2 * p + 1):
+            copies = (1 + k % 2, 1 + (k + d) % 3)
+            rebuilds.append(_spelt_out(cc, a + d, b + 2, *copies))
+            rebuilds.append(_spelt_out(cc, a - 2, b + d, *copies))
+            rebuilds.append(_spelt_out(cc, a + d, a + d - 1, *copies))
+        for w in rebuilds:
+            if not naive_equals(w, c):
+                continue
+            if not w.core and w.core_start != a:
+                moved[_is_globally_affine(c)] += 1
+            got = w.canonicalize()
+            assert got.core_start == cc.core_start
+            assert got.core == cc.core
+            assert got.left == cc.left
+            assert got.right == cc.right
+    # empty-core rebuilds off the canonical anchor, with and without a
+    # global period (the anchor slide)
+    assert moved[True] > 100 and moved[False] > 10
+
+
+def test_tail_rebased_and_mirror_laws():
+    rng = Lcg64(77)
+    for k in range(300):
+        p = 1 + rng.below(4)
+        values = tuple(
+            (PLUS_INF, MINUS_INF)[rng.below(2)] if rng.below(5) == 0
+            else rng.int_between(-3, 3)
+            for _ in range(p)
+        )
+        t = Tail(values, rng.int_between(-3, 3))
+        shift = rng.int_between(-9, 9)
+        moved = t.rebased(shift)
+        whole = Configuration(0, (), t.mirror(), t)
+        for j in range(-3 * p - 2, 3 * p + 2):
+            assert moved.at(j) == t.at(j + shift)
+            assert whole.height(j) == t.at(j)
 
 
 def test_first_difference_none_when_equal():
