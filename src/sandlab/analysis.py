@@ -384,6 +384,7 @@ def check_nilpotent_bounded(
     """
     if steps < 0:
         raise DomainError("step bound must be >= 0")
+    cap = _core_cap(max_core)
     zero = Configuration.finite({}).canonical_key()
     bounds = {"steps": steps}
     current = c
@@ -407,7 +408,7 @@ def check_nilpotent_bounded(
         if step == steps:
             break
         nxt = apply(automaton, current)
-        if len(nxt.core) > _core_cap(max_core):
+        if len(nxt.core) > cap:
             return WitnessReport(
                 BOUND_EXCEEDED,
                 None,

@@ -230,15 +230,16 @@ DEFAULT_MAX_CORE = 65536
 
 
 def _core_cap(max_core):
-    if max_core is not None:
-        return max_core
-    env = os.environ.get("SANDLAB_MAX_CORE")
-    if env is not None:
+    cap = max_core
+    if cap is None:
+        env = os.environ.get("SANDLAB_MAX_CORE")
         try:
-            return int(env)
+            cap = DEFAULT_MAX_CORE if env is None else int(env)
         except ValueError:
             raise DomainError(f"SANDLAB_MAX_CORE is not an integer: {env!r}")
-    return DEFAULT_MAX_CORE
+    if cap < 0:
+        raise DomainError(f"core cap must be >= 0, got {cap}")
+    return cap
 
 
 def iterate(

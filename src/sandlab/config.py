@@ -53,7 +53,8 @@ class Tail:
         if not self.values:
             raise DomainError("tail period must be non-empty")
         for v in self.values:
-            _check_height(v)
+            if type(v) is not int:
+                _check_height(v)
         if isinstance(self.slope, bool) or not isinstance(self.slope, int):
             raise DomainError(f"tail slope must be an int, got {self.slope!r}")
 
@@ -65,7 +66,7 @@ class Tail:
 
     def effective_slope(self) -> int:
         """Slope, normalised to 0 when no period entry is finite."""
-        if any(is_finite(v) for v in self.values):
+        if self.slope and any(is_finite(v) for v in self.values):
             return self.slope
         return 0
 
@@ -77,9 +78,9 @@ class Tail:
     def rebased(self, k: int) -> "Tail":
         """The same progression with its boundary moved k columns outward:
         rebased(k).at(j) == at(j + k)."""
-        if not k:
-            return self
         p = len(self.values)
+        if not k or (k % p == 0 and not self.effective_slope()):
+            return self  # whole periods of a level tail change nothing
         return Tail(tuple(self.at(k + j) for j in range(p)), self.slope)
 
     def mirror(self) -> "Tail":
@@ -103,7 +104,8 @@ class Configuration:
 
     def __post_init__(self):
         for v in self.core:
-            _check_height(v)
+            if type(v) is not int:
+                _check_height(v)
 
     # -- constructors ------------------------------------------------------
 
@@ -156,8 +158,14 @@ class Configuration:
         return self.left.at(a - 1 - i)
 
     def heights(self, lo: int, hi: int) -> tuple:
-        """Heights of columns lo..hi inclusive."""
-        return tuple(self.height(i) for i in range(lo, hi + 1))
+        """Heights of columns lo..hi inclusive: the left tail's columns, a
+        slice of the core, then the right tail's columns."""
+        a, b = self.core_start, self.core_end
+        left, right = self.left.at, self.right.at
+        out = [left(a - 1 - i) for i in range(lo, min(hi, a - 1) + 1)]
+        out += self.core[max(lo - a, 0) : max(hi - a + 1, 0)]
+        out += [right(i - b - 1) for i in range(max(lo, b + 1), hi + 1)]
+        return tuple(out)
 
     # -- structural transforms --------------------------------------------
 
@@ -245,7 +253,11 @@ def aligned_span(x: Configuration, y: Configuration, anchored: bool = True):
 
 def equals(x: Configuration, y: Configuration) -> bool:
     """True iff x and y denote the same bi-infinite sequence."""
-    # no column is reported, so the scan need not reach column 0
+    # canonical forms are unique per sequence, so when both are cached
+    # their keys decide; no column is reported, so the scan need not
+    # reach column 0
+    if hasattr(x, "_canon") and hasattr(y, "_canon"):
+        return x.canonical_key() == y.canonical_key()
     return _difference(x, y, *aligned_span(x, y, anchored=False)) is None
 
 

@@ -36,12 +36,13 @@ from __future__ import annotations
 
 from .automaton import NEG, POS, SandAutomaton, WILDCARD, validate_rule
 from .config import ZERO_TAIL, Configuration
-from .errors import ParseError, RuleError
+from .errors import DomainError, ParseError, RuleError
 from .heights import Infinity, MINUS_INF, PLUS_INF
 
 RULE_HEADER = "sand-rule v1"
 CONFIG_HEADER = "sand-config v1"
 DUMP_HEADER = "dump v1"
+MAX_RENDER_CELLS = 10**6
 
 
 def _strip_lines(text):
@@ -252,19 +253,30 @@ def emit_config_file(c: Configuration) -> str:
 # -- rendering -----------------------------------------------------------------
 
 
+def _check_render_size(rows: int, columns: int) -> None:
+    if rows * columns > MAX_RENDER_CELLS:
+        raise DomainError(
+            f"render of {rows} row(s) x {columns} columns is over the limit "
+            f"of {MAX_RENDER_CELLS} cells"
+        )
+
+
 def render_ascii(c: Configuration, lo: int, hi: int) -> str:
     """Draw columns lo..hi as grain stacks.
 
     Positive heights pile `#` above the ground line, negative ones hang
     below it, `^` and `v` mark infinite columns, and a marker row flags
-    column 0 when it is inside the window.
+    column 0 when it is inside the window. Pictures of more than
+    MAX_RENDER_CELLS cells are refused.
     """
     if lo > hi:
         raise ParseError("empty render window")
-    heights = [c.height(i) for i in range(lo, hi + 1)]
+    _check_render_size(1, hi - lo + 1)
+    heights = c.heights(lo, hi)
     finite = [h for h in heights if not isinstance(h, Infinity)]
     top = max([1] + [h for h in finite if h > 0])
     bottom = min([-1] + [h for h in finite if h < 0])
+    _check_render_size(top - bottom + 1 + (lo <= 0 <= hi), len(heights))
 
     def cell(h, level):
         if isinstance(h, Infinity):
@@ -288,7 +300,8 @@ def render_ascii(c: Configuration, lo: int, hi: int) -> str:
 
 def emit_dump(c: Configuration, lo: int, hi: int) -> str:
     """Lossless companion block for a rendered window."""
-    values = " ".join(format_height(c.height(i)) for i in range(lo, hi + 1))
+    _check_render_size(1, hi - lo + 1)
+    values = " ".join(format_height(h) for h in c.heights(lo, hi))
     return f"{DUMP_HEADER}\nwindow: {lo} {hi}\nheights: {values}\n"
 
 

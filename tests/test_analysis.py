@@ -16,7 +16,8 @@ from sandlab.analysis import (
     verify_right_inverse,
     verify_witness_pair,
 )
-from sandlab.automaton import apply, validate_rule
+from sandlab import analysis
+from sandlab.automaton import _core_cap, apply, validate_rule
 from sandlab.config import Configuration, equals
 from sandlab.errors import DomainError
 from sandlab.rng import Lcg64, sample_configuration
@@ -168,6 +169,19 @@ def test_nilpotency_bound_exceeded_on_fixed_point():
     assert r.verdict == BOUND_EXCEEDED
     assert r.grade == EVIDENCE
     assert r.details.get("fixed_point") is True
+
+
+def test_nilpotency_probe_reads_the_core_cap_once(monkeypatch):
+    calls = []
+
+    def counting_cap(max_core):
+        calls.append(max_core)
+        return _core_cap(max_core)
+
+    monkeypatch.setattr(analysis, "_core_cap", counting_cap)
+    r = check_nilpotent_bounded(zoo.make("S"), Configuration.finite({0: 100}), 30)
+    assert r.details == {"steps_done": 30}
+    assert calls == [None]
 
 
 def test_nilpotency_zero_test_stays_near_a_drifting_orbit(monkeypatch):

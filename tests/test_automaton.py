@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from sandlab.analysis import check_nilpotent_bounded
 from sandlab.automaton import (
     NEG,
     POS,
@@ -241,6 +242,8 @@ def test_iterate_core_bound():
     big = Configuration.finite({0: 100})
     with pytest.raises(CoreBoundExceeded):
         iterate(S, big, 60, max_core=5)
+    with pytest.raises(DomainError):
+        iterate(S, big, 1, max_core=-1)
     # generous cap: runs to the staircase fixed point
     final = iterate(S, big, 200, max_core=1000)
     assert equals(apply(S, final), final)
@@ -252,9 +255,12 @@ def test_core_bound_env_variable(monkeypatch):
     monkeypatch.setenv("SANDLAB_MAX_CORE", "5")
     with pytest.raises(CoreBoundExceeded):
         iterate(S, big, 60)
-    monkeypatch.setenv("SANDLAB_MAX_CORE", "not-a-number")
-    with pytest.raises(DomainError):
-        iterate(S, big, 1)
+    for bad in ("not-a-number", "-1"):
+        monkeypatch.setenv("SANDLAB_MAX_CORE", bad)
+        with pytest.raises(DomainError):
+            iterate(S, big, 1)
+        with pytest.raises(DomainError):
+            check_nilpotent_bounded(S, big, 5)
 
 
 def test_parameter_overrides_env(monkeypatch):

@@ -6,9 +6,14 @@ be byte-identical across repeated runs.
 """
 
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import sandlab
 from sandlab import cli, witnesses
 from sandlab.config import Configuration, equals
 from sandlab.formats import parse_config_file
@@ -322,3 +327,34 @@ def test_core_bound_exit_code(capsys):
     )
     assert code == 4
     assert "error:" in err
+    code, out, err = run_cli(
+        ["simulate", "--rule", "S", "--config", cfg("two-grain-column"),
+         "--steps", "1", "--max-core", "-1"],
+        capsys,
+    )
+    assert code == 1
+    assert "core cap must be >= 0" in err
+
+
+def test_oversized_renders_are_refused(tmp_path):
+    # run as a child process under a 1 GB address-space limit, so a build
+    # that tries to draw the picture fails here instead of filling memory
+    tall = tmp_path / "tall.cfg"
+    tall.write_text("sand-config v1\nkind: finite\nat 0 100000000000\n")
+    wide = ["--window", "-1000000000", "1000000000"]
+    src = os.path.dirname(os.path.dirname(sandlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    for argv in (
+        ["render", "--config", str(tall)],
+        ["render", "--config", str(tall), *wide],
+        ["render", "--config", str(tall), "--dump", *wide],
+        ["simulate", "--rule", "S", "--config", str(tall), "--steps", "1",
+         "--render", "ascii"],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "sandlab.cli", *argv], env=env,
+            capture_output=True, text=True, timeout=5, preexec_fn=limit,
+        )
+        assert done.returncode == 1
+        assert "over the limit of 1000000 cells" in done.stderr

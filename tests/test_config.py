@@ -69,8 +69,18 @@ def test_infinite_columns():
 
 
 def test_booleans_rejected_as_heights():
-    with pytest.raises(DomainError):
-        Configuration.finite({0: True})
+    rejected = (
+        lambda: Configuration.finite({0: True}),
+        lambda: Configuration(0, (True,)),
+        lambda: Configuration(0, (3, False)),
+        lambda: Configuration.general(0, (1,), ((0, True), 0), ((0,), 0)),
+        lambda: Tail((True,), 0),
+        lambda: Configuration(0, (1.0,)),
+        lambda: Tail((0, 2.5), 1),
+    )
+    for build in rejected:
+        with pytest.raises(DomainError):
+            build()
 
 
 def test_empty_period_rejected():
@@ -141,10 +151,11 @@ def _is_globally_affine(c):
     return naive_equals(c.shift(-len(right.values)), c.raise_by(right.slope))
 
 
-def test_canonical_unique_across_rebuilds():
-    """Every rebuild of a sequence, its core window moved into either tail
-    or emptied and its tail periods written out again, that denotes the
-    same sequence has the same canonical form."""
+def _rebuild_corpus():
+    """(c, rebuilds) for seeded samples c. Each rebuild is c's canonical
+    form with its core window moved into either tail or emptied and its
+    tail periods written out again; the first one is c spelt out wide,
+    the others need not denote c."""
     rng = Lcg64(2024)
     samples = [
         sample_configuration(rng, height=3, include_infinities=(k % 3 == 0))
@@ -160,23 +171,31 @@ def test_canonical_unique_across_rebuilds():
         Configuration.general(2, (), ((0,), 0), ((0, 1), 1)),
         Configuration.general(-1, (), ((PLUS_INF,), 0), ((PLUS_INF, 3), 2)),
     ]
-    moved = {True: 0, False: 0}
     for k, c in enumerate(samples):
         cc = c.canonicalize()
         a, b = cc.core_start, cc.core_end
         p = max(len(cc.left.values), len(cc.right.values))
-        wide = _spelt_out(cc, a - 2, b + 2, 2, 3)
-        assert equals(wide, c)
-        rebuilds = [wide]
+        rebuilds = [_spelt_out(cc, a - 2, b + 2, 2, 3)]
         for d in range(-2 * p, 2 * p + 1):
             copies = (1 + k % 2, 1 + (k + d) % 3)
             rebuilds.append(_spelt_out(cc, a + d, b + 2, *copies))
             rebuilds.append(_spelt_out(cc, a - 2, b + d, *copies))
             rebuilds.append(_spelt_out(cc, a + d, a + d - 1, *copies))
+        yield c, rebuilds
+
+
+def test_canonical_unique_across_rebuilds():
+    """Every rebuild of a sequence, its core window moved into either tail
+    or emptied and its tail periods written out again, that denotes the
+    same sequence has the same canonical form."""
+    moved = {True: 0, False: 0}
+    for c, rebuilds in _rebuild_corpus():
+        cc = c.canonicalize()
+        assert equals(rebuilds[0], c)
         for w in rebuilds:
             if not naive_equals(w, c):
                 continue
-            if not w.core and w.core_start != a:
+            if not w.core and w.core_start != cc.core_start:
                 moved[_is_globally_affine(c)] += 1
             got = w.canonicalize()
             assert got.core_start == cc.core_start
@@ -186,6 +205,52 @@ def test_canonical_unique_across_rebuilds():
     # empty-core rebuilds off the canonical anchor, with and without a
     # global period (the anchor slide)
     assert moved[True] > 100 and moved[False] > 10
+
+
+def test_equals_on_canonical_copies_matches_scan():
+    """equals decides by canonical keys when both sides carry a cached
+    canonical form and by the aligned scan otherwise; over the rebuild
+    corpus, equal and unequal pairs alike, both agree with the naive scan."""
+    fresh = lambda c: Configuration(c.core_start, c.core, c.left, c.right)
+    seen = {True: 0, False: 0}
+    for c, rebuilds in _rebuild_corpus():
+        for w in rebuilds:
+            want = naive_equals(w, c)
+            x, y = fresh(w), fresh(c)
+            assert equals(x, y) is want
+            x.canonicalize()
+            assert equals(x, y) is want
+            y.canonicalize()
+            assert equals(x, y) is want and equals(y, x) is want
+            seen[want] += 1
+    assert seen[True] > 1000 and seen[False] > 1000
+
+
+def test_heights_match_per_column_reads():
+    """The sliced read of a window equals one height read per column, on
+    windows left of the core, right of it, across it, inside it and empty."""
+    rng = Lcg64(31337)
+    empty_cores = 0
+    for k in range(400):
+        c = sample_configuration(rng, height=3, include_infinities=(k % 2 == 0))
+        c = c.shift(rng.int_between(-9, 9))
+        if k % 4 == 0:
+            c = c.canonicalize()
+        a, b = c.core_start, c.core_end
+        empty_cores += not c.core
+        p = max(len(c.left.values), len(c.right.values))
+        windows = [
+            (a - 3 * p - 4, a - 1), (a - 7, a - 3),
+            (b + 1, b + 3 * p + 4), (b + 2, b + 9),
+            (a - 5, b + 5), (a + 1, b - 1), (a, b),
+            (a + 3, a), (b, b - 1), (a, a - 1),
+        ]
+        for _ in range(4):
+            lo = rng.int_between(a - 12, b + 12)
+            windows.append((lo, lo + rng.int_between(-2, 15)))
+        for lo, hi in windows:
+            assert c.heights(lo, hi) == tuple(c.height(i) for i in range(lo, hi + 1))
+    assert empty_cores > 50
 
 
 def test_tail_rebased_and_mirror_laws():
