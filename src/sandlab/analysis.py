@@ -20,10 +20,8 @@ lexicographic) so the structurally smallest witnesses surface first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .automaton import SandAutomaton, _core_cap, apply, window_image
-from .config import Configuration, Tail, equals, first_difference
+from .config import Configuration, Tail, Value, equals, first_difference
 from .errors import DomainError
 from .heights import MINUS_INF, PLUS_INF
 from .rng import Lcg64, sample_configuration
@@ -38,16 +36,26 @@ PROOF = "proof"
 EVIDENCE = "evidence"
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    """Outcome of one bounded check. See module docstring for verdicts."""
+class WitnessReport(Value):
+    """Outcome of one bounded check. See module docstring for verdicts.
 
-    verdict: str
-    witness: object = None  # Configuration, pair of Configurations, or None
-    bounds: dict = field(default_factory=dict)
-    evidence_note: str = ""
-    grade: str = EVIDENCE
-    details: dict = field(default_factory=dict)
+    `witness` is a Configuration, a pair of them, or None.
+    """
+
+    __slots__ = _fields = (
+        "verdict", "witness", "bounds", "evidence_note", "grade", "details"
+    )
+
+    def __init__(
+        self, verdict, witness=None, bounds=None, evidence_note="", grade=EVIDENCE,
+        details=None,
+    ):
+        self.verdict = verdict
+        self.witness = witness
+        self.bounds = {} if bounds is None else bounds
+        self.evidence_note = evidence_note
+        self.grade = grade
+        self.details = {} if details is None else details
 
     def witness_configurations(self):
         if self.witness is None:

@@ -24,12 +24,10 @@ neighbourhood of the core needs explicit evaluation.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
-from .config import Configuration, Tail
+from .config import Configuration, Tail, Value
 from .errors import CoreBoundExceeded, DomainError, RuleError
 from .heights import Height, Infinity, MINUS_INF, PLUS_INF, is_finite
-from .metric import DifferenceVector
 
 
 class _Marker:
@@ -59,19 +57,31 @@ def atom_matches(atom: Atom, value: Height) -> bool:
     return atom == value
 
 
-@dataclass(frozen=True)
-class Rule:
-    pattern: tuple
-    delta: int
+class Rule(Value):
+    """One table line: a pattern of 2r atoms and its delta."""
+
+    __slots__ = _fields = ("pattern", "delta")
+
+    def __init__(self, pattern: tuple, delta: int):
+        self.pattern = pattern
+        self.delta = delta
 
 
-@dataclass(frozen=True)
-class SandAutomaton:
-    radius: int
-    rules: tuple = ()
-    default_delta: int = 0
-    #: reading code -> delta, filled on first use (see `window_image`)
-    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+class SandAutomaton(Value):
+    """A radius, an ordered rule table and a default delta.
+
+    `memo` maps reading codes to deltas, filled on first use (see
+    `window_image`); equality, hashing and repr ignore it.
+    """
+
+    _fields = ("radius", "rules", "default_delta")
+    __slots__ = (*_fields, "memo")
+
+    def __init__(self, radius: int, rules: tuple = (), default_delta: int = 0):
+        self.radius = radius
+        self.rules = rules
+        self.default_delta = default_delta
+        self.memo = {}
 
 
 def validate_rule(radius: int, lines, default_delta: int = 0) -> SandAutomaton:
@@ -113,16 +123,6 @@ def validate_rule(radius: int, lines, default_delta: int = 0) -> SandAutomaton:
             )
         checked.append(Rule(pattern, delta))
     return SandAutomaton(radius, tuple(checked), default_delta)
-
-
-def local_delta(automaton: SandAutomaton, dvec: DifferenceVector) -> int:
-    """Delta for one column given its difference vector (first match wins)."""
-    if dvec.size != automaton.radius:
-        raise ValueError(
-            f"difference vector of gauge {dvec.size} fed to a radius-"
-            f"{automaton.radius} rule table"
-        )
-    return _delta_from_entries(automaton, dvec.entries)
 
 
 def _delta_from_entries(automaton, entries):

@@ -10,20 +10,21 @@ identical invocations produce byte-identical output. Exit codes:
     4  a resource bound was exceeded (steps, core growth)
     1  domain or rule errors
     2  parse and I/O errors
+
+Modules that only some subcommands need (analysis, metric, json) are
+imported inside the handlers that use them, so a cold start pays only for
+what it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass, field
 
-from . import analysis, formats, zoo
-from .analysis import BOUND_EXCEEDED, EXHAUSTED_NO_WITNESS, WITNESS_FOUND
+from . import formats, zoo
 from .automaton import apply, iterate, same_local_rule
-from .config import Configuration, equals
+from .config import Configuration, Value, equals
 from .errors import (
     CoreBoundExceeded,
     DomainError,
@@ -31,7 +32,6 @@ from .errors import (
     RuleError,
     SandlabError,
 )
-from .metric import distance
 from .zoo import ZOO
 
 EXIT_OK = 0
@@ -41,11 +41,15 @@ EXIT_VERDICT = 3
 EXIT_BOUND = 4
 
 
-@dataclass
-class RunManifest:
-    subcommand: str
-    inputs: dict = field(default_factory=dict)
-    json_output: bool = False
+class RunManifest(Value):
+    """The subcommand and the inputs that fully determine its report."""
+
+    __slots__ = _fields = ("subcommand", "inputs", "json_output")
+
+    def __init__(self, subcommand: str, inputs: dict, json_output: bool = False):
+        self.subcommand = subcommand
+        self.inputs = inputs
+        self.json_output = json_output
 
     def header(self) -> str:
         lines = [f"subcommand: {self.subcommand}"]
@@ -109,10 +113,16 @@ def _report_json(manifest: RunManifest, report) -> str:
             for w in report.witness_configurations()
         ],
     }
+    return _json_text(payload)
+
+
+def _json_text(payload) -> str:
+    import json
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _emit_report(manifest, report, clean_verdicts) -> tuple:
+    from .analysis import BOUND_EXCEEDED
     text = (
         _report_json(manifest, report)
         if manifest.json_output
@@ -150,6 +160,7 @@ def _cmd_render(args):
 
 
 def _cmd_distance(args):
+    from .metric import distance
     a = _load_config(args.config_a)
     b = _load_config(args.config_b)
     return EXIT_OK, str(distance(a, b)) + "\n"
@@ -196,6 +207,7 @@ def _cmd_splice(args):
 
 
 def _cmd_check_injective(args):
+    from . import analysis
     if args.klass == "F":
         if args.window is None:
             raise DomainError("--class F needs --window")
@@ -221,10 +233,11 @@ def _cmd_check_injective(args):
     report = analysis.check_injective_bounded(
         automaton, args.klass, bound, args.height, args.with_infinities
     )
-    return _emit_report(manifest, report, {EXHAUSTED_NO_WITNESS})
+    return _emit_report(manifest, report, {analysis.EXHAUSTED_NO_WITNESS})
 
 
 def _cmd_check_surjective(args):
+    from . import analysis
     manifest = RunManifest(
         "check-surjective",
         {
@@ -242,10 +255,11 @@ def _cmd_check_surjective(args):
     report = analysis.check_preimage_bounded(
         automaton, target, args.klass, args.window, args.height, args.with_infinities
     )
-    return _emit_report(manifest, report, {WITNESS_FOUND})
+    return _emit_report(manifest, report, {analysis.WITNESS_FOUND})
 
 
 def _cmd_check_nilpotent(args):
+    from . import analysis
     manifest = RunManifest(
         "check-nilpotent",
         {"rule": args.rule, "config": args.config, "steps": args.steps},
@@ -256,10 +270,11 @@ def _cmd_check_nilpotent(args):
     report = analysis.check_nilpotent_bounded(
         automaton, c, args.steps, args.max_core
     )
-    return _emit_report(manifest, report, {WITNESS_FOUND})
+    return _emit_report(manifest, report, {analysis.WITNESS_FOUND})
 
 
 def _cmd_verify_witness(args):
+    from . import analysis
     manifest = RunManifest(
         "verify-witness",
         {
@@ -275,13 +290,14 @@ def _cmd_verify_witness(args):
     ok = analysis.verify_witness_pair(automaton, c1, c2)
     if manifest.json_output:
         payload = {"manifest": manifest.to_dict(), "valid_pair": ok}
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _json_text(payload)
     else:
         text = manifest.header() + "\n\n" + f"valid pair: {ok}\n"
     return (EXIT_OK if ok else EXIT_VERDICT), text
 
 
 def _cmd_verify_inverse(args):
+    from . import analysis
     manifest = RunManifest(
         "verify-inverse",
         {
@@ -295,7 +311,7 @@ def _cmd_verify_inverse(args):
     outer = _load_rule(args.rule_outer)
     inner = _load_rule(args.rule_inner)
     report = analysis.verify_right_inverse(outer, inner, args.samples, args.seed)
-    return _emit_report(manifest, report, {EXHAUSTED_NO_WITNESS})
+    return _emit_report(manifest, report, {analysis.EXHAUSTED_NO_WITNESS})
 
 
 def _add_window(parser, required=False):

@@ -22,7 +22,6 @@ sequence; hashes are taken from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .errors import DomainError
@@ -37,8 +36,29 @@ def _check_height(v) -> Height:
     return v
 
 
-@dataclass(frozen=True)
-class Tail:
+class Value:
+    """Base of the value classes: instances are read-only by contract, and
+    equality, hashing and repr go by the fields named in `_fields`."""
+
+    __slots__ = ()
+
+    def _astuple(self):
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Tail(Value):
     """One side of a configuration: period values plus a per-period slope.
 
     values[j] is the height j columns past the core boundary within the
@@ -46,23 +66,33 @@ class Tail:
     Infinite entries repeat unchanged.
     """
 
-    values: tuple
-    slope: int = 0
+    __slots__ = _fields = ("values", "slope")
 
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, values: tuple, slope: int = 0):
+        if not values:
             raise DomainError("tail period must be non-empty")
-        for v in self.values:
+        for v in values:
             if type(v) is not int:
                 _check_height(v)
-        if isinstance(self.slope, bool) or not isinstance(self.slope, int):
-            raise DomainError(f"tail slope must be an int, got {self.slope!r}")
+        if isinstance(slope, bool) or not isinstance(slope, int):
+            raise DomainError(f"tail slope must be an int, got {slope!r}")
+        self.values = values
+        self.slope = slope
 
     def at(self, j: int) -> Height:
         """Height j columns out from the boundary, j may be negative."""
         k, idx = divmod(j, len(self.values))
         v = self.values[idx]
         return v if isinstance(v, Infinity) else v + self.slope * k
+
+    def window(self, j: int, n: int) -> tuple:
+        """(at(j), ..., at(j + n - 1)); a level tail is read as a slice of
+        repeated period copies, with no per-column arithmetic."""
+        if self.effective_slope():
+            return tuple([self.at(k) for k in range(j, j + n)])
+        p = len(self.values)
+        s = j % p
+        return (self.values * ((s + n) // p + 1))[s : s + n]
 
     def effective_slope(self) -> int:
         """Slope, normalised to 0 when no period entry is finite."""
@@ -81,31 +111,36 @@ class Tail:
         p = len(self.values)
         if not k or (k % p == 0 and not self.effective_slope()):
             return self  # whole periods of a level tail change nothing
-        return Tail(tuple(self.at(k + j) for j in range(p)), self.slope)
+        return Tail(self.window(k, p), self.slope)
 
     def mirror(self) -> "Tail":
         """The left tail that continues this right tail backwards from the
         same boundary: mirror().at(j) == at(-1 - j)."""
         p = len(self.values)
-        return Tail(tuple(self.at(-1 - j) for j in range(p)), -self.slope)
+        return Tail(self.window(-p, p)[::-1], -self.slope)
 
 
 ZERO_TAIL = Tail((0,), 0)
 
 
-@dataclass(frozen=True, eq=False)
 class Configuration:
-    """An exact bi-infinite height sequence. See module docstring."""
+    """An exact bi-infinite height sequence. See module docstring.
 
-    core_start: int
-    core: tuple
-    left: Tail = ZERO_TAIL
-    right: Tail = ZERO_TAIL
+    The four fields are read-only by contract; `_canon` caches the
+    canonical form once `canonicalize` has computed it.
+    """
 
-    def __post_init__(self):
-        for v in self.core:
+    __slots__ = ("core_start", "core", "left", "right", "_canon")
+
+    def __init__(self, core_start: int, core: tuple, left=ZERO_TAIL, right=ZERO_TAIL):
+        for v in core:
             if type(v) is not int:
                 _check_height(v)
+        self.core_start = core_start
+        self.core = core
+        self.left = left
+        self.right = right
+        self._canon = None
 
     # -- constructors ------------------------------------------------------
 
@@ -161,11 +196,12 @@ class Configuration:
         """Heights of columns lo..hi inclusive: the left tail's columns, a
         slice of the core, then the right tail's columns."""
         a, b = self.core_start, self.core_end
-        left, right = self.left.at, self.right.at
-        out = [left(a - 1 - i) for i in range(lo, min(hi, a - 1) + 1)]
-        out += self.core[max(lo - a, 0) : max(hi - a + 1, 0)]
-        out += [right(i - b - 1) for i in range(max(lo, b + 1), hi + 1)]
-        return tuple(out)
+        m, k = min(hi, a - 1), max(lo, b + 1)
+        return (
+            self.left.window(a - 1 - m, m - lo + 1)[::-1]
+            + self.core[max(lo - a, 0) : max(hi - a + 1, 0)]
+            + self.right.window(k - b - 1, hi - k + 1)
+        )
 
     # -- structural transforms --------------------------------------------
 
@@ -202,11 +238,10 @@ class Configuration:
 
     def canonicalize(self) -> "Configuration":
         """The unique minimal representative of this sequence."""
-        canon = getattr(self, "_canon", None)
+        canon = self._canon
         if canon is None:
-            canon = _canonicalize(self)
-            object.__setattr__(canon, "_canon", canon)
-            object.__setattr__(self, "_canon", canon)
+            canon = self._canon = _canonicalize(self)
+            canon._canon = canon
         return canon
 
     def canonical_key(self) -> tuple:
@@ -256,7 +291,7 @@ def equals(x: Configuration, y: Configuration) -> bool:
     # canonical forms are unique per sequence, so when both are cached
     # their keys decide; no column is reported, so the scan need not
     # reach column 0
-    if hasattr(x, "_canon") and hasattr(y, "_canon"):
+    if x._canon is not None and y._canon is not None:
         return x.canonical_key() == y.canonical_key()
     return _difference(x, y, *aligned_span(x, y, anchored=False)) is None
 

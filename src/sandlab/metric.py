@@ -1,4 +1,4 @@
-"""Local difference vectors and the exact ultrametric distance.
+"""The exact ultrametric distance between configurations.
 
 The measuring device beta_l^m clips a height n to the window [-l, l]
 around a reference height m: heights more than l above m read as +infinity,
@@ -16,60 +16,19 @@ in closed form instead of scanning gauges one by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .config import Configuration, aligned_span
+from .config import Configuration, Value, aligned_span
 from .errors import DomainError
-from .heights import Height, Infinity, MINUS_INF, PLUS_INF, is_finite
+from .heights import Height, Infinity, PLUS_INF
 
 
-def beta(l: int, m: int, n: Height) -> Height:
-    """Reading of height n by a size-l device calibrated at height m."""
-    if l < 0:
-        raise DomainError("device size must be >= 0")
-    if isinstance(n, Infinity):
-        return n
-    if n > m + l:
-        return PLUS_INF
-    if n < m - l:
-        return MINUS_INF
-    return n - m
-
-
-@dataclass(frozen=True)
-class DifferenceVector:
-    """The 2l beta-readings around one position (just (c_i,) when l = 0).
-
-    `reference` is the calibration height m: the centre column's height
-    when finite, else 0.
-    """
-
-    entries: tuple
-    size: int
-    reference: int
-
-
-def diff_vector(c: Configuration, i: int, l: int) -> DifferenceVector:
-    """Difference vector of c at position i with gauge l."""
-    if l < 0:
-        raise DomainError("gauge must be >= 0")
-    centre = c.height(i)
-    m = 0 if isinstance(centre, Infinity) else centre
-    if l == 0:
-        return DifferenceVector((centre,), 0, m)
-    entries = tuple(
-        beta(l, m, c.height(i + off))
-        for off in (*range(-l, 0), *range(1, l + 1))
-    )
-    return DifferenceVector(entries, l, m)
-
-
-@dataclass(frozen=True, order=False)
-class Distance:
+class Distance(Value):
     """Exact value of the configuration distance: 0 or 2^-exponent."""
 
-    is_zero: bool
-    exponent: int = 0
+    __slots__ = _fields = ("is_zero", "exponent")
+
+    def __init__(self, is_zero: bool, exponent: int = 0):
+        self.is_zero = is_zero
+        self.exponent = exponent
 
     @classmethod
     def zero(cls) -> "Distance":

@@ -1,5 +1,8 @@
 """Slow reference scans that the tests compare the closed forms against.
 
+The saturating reading `beta`, difference vectors and the per-column
+`local_delta` are the paper's definitions, written out plainly.
+
 They read configurations only through `height` and the tail period
 lengths, so they share no logic with `equals`, `first_difference` or
 `distance`; the image reference evaluates each column on its own, from
@@ -7,12 +10,66 @@ its difference vector and the first-match scan, so it shares no logic
 with `window_image` or its memo.
 """
 
+from dataclasses import dataclass
 from math import lcm
 
-from sandlab.automaton import local_delta
+from sandlab.automaton import _delta_from_entries
 from sandlab.config import Configuration
-from sandlab.heights import Infinity
-from sandlab.metric import diff_vector
+from sandlab.errors import DomainError
+from sandlab.heights import Height, Infinity, MINUS_INF, PLUS_INF
+
+
+def beta(l: int, m: int, n: Height) -> Height:
+    """Reading of height n by a size-l device calibrated at height m:
+    heights more than l above m read as +infinity, more than l below as
+    -infinity, and anything infinite stays infinite."""
+    if l < 0:
+        raise DomainError("device size must be >= 0")
+    if isinstance(n, Infinity):
+        return n
+    if n > m + l:
+        return PLUS_INF
+    if n < m - l:
+        return MINUS_INF
+    return n - m
+
+
+@dataclass(frozen=True)
+class DifferenceVector:
+    """The 2l beta-readings around one position (just (c_i,) when l = 0).
+
+    `reference` is the calibration height m: the centre column's height
+    when finite, else 0.
+    """
+
+    entries: tuple
+    size: int
+    reference: int
+
+
+def diff_vector(c: Configuration, i: int, l: int) -> DifferenceVector:
+    """Difference vector of c at position i with gauge l."""
+    if l < 0:
+        raise DomainError("gauge must be >= 0")
+    centre = c.height(i)
+    m = 0 if isinstance(centre, Infinity) else centre
+    if l == 0:
+        return DifferenceVector((centre,), 0, m)
+    entries = tuple(
+        beta(l, m, c.height(i + off))
+        for off in (*range(-l, 0), *range(1, l + 1))
+    )
+    return DifferenceVector(entries, l, m)
+
+
+def local_delta(automaton, dvec: DifferenceVector) -> int:
+    """Delta for one column given its difference vector (first match wins)."""
+    if dvec.size != automaton.radius:
+        raise ValueError(
+            f"difference vector of gauge {dvec.size} fed to a radius-"
+            f"{automaton.radius} rule table"
+        )
+    return _delta_from_entries(automaton, dvec.entries)
 
 
 def naive_equals(x: Configuration, y: Configuration) -> bool:

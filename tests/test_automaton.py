@@ -15,7 +15,6 @@ from sandlab.automaton import (
     apply_window,
     image_height,
     iterate,
-    local_delta,
     same_local_rule,
     validate_rule,
     window_image,
@@ -23,11 +22,10 @@ from sandlab.automaton import (
 from sandlab.config import Configuration, Tail, equals, has_infinite_column
 from sandlab.errors import CoreBoundExceeded, DomainError, RuleError
 from sandlab.heights import MINUS_INF, PLUS_INF
-from sandlab.metric import DifferenceVector, diff_vector
 from sandlab.rng import Lcg64, sample_configuration
 from sandlab import zoo
 
-from naive_scan import naive_image_heights
+from naive_scan import DifferenceVector, diff_vector, local_delta, naive_image_heights
 
 ZERO = Configuration.finite({})
 

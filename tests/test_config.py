@@ -252,6 +252,25 @@ def test_heights_match_per_column_reads():
             assert c.heights(lo, hi) == tuple(c.height(i) for i in range(lo, hi + 1))
     assert empty_cores > 50
 
+    # level tails (slope 0, or no finite entry) are read as period copies:
+    # windows spanning several periods, starting at every phase
+    level = [
+        Tail((0,)), Tail((3, -1, 2)), Tail((PLUS_INF, 1), 0),
+        Tail((MINUS_INF, PLUS_INF, MINUS_INF), 2), Tail((5, MINUS_INF, 0, 7), 0),
+    ]
+    for left in level:
+        for right in level:
+            c = Configuration.general(-2, (4, MINUS_INF, 1), left, right)
+            a, b = c.core_start, c.core_end
+            for lo in range(a - 15, a + 1):
+                for hi in (lo - 1, a - 1, a + 1, b, b + 1, b + 9, b + 14):
+                    want = tuple(c.height(i) for i in range(lo, hi + 1))
+                    assert c.heights(lo, hi) == want
+            for lo in range(b + 1, b + 6):
+                assert c.heights(lo, lo + 13) == tuple(
+                    c.height(i) for i in range(lo, lo + 14)
+                )
+
 
 def test_tail_rebased_and_mirror_laws():
     rng = Lcg64(77)

@@ -4,10 +4,10 @@ import pytest
 
 from sandlab.config import Configuration, Tail
 from sandlab.heights import MINUS_INF, PLUS_INF
-from sandlab.metric import Distance, beta, diff_vector, distance
+from sandlab.metric import Distance, distance
 from sandlab.rng import Lcg64, sample_configuration
 
-from naive_scan import naive_distance_exponent
+from naive_scan import beta, diff_vector, naive_distance_exponent
 
 ZERO = Configuration.finite({})
 
