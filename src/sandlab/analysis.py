@@ -9,21 +9,30 @@ is explicitly bounded and says what its answer is worth:
   EXHAUSTED_NO_WITNESS  the full bounded class was enumerated and nothing
                         was found - evidence, not proof, unless a
                         conservation-style argument is supplied;
-  BOUND_EXCEEDED        a resource bound (steps, core growth) stopped the
-                        run before an answer.
+  BOUND_EXCEEDED        a resource bound (steps, core growth, search
+                        nodes) stopped the run before an answer.
 
 Reports are deterministic: the same inputs and seed produce byte-identical
 text and JSON renderings. Enumeration orders are fixed and documented:
 candidate height tuples are generated by (number of nonzero entries,
 lexicographic) so the structurally smallest witnesses surface first.
+
+The injectivity search walks that order as a prefix tree, one pass per
+weight: a node evaluates only the image column its newest entry completes,
+memoised per check on the code of the column's window. Image heights lie in
+[-h-r, h+r] or are infinite, so they are the digits of one integer key, base
+2(h+r)+4; a P key is the primitive root of the image word read from column
+r. Equal keys mean equal images.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .automaton import SandAutomaton, _core_cap, apply, window_image
 from .config import Configuration, Tail, Value, equals, first_difference
 from .errors import DomainError
-from .heights import MINUS_INF, PLUS_INF
+from .heights import MINUS_INF, PLUS_INF, is_finite
 from .rng import Lcg64, sample_configuration
 
 WITNESS_FOUND = "WITNESS_FOUND"
@@ -81,43 +90,79 @@ class WitnessReport(Value):
 
 
 def _height_values(h: int, include_infinities: bool):
-    vals = list(range(-h, h + 1))
+    """A function returning a fresh ascending iterator over the heights
+    -h..h (-inf first and +inf last when asked for); builds nothing."""
+    finite = range(-h, h + 1)
     if include_infinities:
-        return [MINUS_INF] + vals + [PLUS_INF]
-    return vals
+        return lambda: chain((MINUS_INF,), finite, (PLUS_INF,))
+    return finite.__iter__
 
 
-def _tuples_by_weight(width: int, values):
-    """All height tuples of the given width, ordered by (number of nonzero
-    entries, lexicographic position in `values`). Total count is exactly
-    len(values)^width."""
-    for weight in range(width + 1):
-        yield from _weighted_tuples(width, weight, values)
+def _root(word: int, q: int, base: int) -> int:
+    """The primitive root of the q-digit base-`base` word, led by a 1."""
+    for d in range(1, q + 1):
+        unit = base**d
+        if q % d == 0 and word == word % unit * ((base**q - 1) // (unit - 1)):
+            return unit + word % unit
 
 
-def _weighted_tuples(width, weight, values):
-    if weight > width:
-        return
-    if width == 0:
-        yield ()
-        return
-    for v in values:
-        if v == 0:
-            if weight <= width - 1:
-                for rest in _weighted_tuples(width - 1, weight, values):
-                    yield (v,) + rest
-        elif weight > 0:
-            for rest in _weighted_tuples(width - 1, weight - 1, values):
-                yield (v,) + rest
+def _image_keys(automaton: SandAutomaton, widths, pad: int, h: int, values):
+    """Yield (image key, candidate) per candidate in the documented order
+    (module docstring): words of each width, read between `pad` zero
+    entries a side (class F, pad = 2r) or cyclically (class P, pad = 0)."""
+    r = automaton.radius
+    count, base, half = len(values), 2 * (h + r) + 4, len(values) ** (2 * r)
+    span, shift, lift, mid = half * count, base ** (2 * r), 2 * r - pad, h + r + 2
+    z = values.index(0)
+    zero, nonzero, every = (z,), [i for i in range(count) if i != z], range(count)
+    # per depth k: the code (the pad's indices into `values`, then one per
+    # entry) and the key of the prefix of k entries, and how many nonzero
+    # entries the rest of the word still needs
+    codes, keys, needs = ([0] * (max(widths) + 1) for _ in range(3))
+    codes[0] = (half - 1) // (count - 1) * z if pad else 0
+    row = [0] * (2 * r + max(widths))  # 2r zeros, then the entries so far
+    memo = {}
 
+    def image(hs):  # the image of hs[r:-r] as base-`base` digits, all > 0
+        out = 0
+        for y in window_image(automaton, hs):
+            out = out * base + (y + mid if is_finite(y) else 1 if y < 0 else base - 1)
+        return out
 
-def _primitive_root(values: tuple) -> tuple:
-    """The shortest word whose repetitions spell `values`."""
-    p = len(values)
-    for q in range(1, p):
-        if p % q == 0 and values == values[:q] * (p // q):
-            return values[:q]
-    return values
+    for width, weight in [(w, c) for w in widths for c in range(w + 1)]:
+        needs[0] = weight
+        stack = [iter(zero if weight == 0 else nonzero if weight == width else every)]
+        while stack:
+            i = next(stack[-1], None)
+            if i is None:
+                stack.pop()
+                continue
+            k = len(stack)
+            code = codes[k] = codes[k - 1] * count + i
+            row[2 * r + k - 1] = values[i]
+            if k > lift:  # the newest entry completes a column
+                w = code % span
+                d = memo.get(w) or memo.setdefault(w, image(row[k - 1 : k + 2 * r]))
+                keys[k] = keys[k - 1] * base + d
+            if k < width:
+                need = needs[k] = needs[k - 1] - (i != z)
+                choice = zero if need == 0 else nonzero if need == width - k else every
+                stack.append(iter(choice))
+            elif pad or _root(code, width, count) == count**width + code:
+                if pad or width >= 2 * r:
+                    # the last 2r entries, then the first 2r (the pad in
+                    # class F), give the 2r columns after the interior; the
+                    # leading 1 keeps these codes above every window code
+                    w = (half + code % half) * half + codes[lift] % half
+                    e = memo.get(w)
+                    if e is None:
+                        cut = row[k : k + 2 * r] + row[lift : lift + 2 * r]
+                        e = memo[w] = image(cut)
+                    img = keys[k] * shift + e
+                else:
+                    img = image([row[2 * r + t % width] for t in range(width + 2 * r)])
+                word = tuple(row[2 * r : k + 2 * r])
+                yield img if pad else _root(img, width, base), word
 
 
 # -- injectivity --------------------------------------------------------------
@@ -146,44 +191,29 @@ def check_injective_bounded(
         raise DomainError(f"class must be 'F' or 'P', got {klass!r}")
     if n_or_p < 1 or h < 1:
         raise DomainError("bounds must be >= 1")
-    values = _height_values(h, include_infinities)
-    bounds = {("window" if klass == "F" else "period"): n_or_p, "height": h}
-
-    r = automaton.radius
-    if klass == "F":
-        width = 2 * n_or_p + 1
-        total = len(values) ** width
-        candidates = _tuples_by_weight(width, values)
-        pad = (0,) * (2 * r)
-        key_of = lambda tup: tuple(window_image(automaton, pad + tup + pad))
-        build = lambda tup: Configuration(-n_or_p, tup)
-    else:
-        total = sum(len(values) ** q for q in range(1, n_or_p + 1))
-        candidates = (
-            tup
-            for q in range(1, n_or_p + 1)
-            for tup in _tuples_by_weight(q, values)
-            if _primitive_root(tup) == tup
-        )
-        # Both images are anchored at column 0, so they are equal exactly
-        # when their one-period words have the same primitive root.
-        key_of = lambda tup: _primitive_root(
-            tuple(window_image(automaton, _cyclic_read(tup, r)))
-        )
-        build = Configuration.periodic
-    if total > max_candidates:
+    widths = [2 * n_or_p + 1] if klass == "F" else range(1, n_or_p + 1)
+    # count >= 3, so count**bits alone passes the guard: no huge powers
+    bits = max_candidates.bit_length()
+    count = 2 * h + 1 + 2 * include_infinities
+    if sum(count ** min(w, bits) for w in widths[: bits + 1]) > max_candidates:
         raise DomainError(
-            f"enumeration of {total} candidates exceeds the guard "
-            f"({max_candidates})"
+            f"enumeration of more than {max_candidates} candidates exceeds "
+            "the guard"
         )
+    values = list(_height_values(h, include_infinities)())
+    bounds = {("window" if klass == "F" else "period"): n_or_p, "height": h}
+    pad = 2 * automaton.radius if klass == "F" else 0
+    build = Configuration.periodic if pad == 0 else (
+        lambda word: Configuration(-n_or_p, word)
+    )
 
     seen = {}
     visited = 0
-    for tup in candidates:
+    for key, word in _image_keys(automaton, widths, pad, h, values):
         visited += 1
-        key = key_of(tup)
-        if key in seen:
-            pair = (build(seen[key]).canonicalize(), build(tup).canonicalize())
+        first = seen.setdefault(key, word)
+        if first is not word:
+            pair = (build(first).canonicalize(), build(word).canonicalize())
             if not verify_witness_pair(automaton, *pair):  # pragma: no cover
                 raise AssertionError("image-key collision failed re-verification")
             return WitnessReport(
@@ -195,7 +225,6 @@ def check_injective_bounded(
                 PROOF,
                 {"candidates": visited},
             )
-        seen[key] = tup
     return WitnessReport(
         EXHAUSTED_NO_WITNESS,
         None,
@@ -205,13 +234,6 @@ def check_injective_bounded(
         EVIDENCE,
         {"candidates": visited},
     )
-
-
-def _cyclic_read(word, r):
-    """Heights of columns -r..q-1+r of the periodic configuration whose
-    columns 0..q-1 carry `word` (q = len(word))."""
-    q = len(word)
-    return [word[k % q] for k in range(-r, q + r)]
 
 
 # -- pre-image search ---------------------------------------------------------
@@ -224,6 +246,7 @@ def check_preimage_bounded(
     n: int,
     h: int,
     include_infinities: bool = False,
+    max_nodes: int = 10**7,
 ) -> WitnessReport:
     """Search a bounded class for a configuration mapping onto `target`.
 
@@ -233,7 +256,8 @@ def check_preimage_bounded(
     <= n anchored at 0. Search is depth-first in ascending height order
     with prefix pruning (a candidate column fixes one image column, which
     is checked immediately), so the first hit is the lexicographically
-    least pre-image in the class; every hit is re-verified by apply.
+    least pre-image in the class; every hit is re-verified by apply. Past
+    `max_nodes` nodes the search stops with BOUND_EXCEEDED.
     """
     if klass not in ("F", "P", "EC"):
         raise DomainError(f"class must be 'F', 'P' or 'EC', got {klass!r}")
@@ -241,41 +265,48 @@ def check_preimage_bounded(
         raise DomainError("bounds must be >= 1")
     values = _height_values(h, include_infinities)
     bounds = {("period" if klass == "P" else "window"): n, "height": h}
-    nodes = 0
-
-    def report_found(cfg):
-        canon = cfg.canonicalize()
-        if not equals(apply(automaton, canon), target):  # pragma: no cover
-            raise AssertionError("pre-image candidate failed re-verification")
-        return WitnessReport(
-            WITNESS_FOUND,
-            canon,
-            bounds,
-            "applying the rule to the witness reproduces the target exactly",
-            PROOF,
-            {"nodes": nodes},
+    r = automaton.radius
+    if klass == "P":
+        # a q-periodic candidate has a q-periodic image
+        runs = (
+            (_cyclic_preimage_dfs, (q,))
+            for q in range(1, n + 1)
+            if equals(target.shift(q), target)
         )
-
-    if klass in ("F", "EC"):
-        backgrounds = [(0, 0)] if klass == "F" else [
-            (bl, br) for bl in range(-h, h + 1) for br in range(-h, h + 1)
-        ]
-        for bgl, bgr in backgrounds:
-            found, n_nodes = _linear_preimage_dfs(
-                automaton, target, n, values, bgl, bgr
-            )
-            nodes += n_nodes
-            if found is not None:
-                return report_found(found)
     else:
-        for q in range(1, n + 1):
-            if not equals(target.shift(q), target):
-                continue  # a q-periodic candidate has a q-periodic image
-            found, n_nodes = _cyclic_preimage_dfs(automaton, target, q, values)
-            nodes += n_nodes
-            if found is not None:
-                return report_found(found)
+        # a constant background b has the image b + delta(0, ..., 0), so at
+        # most one background per side matches the target beyond the window
+        drift = window_image(automaton, [0] * (2 * r + 1))[0]
+        bgs = [target.height(col) - drift for col in (-n - r - 1, n + r + 1)]
+        allowed = range(0, 1) if klass == "F" else range(-h, h + 1)
+        fits = all(type(b) is int and b in allowed for b in bgs)
+        runs = [(_linear_preimage_dfs, (n, *bgs))] if fits else []
 
+    nodes = 0
+    for search, args in runs:
+        found, n_nodes = search(automaton, target, *args, values, max_nodes - nodes)
+        nodes += n_nodes
+        if nodes > max_nodes:
+            return WitnessReport(
+                BOUND_EXCEEDED,
+                None,
+                bounds,
+                "the search used up its node budget before it ended",
+                EVIDENCE,
+                {"nodes": max_nodes},
+            )
+        if found is not None:
+            canon = found.canonicalize()
+            if not equals(apply(automaton, canon), target):  # pragma: no cover
+                raise AssertionError("pre-image candidate failed re-verification")
+            return WitnessReport(
+                WITNESS_FOUND,
+                canon,
+                bounds,
+                "applying the rule to the witness reproduces the target exactly",
+                PROOF,
+                {"nodes": nodes},
+            )
     return WitnessReport(
         EXHAUSTED_NO_WITNESS,
         None,
@@ -287,7 +318,7 @@ def check_preimage_bounded(
     )
 
 
-def _linear_preimage_dfs(automaton, target, n, values, bgl, bgr):
+def _linear_preimage_dfs(automaton, target, n, bgl, bgr, values, budget):
     """DFS over column assignments on [-n, n] with fixed backgrounds.
 
     Returns (configuration or None, nodes visited). Assigning column j
@@ -318,10 +349,10 @@ def _linear_preimage_dfs(automaton, target, n, values, bgl, bgr):
             -n, tuple(row[2 * r :]), Tail((bgl,), 0), Tail((bgr,), 0)
         )
 
-    return _dfs([bgl] * (2 * r), 2 * n + 1, values, prefix_ok, complete)
+    return _dfs([bgl] * (2 * r), 2 * n + 1, values, prefix_ok, complete, budget)
 
 
-def _cyclic_preimage_dfs(automaton, target, q, values):
+def _cyclic_preimage_dfs(automaton, target, q, values, budget):
     """DFS over one period of a q-periodic candidate (anchored at 0)."""
     r = automaton.radius
     goal = target.heights(0, q - 1)
@@ -334,37 +365,40 @@ def _cyclic_preimage_dfs(automaton, target, q, values):
         )
 
     def complete(word):
-        if tuple(window_image(automaton, _cyclic_read(word, r))) != goal:
+        around = [word[k % q] for k in range(-r, q + r)]  # columns -r..q-1+r
+        if tuple(window_image(automaton, around)) != goal:
             return None
         return Configuration.periodic(tuple(word))
 
-    return _dfs([], q, values, prefix_ok, complete)
+    return _dfs([], q, values, prefix_ok, complete, budget)
 
 
-def _dfs(prefix, width, values, prefix_ok, complete):
+def _dfs(prefix, width, values, prefix_ok, complete, budget):
     """Depth-first search over `width` more entries appended to `prefix`,
-    in ascending lexicographic order of `values`, without recursion.
+    in the order of `values()`, a fresh iterator per depth, without
+    recursion.
 
     `prefix_ok(row)` vets the newest entry of a partial row and
     `complete(row)` turns a full row into a witness or None. Returns
-    (witness or None, nodes visited).
+    (witness or None, nodes visited), or (None, budget + 1) on running out.
     """
     row = list(prefix)
-    nxt = [0]  # per open depth, the index in `values` to try next
+    untried = [values()]  # per open depth, the entries still to try
     nodes = 0
-    while nxt:
-        k = nxt[-1]
-        if k == len(values):
-            nxt.pop()
-            if nxt:
+    while untried:
+        v = next(untried[-1], None)
+        if v is None:
+            untried.pop()
+            if untried:
                 row.pop()
             continue
-        nxt[-1] = k + 1
-        row.append(values[k])
         nodes += 1
+        if nodes > budget:
+            return None, nodes
+        row.append(v)
         if prefix_ok(row):
-            if len(nxt) < width:
-                nxt.append(0)
+            if len(untried) < width:
+                untried.append(values())
                 continue
             found = complete(row)
             if found is not None:

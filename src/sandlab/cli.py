@@ -208,22 +208,16 @@ def _cmd_splice(args):
 
 def _cmd_check_injective(args):
     from . import analysis
-    if args.klass == "F":
-        if args.window is None:
-            raise DomainError("--class F needs --window")
-        bound = args.window
-    elif args.klass == "P":
-        if args.period is None:
-            raise DomainError("--class P needs --period")
-        bound = args.period
-    else:
-        raise DomainError("--class must be F or P for injectivity")
+    name = "window" if args.klass == "F" else "period"  # argparse allows F, P
+    bound = getattr(args, name)
+    if bound is None:
+        raise DomainError(f"--class {args.klass} needs --{name}")
     manifest = RunManifest(
         "check-injective",
         {
             "rule": args.rule,
             "class": args.klass,
-            ("window" if args.klass == "F" else "period"): bound,
+            name: bound,
             "height": args.height,
             "with-infinities": args.with_infinities,
         },

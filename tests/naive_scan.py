@@ -1,7 +1,10 @@
 """Slow reference scans that the tests compare the closed forms against.
 
 The saturating reading `beta`, difference vectors and the per-column
-`local_delta` are the paper's definitions, written out plainly.
+`local_delta` are the paper's definitions, written out plainly. The
+injectivity reference enumerates candidates with the recursive
+(weight, lexicographic) generators and keys each one by its whole image,
+computed from scratch.
 
 They read configurations only through `height` and the tail period
 lengths, so they share no logic with `equals`, `first_difference` or
@@ -13,7 +16,7 @@ with `window_image` or its memo.
 from dataclasses import dataclass
 from math import lcm
 
-from sandlab.automaton import _delta_from_entries
+from sandlab.automaton import _delta_from_entries, window_image
 from sandlab.config import Configuration
 from sandlab.errors import DomainError
 from sandlab.heights import Height, Infinity, MINUS_INF, PLUS_INF
@@ -106,3 +109,65 @@ def naive_image_heights(automaton, c: Configuration, lo: int, hi: int) -> tuple:
             h += local_delta(automaton, diff_vector(c, i, r))
         out.append(h)
     return tuple(out)
+
+
+def _tuples_by_weight(width: int, values):
+    """All height tuples of the given width, ordered by (number of nonzero
+    entries, lexicographic position in `values`). Total count is exactly
+    len(values)^width."""
+    for weight in range(width + 1):
+        yield from _weighted_tuples(width, weight, values)
+
+
+def _weighted_tuples(width, weight, values):
+    if weight > width:
+        return
+    if width == 0:
+        yield ()
+        return
+    for v in values:
+        if v == 0:
+            if weight <= width - 1:
+                for rest in _weighted_tuples(width - 1, weight, values):
+                    yield (v,) + rest
+        elif weight > 0:
+            for rest in _weighted_tuples(width - 1, weight - 1, values):
+                yield (v,) + rest
+
+
+def _primitive_root(word: tuple) -> tuple:
+    p = len(word)
+    for q in range(1, p):
+        if p % q == 0 and word == word[:q] * (p // q):
+            return word[:q]
+    return word
+
+
+def injective_candidates(automaton, klass: str, n_or_p: int, values):
+    """(candidate, image key) for every candidate of the bounded injectivity
+    class in the documented order. Class F keys are the whole image of
+    pad + tup + pad; class P keys are the primitive root of the image word
+    of columns 0..q-1, and non-primitive candidates are skipped."""
+    r = automaton.radius
+    if klass == "F":
+        pad = (0,) * (2 * r)
+        for tup in _tuples_by_weight(2 * n_or_p + 1, values):
+            yield tup, tuple(window_image(automaton, pad + tup + pad))
+        return
+    for q in range(1, n_or_p + 1):
+        for tup in _tuples_by_weight(q, values):
+            if _primitive_root(tup) == tup:
+                around = [tup[k % q] for k in range(-r, q + r)]
+                yield tup, _primitive_root(tuple(window_image(automaton, around)))
+
+
+def injective_reference(automaton, klass: str, n_or_p: int, values):
+    """(first colliding candidate pair or None, candidates visited)."""
+    seen = {}
+    visited = 0
+    for tup, key in injective_candidates(automaton, klass, n_or_p, values):
+        visited += 1
+        if key in seen:
+            return (seen[key], tup), visited
+        seen[key] = tup
+    return None, visited

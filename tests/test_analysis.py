@@ -89,6 +89,21 @@ def test_injective_guard_on_candidate_count():
         check_injective_bounded(zoo.make("S"), "P", 8, 2, max_candidates=1000)
 
 
+def test_injective_guard_builds_nothing_first():
+    # each of these would raise a huge power, sum powers or list 2*10^11
+    # heights if the guard came after the enumeration's set-up
+    S = zoo.make("S")
+    for args in (("F", 30_000_000, 1), ("P", 3_000_000, 1), ("F", 3, 10**11)):
+        with pytest.raises(DomainError, match="exceeds the guard"):
+            check_injective_bounded(S, *args)
+    # the guard counts exactly: 3^3 fits a guard of 27, not one of 26, and
+    # 3 + 9 + 27 fits 39, not 38
+    for klass, bound, total in (("F", 1, 27), ("P", 3, 39)):
+        check_injective_bounded(S, klass, bound, 1, max_candidates=total)
+        with pytest.raises(DomainError):
+            check_injective_bounded(S, klass, bound, 1, max_candidates=total - 1)
+
+
 def test_preimage_found_and_reverified():
     two = Configuration.finite({0: 2})
     r = check_preimage_bounded(zoo.make("S"), two, "F", 2, 3)
@@ -111,6 +126,57 @@ def test_preimage_exhausts_for_mirror_target():
     r = check_preimage_bounded(zoo.make("Sr"), two, "F", 3, 4)
     assert r.verdict == EXHAUSTED_NO_WITNESS
     assert r.details["nodes"] > 0
+
+
+def test_preimage_node_budget():
+    S = zoo.make("S")
+    two = Configuration.finite({0: 2})
+    full = check_preimage_bounded(S, two, "F", 2, 3)
+    used = full.details["nodes"]
+    assert check_preimage_bounded(S, two, "F", 2, 3, max_nodes=used).details == {
+        "nodes": used
+    }
+    short = check_preimage_bounded(S, two, "F", 2, 3, max_nodes=used - 1)
+    assert short.verdict == BOUND_EXCEEDED
+    assert short.witness is None
+    assert short.details == {"nodes": used - 1}
+    # heights are read lazily: a huge height bound only costs nodes
+    huge = check_preimage_bounded(S, two, "F", 1, 10**11, max_nodes=1000)
+    assert huge.verdict == BOUND_EXCEEDED
+    periodic = check_preimage_bounded(S, ZERO, "P", 3, 10**11, max_nodes=50)
+    assert periodic.verdict == BOUND_EXCEEDED
+
+
+def test_preimage_ec_tries_only_the_matching_backgrounds():
+    # every other background pair fails the check beyond the window, so
+    # the report equals a scan of all (2h+1)^2 pairs
+    for rule, target in (
+        ("S", Configuration.general(0, (), zoo.Tail((0,), 0), zoo.Tail((1,), 0))),
+        ("Sr", Configuration.general(0, (2,), zoo.Tail((-1,), 0), zoo.Tail((1,), 0))),
+        ("L", Configuration.finite({0: 1})),
+        ("X", Configuration.periodic((0, 1))),
+    ):
+        automaton = zoo.make(rule)
+        values = analysis._height_values(2, False)
+        nodes, found = 0, None
+        for bgl in range(-2, 3):
+            for bgr in range(-2, 3):
+                found, n_nodes = analysis._linear_preimage_dfs(
+                    automaton, target, 2, bgl, bgr, values, 10**7
+                )
+                nodes += n_nodes
+                if found is not None:
+                    break
+            if found is not None:
+                break
+        r = check_preimage_bounded(automaton, target, "EC", 2, 2)
+        assert r.details["nodes"] == nodes
+        assert (r.witness is None) == (found is None)
+        if found is not None:
+            assert equals(r.witness, found)
+    # 4001^2 pairs would be 16 M tuples
+    r = check_preimage_bounded(zoo.make("S"), Configuration.finite({0: 1}), "EC", 1, 2000)
+    assert r.verdict == WITNESS_FOUND
 
 
 def test_preimage_periodic_class():

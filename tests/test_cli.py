@@ -358,3 +358,47 @@ def test_oversized_renders_are_refused(tmp_path):
         )
         assert done.returncode == 1
         assert "over the limit of 1000000 cells" in done.stderr
+
+
+def test_huge_search_bounds_exit_cleanly(tmp_path):
+    # child processes under a 1 GB address-space limit: the guard and the
+    # lazy height values must act before any big number or list is built
+    src = os.path.dirname(os.path.dirname(sandlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    inj = ["check-injective", "--rule", "S", "--class"]
+    surj = ["check-surjective", "--rule", "S", "--target", cfg("step-preimage"),
+            "--window", "1", "--class"]
+    for argv, code, needle in (
+        (inj + ["F", "--window", "30000000", "--height", "1"], 1, "exceeds the guard"),
+        (inj + ["P", "--period", "3000000", "--height", "1"], 1, "exceeds the guard"),
+        (inj + ["F", "--window", "3", "--height", "100000000000"], 1,
+         "exceeds the guard"),
+        (surj + ["F", "--height", "100000000000"], 3, "EXHAUSTED_NO_WITNESS"),
+        (surj + ["EC", "--height", "2000"], 3, "EXHAUSTED_NO_WITNESS"),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "sandlab.cli", *argv], env=env,
+            capture_output=True, text=True, timeout=10, preexec_fn=limit,
+        )
+        assert done.returncode == code, done.stderr
+        assert needle in done.stdout + done.stderr
+
+
+def test_check_surjective_out_of_nodes_exits_4(monkeypatch, capsys):
+    from functools import partial
+
+    from sandlab import analysis
+
+    monkeypatch.setattr(
+        analysis, "check_preimage_bounded",
+        partial(analysis.check_preimage_bounded, max_nodes=5),
+    )
+    code, out, err = run_cli(
+        ["check-surjective", "--rule", "S", "--target", cfg("two-grain-column"),
+         "--class", "F", "--window", "2", "--height", "3"],
+        capsys,
+    )
+    assert code == 4
+    assert "verdict: BOUND_EXCEEDED" in out
+    assert "details: nodes=5" in out
