@@ -23,6 +23,13 @@ memoised per check on the code of the column's window. Image heights lie in
 [-h-r, h+r] or are infinite, so they are the digits of one integer key, base
 2(h+r)+4; a P key is the primitive root of the image word read from column
 r. Equal keys mean equal images.
+
+The pre-image search is one iterative depth-first walk for all three
+classes. A node is one value tried at one column; the column that
+completes a window has that window's image checked against the target at
+once. A periodic target's periods are the multiples of its least period,
+the length of its canonical tail word, so one shift test picks them; a
+target that fails it has no periodic pre-image.
 """
 
 from __future__ import annotations
@@ -253,11 +260,14 @@ def check_preimage_bounded(
     Class "F": support in [-n, n], heights in [-h, h], zero background.
     Class "EC": same window, plus independently chosen constant left and
     right backgrounds in [-h, h]. Class "P": periodic candidates of period
-    <= n anchored at 0. Search is depth-first in ascending height order
-    with prefix pruning (a candidate column fixes one image column, which
-    is checked immediately), so the first hit is the lexicographically
-    least pre-image in the class; every hit is re-verified by apply. Past
-    `max_nodes` nodes the search stops with BOUND_EXCEEDED.
+    <= n anchored at 0; only the multiples q of the target's least period
+    are tried, ascending, and none when the target is not periodic.
+    Search is depth-first in ascending height order with prefix pruning (a
+    candidate column fixes one image column, which is checked
+    immediately), so the first hit is the lexicographically least
+    pre-image in the class; every hit is re-verified by apply. One node is
+    one value tried at one column; past `max_nodes` nodes the search stops
+    with BOUND_EXCEEDED.
     """
     if klass not in ("F", "P", "EC"):
         raise DomainError(f"class must be 'F', 'P' or 'EC', got {klass!r}")
@@ -267,12 +277,12 @@ def check_preimage_bounded(
     bounds = {("period" if klass == "P" else "window"): n, "height": h}
     r = automaton.radius
     if klass == "P":
-        # a q-periodic candidate has a q-periodic image
-        runs = (
-            (_cyclic_preimage_dfs, (q,))
-            for q in range(1, n + 1)
-            if equals(target.shift(q), target)
-        )
+        # a q-periodic candidate has a q-periodic image, and the periods of
+        # a periodic target are the multiples of its least one, the length
+        # of its canonical tail word
+        p = len(target.canonicalize().right.values)
+        periods = range(p, n + 1, p) if equals(target.shift(p), target) else ()
+        runs = ((0, q, None, None) for q in periods)
     else:
         # a constant background b has the image b + delta(0, ..., 0), so at
         # most one background per side matches the target beyond the window
@@ -280,12 +290,13 @@ def check_preimage_bounded(
         bgs = [target.height(col) - drift for col in (-n - r - 1, n + r + 1)]
         allowed = range(0, 1) if klass == "F" else range(-h, h + 1)
         fits = all(type(b) is int and b in allowed for b in bgs)
-        runs = [(_linear_preimage_dfs, (n, *bgs))] if fits else []
+        level = fits and _level_beyond(target, -n - r, n + r)
+        runs = [(-n, 2 * n + 1, *bgs)] if level else []
 
     nodes = 0
-    for search, args in runs:
-        found, n_nodes = search(automaton, target, *args, values, max_nodes - nodes)
-        nodes += n_nodes
+    for run in runs:  # (start, width, bgl, bgr)
+        found, used = _preimage_dfs(automaton, target, *run, values, max_nodes - nodes)
+        nodes += used
         if nodes > max_nodes:
             return WitnessReport(
                 BOUND_EXCEEDED,
@@ -318,71 +329,41 @@ def check_preimage_bounded(
     )
 
 
-def _linear_preimage_dfs(automaton, target, n, bgl, bgr, values, budget):
-    """DFS over column assignments on [-n, n] with fixed backgrounds.
+def _level_beyond(c: Configuration, lo: int, hi: int) -> bool:
+    """True iff c is constant left of column lo and right of column hi.
 
-    Returns (configuration or None, nodes visited). Assigning column j
-    fixes the image of column j - r, which is checked at once; the columns
-    the window never reaches were checked against the constant background
-    images up front.
+    Canonical tails are primitive and a canonical core starts and ends off
+    its tails, so past a constant tail only the columns up to lo (hi), and
+    at most one period of the other tail past an empty core, need a look.
+    """
+    c = c.canonicalize()
+    a, b = c.core_start, c.core_end
+    left = c.heights(a, min(lo - 1, a + len(c.right.values)))
+    right = c.heights(max(hi + 1, b - len(c.left.values)), b)
+    return all(
+        len(t.values) == 1 and not t.slope and all(v == t.values[0] for v in vs)
+        for t, vs in ((c.left, left), (c.right, right))
+    )
+
+
+def _preimage_dfs(automaton, target, start, width, bgl, bgr, values, budget):
+    """Depth-first search, without recursion, over the `width` columns from
+    `start` of a pre-image of `target`, each column in the order of
+    `values()`.
+
+    The row holds 2r entries `bgl`, the left background (or none when
+    `bgl` is None: a periodic candidate of period `width`), then the
+    columns so far. Once it holds 2r+1 entries, each new entry fixes the
+    image of the column r to its left, which is checked at once. A full
+    row then fixes the 2r image columns around its far end, which read the
+    right background `bgr` or wrap round to the row's start. Returns
+    (configuration or None, nodes), one node per value tried at one
+    column, or (None, budget + 1) on running out.
     """
     r = automaton.radius
-    goal = target.heights(-n - r, n + r)
-    img_l = window_image(automaton, [bgl] * (2 * r + 1))[0]
-    img_r = window_image(automaton, [bgr] * (2 * r + 1))[0]
-    if not equals(
-        target, Configuration(-n - r, goal, Tail((img_l,), 0), Tail((img_r,), 0))
-    ):
-        return None, 0
-
-    # row holds columns -n-2r.., so its last 2r+1 entries are the window
-    # of the column whose image the newest column fixes
-    def prefix_ok(row):
-        k = len(row) - 2 * r - 1
-        return window_image(automaton, row[k:])[0] == goal[k]
-
-    def complete(row):
-        edge = window_image(automaton, row[-2 * r :] + [bgr] * (2 * r))
-        if tuple(edge) != goal[-2 * r :]:
-            return None
-        return Configuration(
-            -n, tuple(row[2 * r :]), Tail((bgl,), 0), Tail((bgr,), 0)
-        )
-
-    return _dfs([bgl] * (2 * r), 2 * n + 1, values, prefix_ok, complete, budget)
-
-
-def _cyclic_preimage_dfs(automaton, target, q, values, budget):
-    """DFS over one period of a q-periodic candidate (anchored at 0)."""
-    r = automaton.radius
-    goal = target.heights(0, q - 1)
-
-    def prefix_ok(word):
-        # columns r..q-1-r have their whole window inside the word
-        i = len(word) - 1 - r
-        return not r <= i <= q - 1 - r or (
-            window_image(automaton, word[i - r :])[0] == goal[i]
-        )
-
-    def complete(word):
-        around = [word[k % q] for k in range(-r, q + r)]  # columns -r..q-1+r
-        if tuple(window_image(automaton, around)) != goal:
-            return None
-        return Configuration.periodic(tuple(word))
-
-    return _dfs([], q, values, prefix_ok, complete, budget)
-
-
-def _dfs(prefix, width, values, prefix_ok, complete, budget):
-    """Depth-first search over `width` more entries appended to `prefix`,
-    in the order of `values()`, a fresh iterator per depth, without
-    recursion.
-
-    `prefix_ok(row)` vets the newest entry of a partial row and
-    `complete(row)` turns a full row into a witness or None. Returns
-    (witness or None, nodes visited), or (None, budget + 1) on running out.
-    """
-    row = list(prefix)
+    w = 2 * r + 1
+    row = [] if bgl is None else [bgl] * (2 * r)
+    goal = target.height
     untried = [values()]  # per open depth, the entries still to try
     nodes = 0
     while untried:
@@ -396,13 +377,22 @@ def _dfs(prefix, width, values, prefix_ok, complete, budget):
         if nodes > budget:
             return None, nodes
         row.append(v)
-        if prefix_ok(row):
-            if len(untried) < width:
-                untried.append(values())
-                continue
-            found = complete(row)
-            if found is not None:
-                return found, nodes
+        col = start + len(untried) - 1 - r  # the column r left of the newest
+        ok = len(row) < w or window_image(automaton, row[-w:])[0] == goal(col)
+        if ok and len(untried) < width:
+            untried.append(values())
+            continue
+        if ok:
+            if bgl is None:
+                around = [row[j % width] for j in range(width - 2 * r, width + 2 * r)]
+            else:
+                around = row[-2 * r :] + [bgr] * (2 * r)
+            image = tuple(window_image(automaton, around))
+            if image == target.heights(col + 1, col + 2 * r):
+                if bgl is None:
+                    return Configuration.periodic(tuple(row)), nodes
+                edges = Tail((bgl,), 0), Tail((bgr,), 0)
+                return Configuration(start, tuple(row[2 * r :]), *edges), nodes
         row.pop()
     return None, nodes
 

@@ -19,7 +19,8 @@ Configuration files:
 
     sand-config v1
     kind: finite          | periodic | affine | general
-    at 0 2                # finite: nonzero columns
+    at 0 2                # finite: nonzero columns, spanning at most
+                          # the core cap (SANDLAB_MAX_CORE, else 65536)
     period: 0 2           # periodic/affine: values at columns 0..p-1
     slope: 1              # affine only
     core-start: -1        # general: explicit core plus two tails
@@ -34,9 +35,9 @@ Configuration files:
 
 from __future__ import annotations
 
-from .automaton import NEG, POS, SandAutomaton, WILDCARD, validate_rule
+from .automaton import NEG, POS, SandAutomaton, WILDCARD, _core_cap, validate_rule
 from .config import ZERO_TAIL, Configuration
-from .errors import DomainError, ParseError, RuleError
+from .errors import CoreBoundExceeded, DomainError, ParseError, RuleError
 from .heights import Infinity, MINUS_INF, PLUS_INF
 
 RULE_HEADER = "sand-rule v1"
@@ -199,9 +200,12 @@ def parse_config_file(text: str) -> Configuration:
         return _parse_int(value, num)
 
     if kind == "finite":
-        devs = {}
-        for col, value in ats:
-            devs[col] = value
+        devs = dict(ats)  # a later line for a column wins
+        cols = [col for col, value in devs.items() if value != 0]
+        span = max(cols) - min(cols) + 1 if cols else 0
+        cap = _core_cap(None)
+        if span > cap:
+            raise CoreBoundExceeded(f"finite core spans {span} columns (cap {cap})")
         return Configuration.finite(devs)
     if kind == "periodic":
         return Configuration.periodic(heights("period"))

@@ -4,7 +4,8 @@ The saturating reading `beta`, difference vectors and the per-column
 `local_delta` are the paper's definitions, written out plainly. The
 injectivity reference enumerates candidates with the recursive
 (weight, lexicographic) generators and keys each one by its whole image,
-computed from scratch.
+computed from scratch. The pre-image reference tries every candidate of
+the bounded class in turn and checks its image column by column.
 
 They read configurations only through `height` and the tail period
 lengths, so they share no logic with `equals`, `first_difference` or
@@ -14,10 +15,11 @@ with `window_image` or its memo.
 """
 
 from dataclasses import dataclass
+from itertools import product
 from math import lcm
 
 from sandlab.automaton import _delta_from_entries, window_image
-from sandlab.config import Configuration
+from sandlab.config import Configuration, Tail
 from sandlab.errors import DomainError
 from sandlab.heights import Height, Infinity, MINUS_INF, PLUS_INF
 
@@ -171,3 +173,45 @@ def injective_reference(automaton, klass: str, n_or_p: int, values):
             return (seen[key], tup), visited
         seen[key] = tup
     return None, visited
+
+
+def naive_maps_onto(automaton, c: Configuration, target: Configuration) -> bool:
+    """True iff the image of c is target, compared column by column.
+
+    The image of c keeps c's tail periods beyond its core widened by r, so
+    as in `naive_equals` two aligned periods per side past both cores
+    settle the rest."""
+    r = automaton.radius
+    Ll = lcm(len(c.left.values), len(target.left.values))
+    Lr = lcm(len(c.right.values), len(target.right.values))
+    lo = min(c.core_start - r, target.core_start) - 2 * Ll
+    hi = max(c.core_end + r, target.core_end) + 2 * Lr
+    return all(
+        naive_image_heights(automaton, c, i, i) == (target.height(i),)
+        for i in range(lo, hi + 1)
+    )
+
+
+def preimage_reference(automaton, target, klass: str, n: int, h: int, inf=False):
+    """The first candidate of the bounded pre-image class whose image is
+    target, or None. Candidates come by period 1..n (class P) or by
+    background pair (bgl, bgr) in [-h, h]^2 (class EC; (0, 0) for class F,
+    words on columns -n..n), then by word, lexicographic in the value
+    order -inf, -h..h, +inf (the infinities only with `inf`)."""
+    values = [*range(-h, h + 1)]
+    if inf:
+        values = [MINUS_INF, *values, PLUS_INF]
+    if klass == "P":
+        candidates = (
+            Configuration.periodic(word)
+            for q in range(1, n + 1)
+            for word in product(values, repeat=q)
+        )
+    else:
+        bgs = range(-h, h + 1) if klass == "EC" else (0,)
+        candidates = (
+            Configuration(-n, word, Tail((bgl,), 0), Tail((bgr,), 0))
+            for bgl, bgr in product(bgs, repeat=2)
+            for word in product(values, repeat=2 * n + 1)
+        )
+    return next((c for c in candidates if naive_maps_onto(automaton, c, target)), None)

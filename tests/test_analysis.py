@@ -1,6 +1,7 @@
 """Tests for the bounded decision procedures and witness reports."""
 
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -17,11 +18,14 @@ from sandlab.analysis import (
     verify_witness_pair,
 )
 from sandlab import analysis
-from sandlab.automaton import _core_cap, apply, validate_rule
+from sandlab.automaton import _core_cap, apply, validate_rule, window_image
 from sandlab.config import Configuration, equals
 from sandlab.errors import DomainError
+from sandlab.heights import MINUS_INF, PLUS_INF
 from sandlab.rng import Lcg64, sample_configuration
 from sandlab import zoo
+
+from naive_scan import preimage_reference
 
 ZERO = Configuration.finite({})
 IDENTITY = validate_rule(1, [], 0)
@@ -157,26 +161,93 @@ def test_preimage_ec_tries_only_the_matching_backgrounds():
         ("X", Configuration.periodic((0, 1))),
     ):
         automaton = zoo.make(rule)
+        r = automaton.radius
+        level = lambda b: zoo.Tail((window_image(automaton, [b] * (2 * r + 1))[0],), 0)
+        inside = target.heights(-2 - r, 2 + r)
         values = analysis._height_values(2, False)
         nodes, found = 0, None
-        for bgl in range(-2, 3):
-            for bgr in range(-2, 3):
-                found, n_nodes = analysis._linear_preimage_dfs(
-                    automaton, target, 2, bgl, bgr, values, 10**7
-                )
-                nodes += n_nodes
-                if found is not None:
-                    break
+        for bgl, bgr in product(range(-2, 3), repeat=2):
+            # beyond the window the image is the backgrounds' own image
+            edges = level(bgl), level(bgr)
+            if not equals(target, Configuration(-2 - r, inside, *edges)):
+                continue
+            found, n_nodes = analysis._preimage_dfs(
+                automaton, target, -2, 5, bgl, bgr, values, 10**7
+            )
+            nodes += n_nodes
             if found is not None:
                 break
-        r = check_preimage_bounded(automaton, target, "EC", 2, 2)
-        assert r.details["nodes"] == nodes
-        assert (r.witness is None) == (found is None)
+        report = check_preimage_bounded(automaton, target, "EC", 2, 2)
+        assert report.details["nodes"] == nodes
+        assert (report.witness is None) == (found is None)
         if found is not None:
-            assert equals(r.witness, found)
+            assert equals(report.witness, found)
     # 4001^2 pairs would be 16 M tuples
     r = check_preimage_bounded(zoo.make("S"), Configuration.finite({0: 1}), "EC", 1, 2000)
     assert r.verdict == WITNESS_FOUND
+
+
+def test_level_beyond_matches_a_column_scan():
+    rng = Lcg64(17)
+    for _ in range(3000):
+        c = sample_configuration(rng, 1, rng.below(4) == 0)
+        lo = rng.int_between(-8, 8)
+        hi = lo + rng.below(8) - 1
+        scan = all(c.height(j) == c.height(lo - 1) for j in range(lo - 40, lo)) and all(
+            c.height(j) == c.height(hi + 1) for j in range(hi + 1, hi + 41)
+        )
+        assert analysis._level_beyond(c, lo, hi) == scan, (c, lo, hi)
+
+
+def test_preimage_periodic_tries_one_period_test(monkeypatch):
+    # the periods come from the target's least period, not from one
+    # equals test per q <= n
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        assert len(calls) <= 10, "one equals call per candidate period"
+        return equals(x, y)
+
+    monkeypatch.setattr(analysis, "equals", counted)
+    S = zoo.make("S")
+    two = Configuration.finite({0: 2})
+    r = check_preimage_bounded(S, two, "P", 10**12, 1)
+    assert (r.verdict, r.details, len(calls)) == (EXHAUSTED_NO_WITNESS, {"nodes": 0}, 1)
+    calls.clear()
+    comb = Configuration.periodic((0, 3))
+    r = check_preimage_bounded(S, comb, "P", 10**9, 1, max_nodes=10**5)
+    assert (r.verdict, r.details, len(calls)) == (BOUND_EXCEEDED, {"nodes": 10**5}, 1)
+
+
+@pytest.mark.parametrize("klass", ["F", "EC", "P"])
+@pytest.mark.parametrize("rule", ["S", "Sr", "L", "X", "Y"])
+def test_preimage_matches_the_brute_force_reference(rule, klass):
+    automaton = zoo.make(rule)
+    rng = Lcg64(sum(map(ord, rule + klass)))
+    n, h = (3, 1) if klass == "P" else (1, 1)
+    for k in range(6):
+        inf = k % 3 == 2
+        values = [*range(-h, h + 1)] + ([MINUS_INF, PLUS_INF] if inf else [])
+        pick = lambda: values[rng.below(len(values))]
+        if k % 2:
+            target = sample_configuration(rng, 2, inf)
+        elif klass == "P":
+            target = apply(automaton, Configuration.periodic(
+                [pick() for _ in range(1 + rng.below(n))]
+            ))
+        else:
+            bgs = [rng.int_between(-h, h) if klass == "EC" else 0 for _ in "lr"]
+            member = Configuration(
+                -n, tuple(pick() for _ in range(2 * n + 1)),
+                *(zoo.Tail((b,), 0) for b in bgs),
+            )
+            target = apply(automaton, member)
+        report = check_preimage_bounded(automaton, target, klass, n, h, inf)
+        want = preimage_reference(automaton, target, klass, n, h, inf)
+        verdict = EXHAUSTED_NO_WITNESS if want is None else WITNESS_FOUND
+        assert report.verdict == verdict
+        assert want is None or equals(report.witness, want)
 
 
 def test_preimage_periodic_class():

@@ -360,6 +360,34 @@ def test_oversized_renders_are_refused(tmp_path):
         assert "over the limit of 1000000 cells" in done.stderr
 
 
+def test_wide_finite_files_are_refused(tmp_path, monkeypatch, capsys):
+    # child processes under a 1 GB address-space limit: the span is checked
+    # before any column of the core is built
+    wide = tmp_path / "wide.cfg"
+    wide.write_text(
+        "sand-config v1\nkind: finite\nat -1000000000000 1\nat 1000000000000 1\n"
+    )
+    src = os.path.dirname(os.path.dirname(sandlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SANDLAB_MAX_CORE", None)
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    for argv in (["render", "--config", str(wide)], ["distance", str(wide), str(wide)]):
+        done = subprocess.run(
+            [sys.executable, "-m", "sandlab.cli", *argv], env=env,
+            capture_output=True, text=True, timeout=5, preexec_fn=limit,
+        )
+        assert done.returncode == 4
+        assert "finite core spans 2000000000001 columns (cap 65536)" in done.stderr
+    # 70,001 columns: over the default cap, under a raised one
+    near = tmp_path / "near.cfg"
+    near.write_text("sand-config v1\nkind: finite\nat -35000 1\nat 35000 1\n")
+    monkeypatch.delenv("SANDLAB_MAX_CORE", raising=False)
+    assert run_cli(["distance", str(near), str(near)], capsys)[0] == 4
+    monkeypatch.setenv("SANDLAB_MAX_CORE", "70001")
+    code, out, err = run_cli(["distance", str(near), str(near)], capsys)
+    assert code == 0, err
+
+
 def test_huge_search_bounds_exit_cleanly(tmp_path):
     # child processes under a 1 GB address-space limit: the guard and the
     # lazy height values must act before any big number or list is built
