@@ -1,11 +1,11 @@
 """Rule tables and the exact global update map.
 
-A rule table has a radius r >= 1 and maps the 2r beta-readings around a
-column (each in [-r, r] or infinite) to a grain delta in [-r, r]. Tables
-are ordered: the first matching line wins, with a table-wide default when
-nothing matches. Pattern atoms are exact values, the two infinities, a
-wildcard, or the sign classes POS / NEG (which include the respective
-infinity).
+A rule table has a radius 1 <= r <= MAX_RADIUS and maps the 2r
+beta-readings around a column (each in [-r, r] or infinite) to a grain
+delta in [-r, r]. Tables are ordered: the first matching line wins, with a
+table-wide default when nothing matches. Pattern atoms are exact values,
+the two infinities, a wildcard, or the sign classes POS / NEG (which
+include the respective infinity).
 
 That first-match scan defines the rule, but evaluation goes through a
 memo: the 2r readings of a column, left to right, are the digits of one
@@ -45,6 +45,11 @@ POS = _Marker("pos")  # matches every height > 0, including +infinity
 NEG = _Marker("neg")  # matches every height < 0, including -infinity
 
 Atom = int | Infinity | _Marker
+
+#: the largest radius `validate_rule` accepts; steps and searches read
+#: 2r + 1 columns around each column, so a huge radius costs time and
+#: memory before any rule line is looked at
+MAX_RADIUS = 64
 
 
 def atom_matches(atom: Atom, value: Height) -> bool:
@@ -92,6 +97,8 @@ def validate_rule(radius: int, lines, default_delta: int = 0) -> SandAutomaton:
     """
     if isinstance(radius, bool) or not isinstance(radius, int) or radius < 1:
         raise RuleError(f"radius must be an integer >= 1, got {radius!r}", "radius")
+    if radius > MAX_RADIUS:
+        raise RuleError(f"radius {radius} is over the limit of {MAX_RADIUS}", "radius")
     if not isinstance(default_delta, int) or abs(default_delta) > radius:
         raise RuleError(
             f"default delta must lie in [-{radius}, {radius}], got {default_delta!r}",

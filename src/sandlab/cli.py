@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Every verdict report is described by a RunManifest (subcommand plus the
-inputs that fully determine it), which is echoed into the report header so
-identical invocations produce byte-identical output. Exit codes:
+Every verdict report is written by one helper: a header with the
+subcommand and the sorted inputs that fully determine the report, so
+identical invocations produce byte-identical output, then the report as
+text or JSON. Exit codes:
 
     0  clean outcome for the subcommand (simulation done, check exhausted
        with nothing to find, witness verified, pre-image produced, ...)
@@ -24,7 +25,7 @@ import sys
 
 from . import formats, zoo
 from .automaton import apply, iterate, same_local_rule
-from .config import Configuration, Value, equals
+from .config import Configuration, equals
 from .errors import (
     CoreBoundExceeded,
     DomainError,
@@ -39,29 +40,6 @@ EXIT_DOMAIN = 1
 EXIT_PARSE = 2
 EXIT_VERDICT = 3
 EXIT_BOUND = 4
-
-
-class RunManifest(Value):
-    """The subcommand and the inputs that fully determine its report."""
-
-    __slots__ = _fields = ("subcommand", "inputs", "json_output")
-
-    def __init__(self, subcommand: str, inputs: dict, json_output: bool = False):
-        self.subcommand = subcommand
-        self.inputs = inputs
-        self.json_output = json_output
-
-    def header(self) -> str:
-        lines = [f"subcommand: {self.subcommand}"]
-        for key in sorted(self.inputs):
-            lines.append(f"{key}: {self.inputs[key]}")
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "inputs": {k: str(v) for k, v in sorted(self.inputs.items())},
-        }
 
 
 def _load_rule(name_or_path: str):
@@ -86,51 +64,42 @@ def _render_window(args, c: Configuration):
     return (min(cc.core_start, 0) - 2, max(cc.core_end, 0) + 2)
 
 
-def _report_text(manifest: RunManifest, report) -> str:
-    lines = [manifest.header(), ""]
-    lines.append(f"verdict: {report.verdict}")
-    lines.append(f"grade: {report.grade}")
-    if report.bounds:
-        pairs = " ".join(f"{k}={v}" for k, v in sorted(report.bounds.items()))
-        lines.append(f"bounds: {pairs}")
-    if report.details:
-        pairs = " ".join(f"{k}={v}" for k, v in sorted(report.details.items()))
-        lines.append(f"details: {pairs}")
-    lines.append(f"note: {report.evidence_note}")
-    for idx, w in enumerate(report.witness_configurations()):
-        label = chr(ord("a") + idx)
-        lines.append(f"witness {label}:")
-        lines.append(formats.emit_config_file(w).rstrip("\n"))
-    return "\n".join(lines) + "\n"
+def _report(args, inputs: dict, report, clean_verdicts) -> tuple:
+    """(exit code, text) of a verdict report.
 
-
-def _report_json(manifest: RunManifest, report) -> str:
-    payload = {
-        "manifest": manifest.to_dict(),
-        "report": report.to_dict(),
-        "witnesses": [
-            formats.emit_config_file(w)
-            for w in report.witness_configurations()
-        ],
-    }
-    return _json_text(payload)
-
-
-def _json_text(payload) -> str:
-    import json
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _emit_report(manifest, report, clean_verdicts) -> tuple:
+    A header names `args.subcommand` and the sorted inputs; then comes
+    `report`, a WitnessReport or verify-witness's bool, as text or, under
+    `args.json`, as JSON. Exit 4 on a bound, 0 on a clean verdict, else 3.
+    """
     from .analysis import BOUND_EXCEEDED
-    text = (
-        _report_json(manifest, report)
-        if manifest.json_output
-        else _report_text(manifest, report)
-    )
-    if report.verdict == BOUND_EXCEEDED:
+    if isinstance(report, bool):
+        verdict, body, lines = report, {"valid_pair": report}, [f"valid pair: {report}"]
+    else:
+        verdict = report.verdict
+        witnesses = [
+            formats.emit_config_file(w) for w in report.witness_configurations()
+        ]
+        body = {"report": report.to_dict(), "witnesses": witnesses}
+        lines = [f"verdict: {verdict}", f"grade: {report.grade}"]
+        for name, pairs in (("bounds", report.bounds), ("details", report.details)):
+            if pairs:
+                items = sorted(pairs.items())
+                lines.append(f"{name}: " + " ".join(f"{k}={v}" for k, v in items))
+        lines.append(f"note: {report.evidence_note}")
+        for idx, w in enumerate(witnesses):
+            lines += [f"witness {chr(ord('a') + idx)}:", w.rstrip("\n")]
+    if args.json:
+        import json
+        inputs = {k: str(v) for k, v in inputs.items()}
+        body["manifest"] = {"subcommand": args.subcommand, "inputs": inputs}
+        text = json.dumps(body, sort_keys=True, indent=2) + "\n"
+    else:
+        header = [f"subcommand: {args.subcommand}"]
+        header += [f"{k}: {v}" for k, v in sorted(inputs.items())]
+        text = "\n".join(header + [""] + lines) + "\n"
+    if verdict == BOUND_EXCEEDED:
         return EXIT_BOUND, text
-    return (EXIT_OK if report.verdict in clean_verdicts else EXIT_VERDICT), text
+    return (EXIT_OK if verdict in clean_verdicts else EXIT_VERDICT), text
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -212,100 +181,75 @@ def _cmd_check_injective(args):
     bound = getattr(args, name)
     if bound is None:
         raise DomainError(f"--class {args.klass} needs --{name}")
-    manifest = RunManifest(
-        "check-injective",
-        {
-            "rule": args.rule,
-            "class": args.klass,
-            name: bound,
-            "height": args.height,
-            "with-infinities": args.with_infinities,
-        },
-        args.json,
-    )
+    inputs = {
+        "rule": args.rule,
+        "class": args.klass,
+        name: bound,
+        "height": args.height,
+        "with-infinities": args.with_infinities,
+    }
     automaton = _load_rule(args.rule)
     report = analysis.check_injective_bounded(
         automaton, args.klass, bound, args.height, args.with_infinities
     )
-    return _emit_report(manifest, report, {analysis.EXHAUSTED_NO_WITNESS})
+    return _report(args, inputs, report, {analysis.EXHAUSTED_NO_WITNESS})
 
 
 def _cmd_check_surjective(args):
     from . import analysis
-    manifest = RunManifest(
-        "check-surjective",
-        {
-            "rule": args.rule,
-            "target": args.target,
-            "class": args.klass,
-            "window": args.window,
-            "height": args.height,
-            "with-infinities": args.with_infinities,
-        },
-        args.json,
-    )
+    inputs = {
+        "rule": args.rule,
+        "target": args.target,
+        "class": args.klass,
+        "window": args.window,
+        "height": args.height,
+        "with-infinities": args.with_infinities,
+    }
     automaton = _load_rule(args.rule)
     target = _load_config(args.target)
     report = analysis.check_preimage_bounded(
         automaton, target, args.klass, args.window, args.height, args.with_infinities
     )
-    return _emit_report(manifest, report, {analysis.WITNESS_FOUND})
+    return _report(args, inputs, report, {analysis.WITNESS_FOUND})
 
 
 def _cmd_check_nilpotent(args):
     from . import analysis
-    manifest = RunManifest(
-        "check-nilpotent",
-        {"rule": args.rule, "config": args.config, "steps": args.steps},
-        args.json,
-    )
+    inputs = {"rule": args.rule, "config": args.config, "steps": args.steps}
     automaton = _load_rule(args.rule)
     c = _load_config(args.config)
     report = analysis.check_nilpotent_bounded(
         automaton, c, args.steps, args.max_core
     )
-    return _emit_report(manifest, report, {analysis.WITNESS_FOUND})
+    return _report(args, inputs, report, {analysis.WITNESS_FOUND})
 
 
 def _cmd_verify_witness(args):
     from . import analysis
-    manifest = RunManifest(
-        "verify-witness",
-        {
-            "rule": args.rule,
-            "config-a": args.config_a,
-            "config-b": args.config_b,
-        },
-        args.json,
-    )
+    inputs = {
+        "rule": args.rule,
+        "config-a": args.config_a,
+        "config-b": args.config_b,
+    }
     automaton = _load_rule(args.rule)
     c1 = _load_config(args.config_a)
     c2 = _load_config(args.config_b)
     ok = analysis.verify_witness_pair(automaton, c1, c2)
-    if manifest.json_output:
-        payload = {"manifest": manifest.to_dict(), "valid_pair": ok}
-        text = _json_text(payload)
-    else:
-        text = manifest.header() + "\n\n" + f"valid pair: {ok}\n"
-    return (EXIT_OK if ok else EXIT_VERDICT), text
+    return _report(args, inputs, ok, {True})
 
 
 def _cmd_verify_inverse(args):
     from . import analysis
-    manifest = RunManifest(
-        "verify-inverse",
-        {
-            "rule-outer": args.rule_outer,
-            "rule-inner": args.rule_inner,
-            "samples": args.samples,
-            "seed": args.seed,
-        },
-        args.json,
-    )
+    inputs = {
+        "rule-outer": args.rule_outer,
+        "rule-inner": args.rule_inner,
+        "samples": args.samples,
+        "seed": args.seed,
+    }
     outer = _load_rule(args.rule_outer)
     inner = _load_rule(args.rule_inner)
     report = analysis.verify_right_inverse(outer, inner, args.samples, args.seed)
-    return _emit_report(manifest, report, {analysis.EXHAUSTED_NO_WITNESS})
+    return _report(args, inputs, report, {analysis.EXHAUSTED_NO_WITNESS})
 
 
 def _add_window(parser, required=False):

@@ -30,7 +30,10 @@ Configuration files:
     right-period: 3 1
     right-slope: 0
 
-`#` starts a comment; blank lines are ignored.
+`#` starts a comment; blank lines are ignored. A `key:` line may appear
+once, and a configuration file takes only the lines of its kind; only
+`rule:` and `at` lines repeat (a later `at` line for a column wins).
+Anything else is a ParseError that names its line.
 """
 
 from __future__ import annotations
@@ -100,22 +103,21 @@ def parse_rule_file(text: str) -> SandAutomaton:
     lines = _strip_lines(text)
     if not lines or lines[0][1] != RULE_HEADER:
         raise ParseError(f"missing header {RULE_HEADER!r}", lines[0][0] if lines else 1)
-    radius = None
-    default = 0
+    values = {"default": 0}
     raw_rules = []
     where = {}  # RuleError.part -> line number
     for num, line in lines[1:]:
-        if line.startswith("radius:"):
-            radius = _parse_int(line.split(":", 1)[1], num)
-            where["radius"] = num
-        elif line.startswith("default:"):
-            default = _parse_int(line.split(":", 1)[1], num)
-            where["default"] = num
+        if line.startswith(("radius:", "default:")):
+            key, value = line.split(":", 1)
+            if key in where:
+                raise ParseError(f"repeated '{key}:' line", num)
+            values[key] = _parse_int(value, num)
+            where[key] = num
         elif line.startswith("rule:"):
             raw_rules.append((num, line[len("rule:"):].strip()))
         else:
             raise ParseError(f"unrecognised line {line!r}", num)
-    if radius is None:
+    if "radius" not in values:
         raise ParseError("missing 'radius:' line")
     rules = []
     for idx, (num, body) in enumerate(raw_rules):
@@ -130,7 +132,7 @@ def parse_rule_file(text: str) -> SandAutomaton:
         pattern = tuple(_parse_atom(t, num) for t in tokens)
         rules.append((pattern, _parse_int(delta_text, num)))
     try:
-        return validate_rule(radius, rules, default)
+        return validate_rule(values["radius"], rules, values["default"])
     except RuleError as exc:
         raise ParseError(str(exc), where.get(exc.part))
 
@@ -154,6 +156,16 @@ def emit_rule_file(automaton: SandAutomaton) -> str:
 # -- configuration files -------------------------------------------------------
 
 
+#: the lines each kind of configuration file takes besides its header
+_KIND_KEYS = {
+    "finite": ("kind", "at"),
+    "periodic": ("kind", "period"),
+    "affine": ("kind", "period", "slope"),
+    "general": ("kind", "core-start", "core", "left-period", "left-slope",
+                "right-period", "right-slope"),
+}
+
+
 def parse_config_file(text: str) -> Configuration:
     lines = _strip_lines(text)
     if not lines or lines[0][1] != CONFIG_HEADER:
@@ -162,7 +174,7 @@ def parse_config_file(text: str) -> Configuration:
         )
     fields = {}
     ats = []
-    kind = None
+    keyed = []  # (line number, key) of every line, "at" for an 'at' line
     for num, line in lines[1:]:
         if line.startswith("at "):
             parts = line.split()
@@ -171,33 +183,35 @@ def parse_config_file(text: str) -> Configuration:
             ats.append(
                 (_parse_int(parts[1], num), _parse_height(parts[2], num))
             )
+            keyed.append((num, "at"))
         elif ":" in line:
             key, value = line.split(":", 1)
             key = key.strip()
-            if key == "kind":
-                kind = value.strip()
-            else:
-                fields[key] = (num, value.strip())
+            if key in fields:
+                raise ParseError(f"repeated '{key}:' line", num)
+            fields[key] = (num, value.strip())
+            keyed.append((num, key))
         else:
             raise ParseError(f"unrecognised line {line!r}", num)
-    if kind is None:
+    if "kind" not in fields:
         raise ParseError("missing 'kind:' line")
+    num, kind = fields["kind"]
+    if kind not in _KIND_KEYS:
+        raise ParseError(f"unknown kind {kind!r}", num)
+    for num, key in keyed:
+        if key not in _KIND_KEYS[kind]:
+            raise ParseError(f"kind {kind} takes no {key!r} line", num)
 
-    def heights(key, required=True):
-        if key not in fields:
-            if required:
-                raise ParseError(f"missing '{key}:' line")
-            return None
-        num, value = fields[key]
-        return tuple(_parse_height(t, num) for t in value.split())
-
-    def integer(key, default=None):
+    def field(key, parse, default=None):
         if key not in fields:
             if default is None:
                 raise ParseError(f"missing '{key}:' line")
             return default
         num, value = fields[key]
-        return _parse_int(value, num)
+        return parse(value, num)
+
+    def heights(value, num):
+        return tuple(_parse_height(t, num) for t in value.split())
 
     if kind == "finite":
         devs = dict(ats)  # a later line for a column wins
@@ -208,18 +222,16 @@ def parse_config_file(text: str) -> Configuration:
             raise CoreBoundExceeded(f"finite core spans {span} columns (cap {cap})")
         return Configuration.finite(devs)
     if kind == "periodic":
-        return Configuration.periodic(heights("period"))
+        return Configuration.periodic(field("period", heights))
     if kind == "affine":
-        return Configuration.affine(heights("period"), integer("slope"))
-    if kind == "general":
-        core = heights("core", required=False)
-        return Configuration.general(
-            integer("core-start"),
-            core if core is not None else (),
-            (heights("left-period"), integer("left-slope", 0)),
-            (heights("right-period"), integer("right-slope", 0)),
-        )
-    raise ParseError(f"unknown kind {kind!r}")
+        period = field("period", heights)
+        return Configuration.affine(period, field("slope", _parse_int))
+    return Configuration.general(
+        field("core-start", _parse_int),
+        field("core", heights, ()),
+        (field("left-period", heights), field("left-slope", _parse_int, 0)),
+        (field("right-period", heights), field("right-slope", _parse_int, 0)),
+    )
 
 
 def emit_config_file(c: Configuration) -> str:
@@ -314,23 +326,22 @@ def parse_dump(text: str):
     lines = _strip_lines(text)
     if not lines or lines[0][1] != DUMP_HEADER:
         raise ParseError(f"missing header {DUMP_HEADER!r}", lines[0][0] if lines else 1)
-    window = None
-    heights = None
+    fields = {}
     for num, line in lines[1:]:
-        if line.startswith("window:"):
-            parts = line.split(":", 1)[1].split()
-            if len(parts) != 2:
-                raise ParseError("window needs two bounds", num)
-            window = (_parse_int(parts[0], num), _parse_int(parts[1], num))
-        elif line.startswith("heights:"):
-            heights = tuple(
-                _parse_height(t, num) for t in line.split(":", 1)[1].split()
-            )
-        else:
+        key, sep, value = line.partition(":")
+        if not sep or key not in ("window", "heights"):
             raise ParseError(f"unrecognised line {line!r}", num)
-    if window is None or heights is None:
+        if key in fields:
+            raise ParseError(f"repeated '{key}:' line", num)
+        fields[key] = (num, value.split())
+    if len(fields) != 2:
         raise ParseError("dump needs 'window:' and 'heights:' lines")
-    lo, hi = window
+    num, parts = fields["window"]
+    if len(parts) != 2:
+        raise ParseError("window needs two bounds", num)
+    lo, hi = (_parse_int(t, num) for t in parts)
+    num, tokens = fields["heights"]
+    heights = tuple(_parse_height(t, num) for t in tokens)
     if len(heights) != hi - lo + 1:
         raise ParseError(
             f"expected {hi - lo + 1} heights for window {lo}..{hi}, "

@@ -90,42 +90,33 @@ def _separating_gauge(u: Height, v: Height, m: int):
 def distance(x: Configuration, y: Configuration) -> Distance:
     """Exact distance 2^-l, where l is the least gauge whose difference
     vectors at position 0 disagree."""
-    x0, y0 = x.height(0), y.height(0)
-    if x0 != y0:
+    lo, hi, Ll, Lr = aligned_span(x, y)
+    base = lo - Ll
+    xs, ys = x.heights(base, hi + Lr), y.heights(base, hi + Lr)
+    x0 = xs[-base]
+    if x0 != ys[-base]:
         return Distance.dyadic(0)
     m = 0 if isinstance(x0, Infinity) else x0
 
-    best = None
-    lo, hi, Ll, Lr = aligned_span(x, y)
-    DR = hi + Lr
-    DL = lo - Ll
-    for j in range(DL, DR + 1):
-        if j == 0:
-            continue
-        g = _separating_gauge(x.height(j), y.height(j), m)
+    cands = []
+    for j in range(lo, hi + 1):
+        g = _separating_gauge(xs[j - base], ys[j - base], m) if j else None
         if g is not None:
-            cand = max(abs(j), g)
-            if best is None or cand < best:
-                best = cand
+            cands.append(max(abs(j), g))
+    # Beyond lo..hi each residue class of columns is an affine progression
+    # per configuration; minimise each in closed form from its first column.
+    for tx, ty, L, first in (
+        (x.right, y.right, Lr, range(hi + 1, hi + Lr + 1)),
+        (x.left, y.left, Ll, range(base, lo)),
+    ):
+        sx, sy = tx.step(L), ty.step(L)
+        for j in first:
+            u, v = xs[j - base], ys[j - base]
+            cands.append(_class_minimum(abs(j), L, u, sx, v, sy, m))
 
-    # Beyond the window each residue class is an affine progression per
-    # configuration; minimise per class in closed form.
-    sx, sy = x.right.step(Lr), y.right.step(Lr)
-    for rho in range(Lr):
-        j0 = DR + 1 + rho
-        cand = _class_minimum(j0, Lr, x.height(j0), sx, y.height(j0), sy, m)
-        if cand is not None and (best is None or cand < best):
-            best = cand
-    tx, ty = x.left.step(Ll), y.left.step(Ll)
-    for rho in range(Ll):
-        j0 = DL - 1 - rho
-        cand = _class_minimum(-j0, Ll, x.height(j0), tx, y.height(j0), ty, m)
-        if cand is not None and (best is None or cand < best):
-            best = cand
-
-    if best is None:  # no column and no residue class separates them
-        return Distance.zero()
-    return Distance.dyadic(best)
+    cands = [c for c in cands if c is not None]
+    # no column and no residue class separates them
+    return Distance.dyadic(min(cands)) if cands else Distance.zero()
 
 
 def _class_minimum(a0, L, u0, su, v0, sv, m):

@@ -7,6 +7,7 @@ import pytest
 
 from sandlab.analysis import check_nilpotent_bounded
 from sandlab.automaton import (
+    MAX_RADIUS,
     NEG,
     POS,
     WILDCARD,
@@ -40,6 +41,9 @@ def test_validate_rule_builds_automaton():
 def test_validate_rule_rejects_bad_radius():
     with pytest.raises(RuleError):
         validate_rule(0, [], 0)
+    with pytest.raises(RuleError) as info:
+        validate_rule(MAX_RADIUS + 1, [], 0)
+    assert info.value.part == "radius"
 
 
 def test_validate_rule_rejects_wrong_arity():

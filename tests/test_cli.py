@@ -413,6 +413,32 @@ def test_huge_search_bounds_exit_cleanly(tmp_path):
         assert needle in done.stdout + done.stderr
 
 
+def test_huge_rule_radius_exits_on_its_line(tmp_path):
+    # child processes under a 1 GB address-space limit: the radius is
+    # refused before any window of 2r + 1 columns is read
+    rule = tmp_path / "wide.rule"
+    rule.write_text("sand-rule v1\nradius: 100000000000\n")
+    src = os.path.dirname(os.path.dirname(sandlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    for argv in (
+        ["simulate", "--rule", str(rule), "--config", cfg("two-grain-column"),
+         "--steps", "1"],
+        ["check-injective", "--rule", str(rule), "--class", "F", "--window", "1",
+         "--height", "1"],
+        ["check-surjective", "--rule", str(rule), "--target", cfg("two-grain-column"),
+         "--class", "F", "--window", "1", "--height", "1"],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "sandlab.cli", *argv], env=env,
+            capture_output=True, text=True, timeout=10, preexec_fn=limit,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == (
+            "error: line 2: radius 100000000000 is over the limit of 64\n"
+        )
+
+
 def test_check_surjective_out_of_nodes_exits_4(monkeypatch, capsys):
     from functools import partial
 

@@ -3,7 +3,7 @@ and the ASCII renderer."""
 
 import pytest
 
-from sandlab.automaton import validate_rule
+from sandlab.automaton import MAX_RADIUS, validate_rule
 from sandlab.config import Configuration, Tail, equals
 from sandlab.errors import ParseError
 from sandlab.formats import (
@@ -131,6 +131,51 @@ def test_config_file_errors():
         parse_config_file("sand-config v1\nkind: affine\nperiod: 0 2\n")
 
 
+def test_config_file_refuses_stray_and_repeated_lines():
+    head = "sand-config v1\n"
+    cases = (
+        # each kind takes only its own lines
+        ("kind: periodic\nperiod: 0 1\nslope: 2\n", 4, "'slope'"),
+        ("kind: periodic\nperiod: 0 1\nwat: 9\n", 4, "'wat'"),
+        ("kind: periodic\nat 5 7\nperiod: 0 1\n", 3, "'at'"),
+        ("kind: finite\nat 0 1\nperiod: 1\n", 4, "'period'"),
+        ("core: 1\nkind: affine\nperiod: 0\nslope: 1\n", 2, "'core'"),
+        # a key line may appear once
+        ("kind: finite\nkind: periodic\nperiod: 1\n", 3, "repeated 'kind:'"),
+        ("kind: periodic\nperiod: 0 1\nperiod: 2\n", 4, "repeated 'period:'"),
+        ("kind: general\ncore-start: 0\ncore-start: 1\n", 4, "repeated"),
+        ("kind: nope\n", 2, "unknown kind"),
+    )
+    for body, line, needle in cases:
+        with pytest.raises(ParseError) as info:
+            parse_config_file(head + body)
+        assert info.value.line == line, body
+        assert needle in str(info.value), body
+    # `at` lines repeat; the later one for a column wins
+    c = parse_config_file(head + "kind: finite\nat 0 1\nat 0 2\n")
+    assert equals(c, Configuration.finite({0: 2}))
+
+
+def test_rule_file_refuses_repeated_lines():
+    for body, line, key in (
+        ("radius: 1\nradius: 2\n", 3, "radius"),
+        ("radius: 1\ndefault: 0\n# note\ndefault: 1\n", 5, "default"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_rule_file("sand-rule v1\n" + body)
+        assert info.value.line == line
+        assert f"repeated '{key}:' line" in str(info.value)
+
+
+def test_rule_file_radius_cap():
+    assert parse_rule_file(f"sand-rule v1\nradius: {MAX_RADIUS}\n").radius == MAX_RADIUS
+    for radius in (MAX_RADIUS + 1, 10**11):
+        with pytest.raises(ParseError) as info:
+            parse_rule_file(f"sand-rule v1\n# big\nradius: {radius}\n")
+        assert info.value.line == 3
+        assert f"over the limit of {MAX_RADIUS}" in str(info.value)
+
+
 def test_parse_accepts_infinity_heights():
     c = parse_config_file("sand-config v1\nkind: finite\nat 0 +inf\nat 1 -inf\n")
     assert c.height(0) is PLUS_INF
@@ -181,3 +226,16 @@ def test_dump_round_trip():
 def test_dump_length_validation():
     with pytest.raises(ParseError):
         parse_dump("dump v1\nwindow: 0 3\nheights: 1 2\n")
+
+
+def test_dump_refuses_repeated_and_unknown_lines():
+    for body, line, needle in (
+        ("window: 0 0\nheights: 1\nwindow: 0 0\n", 4, "repeated 'window:'"),
+        ("heights: 1\nheights: 1\nwindow: 0 0\n", 3, "repeated 'heights:'"),
+        ("window: 0 0\nheights: 1\nslope: 1\n", 4, "unrecognised"),
+        ("window: 0\nheights: 1\n", 2, "two bounds"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_dump("dump v1\n" + body)
+        assert info.value.line == line
+        assert needle in str(info.value)

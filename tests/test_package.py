@@ -7,7 +7,6 @@ import pytest
 import sandlab
 from sandlab.analysis import WitnessReport
 from sandlab.automaton import Rule, SandAutomaton, apply
-from sandlab.cli import RunManifest
 from sandlab.config import Configuration, Tail, equals
 from sandlab.heights import MINUS_INF, PLUS_INF
 from sandlab.metric import Distance
@@ -120,7 +119,7 @@ def test_automaton_equality_ignores_the_memo():
 def test_value_classes_take_no_new_attributes():
     for obj in (
         Tail((0,)), Rule((0, 0), 0), make("S"), Distance.zero(),
-        Configuration.finite({0: 1}), WitnessReport("V"), RunManifest("zoo", {}),
+        Configuration.finite({0: 1}), WitnessReport("V"),
     ):
         with pytest.raises(AttributeError):
             obj.extra = 1
