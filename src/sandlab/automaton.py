@@ -255,7 +255,8 @@ def iterate(
     steps: int,
     max_core: int | None = None,
 ) -> Configuration:
-    """steps-fold application of the global map.
+    """steps-fold application of the global map; it stops early at a
+    fixed point, whose image every later step repeats.
 
     Raises CoreBoundExceeded if an intermediate canonical core outgrows
     `max_core` columns (default from SANDLAB_MAX_CORE, else 65536).
@@ -264,9 +265,11 @@ def iterate(
         raise DomainError("step count must be >= 0")
     cap = _core_cap(max_core)
     for n in range(steps):
-        c = apply(automaton, c)
+        c, prev = apply(automaton, c), c
         if len(c.core) > cap:
             raise CoreBoundExceeded(
                 f"core grew to {len(c.core)} columns (cap {cap}) at step {n + 1}"
             )
+        if c.canonical_key() == prev.canonical_key():
+            break
     return c

@@ -252,15 +252,8 @@ def _cmd_verify_inverse(args):
     return _report(args, inputs, report, {analysis.EXHAUSTED_NO_WITNESS})
 
 
-def _add_window(parser, required=False):
-    parser.add_argument(
-        "--window",
-        nargs=2,
-        type=int,
-        metavar=("LO", "HI"),
-        required=required,
-        default=None,
-    )
+def _add_window(parser):
+    parser.add_argument("--window", nargs=2, type=int, metavar=("LO", "HI"))
 
 
 def build_parser() -> argparse.ArgumentParser:

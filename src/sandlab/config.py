@@ -86,13 +86,16 @@ class Tail(Value):
         return v if isinstance(v, Infinity) else v + self.slope * k
 
     def window(self, j: int, n: int) -> tuple:
-        """(at(j), ..., at(j + n - 1)); a level tail is read as a slice of
-        repeated period copies, with no per-column arithmetic."""
-        if self.effective_slope():
-            return tuple([self.at(k) for k in range(j, j + n)])
+        """(at(j), ..., at(j + n - 1)), read as a slice of whole period
+        copies with no per-column `at`: a level tail repeats its values,
+        and copy q of a sloped tail is each value plus slope * q, which
+        infinities absorb."""
         p = len(self.values)
-        s = j % p
-        return (self.values * ((s + n) // p + 1))[s : s + n]
+        q, s = divmod(j, p)
+        copies = range(q, q + (s + n) // p + 1)
+        if slope := self.effective_slope():
+            return tuple([v + slope * k for k in copies for v in self.values][s : s + n])
+        return (self.values * len(copies))[s : s + n]
 
     def effective_slope(self) -> int:
         """Slope, normalised to 0 when no period entry is finite."""
@@ -309,19 +312,36 @@ def first_difference(x: Configuration, y: Configuration):
 
 
 def _difference(x, y, lo, hi, Ll, Lr):
-    for j in range(lo - Ll, hi + Lr + 1):
-        if x.height(j) != y.height(j):
-            return j
+    for cols, xs, ys in aligned_blocks(x, y, lo - Ll, hi + Lr):
+        if xs != ys:
+            return next(j for j, u, v in zip(cols, xs, ys) if u != v)
     # Both lcm windows agree, so only a per-window step can still differ;
-    # it shows one window out from the first finite column.
+    # it shows one window out from the first finite column, which lies
+    # within one period of x's tail.
     for tx, ty, edge, d, L in (
         (x.right, y.right, hi, +1, Lr),
         (x.left, y.left, lo, -1, Ll),
     ):
         if tx.step(L) != ty.step(L):
-            window = range(edge + d, edge + d * (L + 1), d)
-            return next(j for j in window if is_finite(x.height(j))) + d * L
+            run = aligned_blocks(x, y, edge + d, edge + d * len(tx.values))
+            finite = (j for cols, xs, _ in run for j, v in zip(cols, xs) if is_finite(v))
+            return next(finite) + d * L
     return None
+
+
+BLOCK = 4096  # columns per aligned read: bounds the memory of a comparison
+
+
+def aligned_blocks(x: Configuration, y: Configuration, first: int, last: int):
+    """Yield (cols, xs, ys) for the columns first..last, walked from
+    `first` towards `last`: `cols` is a range of at most BLOCK columns in
+    walk order, and xs, ys hold the heights of x and y at those columns.
+    Memory stays bounded by one block however long the walk."""
+    d = 1 if last >= first else -1
+    for j in range(first, last + d, d * BLOCK):
+        cols = range(j, last + d, d)[:BLOCK]
+        a, b = sorted((j, cols[-1]))
+        yield cols, x.heights(a, b)[::d], y.heights(a, b)[::d]
 
 
 # -- aggregate measures ----------------------------------------------------

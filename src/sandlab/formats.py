@@ -64,10 +64,7 @@ def _parse_height(token, line):
         return PLUS_INF
     if token == "-inf":
         return MINUS_INF
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"bad height {token!r}", line)
+    return _parse_int(token, line, "height")
 
 
 def format_height(value) -> str:
@@ -137,12 +134,17 @@ def parse_rule_file(text: str) -> SandAutomaton:
         raise ParseError(str(exc), where.get(exc.part))
 
 
-def _parse_int(token, line):
+def _parse_int(token, line, what="integer"):
+    """An ASCII decimal token [+-]?[0-9]+; `int` alone would also take
+    `_` separators and non-ASCII digits, which do not round-trip."""
     token = token.strip()
+    digits = token[1:] if token[:1] in ("+", "-") else token
     try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"bad integer {token!r}", line)
+        if digits.isascii() and digits.isdigit():
+            return int(token)
+    except ValueError:  # over the interpreter's integer digit limit
+        pass
+    raise ParseError(f"bad {what} {token!r}", line)
 
 
 def emit_rule_file(automaton: SandAutomaton) -> str:
@@ -169,9 +171,7 @@ _KIND_KEYS = {
 def parse_config_file(text: str) -> Configuration:
     lines = _strip_lines(text)
     if not lines or lines[0][1] != CONFIG_HEADER:
-        raise ParseError(
-            f"missing header {CONFIG_HEADER!r}", lines[0][0] if lines else 1
-        )
+        raise ParseError(f"missing header {CONFIG_HEADER!r}", lines[0][0] if lines else 1)
     fields = {}
     ats = []
     keyed = []  # (line number, key) of every line, "at" for an 'at' line
@@ -180,9 +180,7 @@ def parse_config_file(text: str) -> Configuration:
             parts = line.split()
             if len(parts) != 3:
                 raise ParseError("'at' needs a column and a height", num)
-            ats.append(
-                (_parse_int(parts[1], num), _parse_height(parts[2], num))
-            )
+            ats.append((_parse_int(parts[1], num), _parse_height(parts[2], num)))
             keyed.append((num, "at"))
         elif ":" in line:
             key, value = line.split(":", 1)
@@ -259,9 +257,7 @@ def emit_config_file(c: Configuration) -> str:
     out.append(("core: " + " ".join(format_height(v) for v in cc.core)).rstrip())
     out.append("left-period: " + " ".join(format_height(v) for v in cc.left.values))
     out.append(f"left-slope: {cc.left.slope}")
-    out.append(
-        "right-period: " + " ".join(format_height(v) for v in cc.right.values)
-    )
+    out.append("right-period: " + " ".join(format_height(v) for v in cc.right.values))
     out.append(f"right-slope: {cc.right.slope}")
     return "\n".join(out) + "\n"
 

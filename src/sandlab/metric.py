@@ -10,17 +10,24 @@ configurations are at distance 0.
 
 Distances are kept exact: a Distance is a flag for zero plus the exponent
 l, never a float. The exponent can be astronomically large (it grows with
-the heights involved), which is why `distance` locates the optimal column
-in closed form instead of scanning gauges one by one.
+the heights involved), so `distance` scans no gauges: a column j gives
+max(|j|, least gauge separating its heights). Past the aligned span around
+column 0, each residue class of the lcm tail period is minimised in closed
+form from its first column, read outward in blocks of `config.BLOCK`
+columns; a class starting at column j never goes below |j|, so each side
+stops once |j| reaches the best candidate.
 """
 
 from __future__ import annotations
 
-from .config import Configuration, Value, aligned_span
+from functools import total_ordering
+
+from .config import Configuration, Value, aligned_blocks, aligned_span
 from .errors import DomainError
 from .heights import Height, Infinity, PLUS_INF
 
 
+@total_ordering
 class Distance(Value):
     """Exact value of the configuration distance: 0 or 2^-exponent."""
 
@@ -46,15 +53,6 @@ class Distance(Value):
 
     def __lt__(self, other):
         return self._key() < other._key()
-
-    def __le__(self, other):
-        return self._key() <= other._key()
-
-    def __gt__(self, other):
-        return self._key() > other._key()
-
-    def __ge__(self, other):
-        return self._key() >= other._key()
 
     def as_float(self) -> float:
         """Approximate float value (0.0 on underflow)."""
@@ -89,34 +87,44 @@ def _separating_gauge(u: Height, v: Height, m: int):
 
 def distance(x: Configuration, y: Configuration) -> Distance:
     """Exact distance 2^-l, where l is the least gauge whose difference
-    vectors at position 0 disagree."""
+    vectors at position 0 disagree. Reads the span of `aligned_span`, then
+    each side's residue classes outward in bounded blocks, up to the first
+    class start j with |j| >= the best candidate so far."""
     lo, hi, Ll, Lr = aligned_span(x, y)
-    base = lo - Ll
-    xs, ys = x.heights(base, hi + Lr), y.heights(base, hi + Lr)
-    x0 = xs[-base]
-    if x0 != ys[-base]:
+    x0 = x.height(0)
+    if x0 != y.height(0):
         return Distance.dyadic(0)
     m = 0 if isinstance(x0, Infinity) else x0
 
-    cands = []
-    for j in range(lo, hi + 1):
-        g = _separating_gauge(xs[j - base], ys[j - base], m) if j else None
-        if g is not None:
-            cands.append(max(abs(j), g))
+    best = min((max(abs(j), _separating_gauge(u, v, m))
+                for cols, xs, ys in aligned_blocks(x, y, lo, hi) if xs != ys
+                for j, u, v in zip(cols, xs, ys) if u != v), default=None)
     # Beyond lo..hi each residue class of columns is an affine progression
     # per configuration; minimise each in closed form from its first column.
-    for tx, ty, L, first in (
-        (x.right, y.right, Lr, range(hi + 1, hi + Lr + 1)),
-        (x.left, y.left, Ll, range(base, lo)),
-    ):
-        sx, sy = tx.step(L), ty.step(L)
-        for j in first:
-            u, v = xs[j - base], ys[j - base]
-            cands.append(_class_minimum(abs(j), L, u, sx, v, sy, m))
-
-    cands = [c for c in cands if c is not None]
+    best = _outward_minimum(x, y, x.right, y.right, hi + 1, hi + Lr, m, best)
+    best = _outward_minimum(x, y, x.left, y.left, lo - 1, lo - Ll, m, best)
     # no column and no residue class separates them
-    return Distance.dyadic(min(cands)) if cands else Distance.zero()
+    return Distance.zero() if best is None else Distance.dyadic(best)
+
+
+def _outward_minimum(x, y, tx, ty, first, last, m, best):
+    """`best` lowered by the residue classes of tails tx, ty that start at
+    columns first..last (one lcm period L), walked outward: a class
+    starting at column j stays >= |j|."""
+    L = abs(last - first) + 1
+    sx, sy = tx.step(L), ty.step(L)
+    for cols, xs, ys in aligned_blocks(x, y, first, last):
+        if best is not None and abs(cols[0]) >= best:
+            return best
+        if sx == sy and xs == ys:
+            continue  # equal starts and equal steps: no class separates
+        for j, u, v in zip(cols, xs, ys):
+            if best is not None and abs(j) >= best:
+                return best
+            g = _class_minimum(abs(j), L, u, sx, v, sy, m)
+            if g is not None and (best is None or g < best):
+                best = g
+    return best
 
 
 def _class_minimum(a0, L, u0, su, v0, sv, m):

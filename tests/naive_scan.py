@@ -7,9 +7,13 @@ injectivity reference enumerates candidates with the recursive
 computed from scratch. The pre-image reference tries every candidate of
 the bounded class in turn and checks its image column by column.
 
-They read configurations only through `height` and the tail period
-lengths, so they share no logic with `equals`, `first_difference` or
-`distance`; the image reference evaluates each column on its own, from
+They read configurations only through `height` (or `Tail.at`) and the
+tail period lengths, so they share no logic with `Tail.window`, `equals`,
+`first_difference` or `distance`. `whole_window_distance` keeps the
+closed-form class minimum of `distance` but reads every column of the
+aligned window one by one and minimises every residue class, with no
+blocks and no pruning; `naive_distance_exponent` checks the closed forms
+themselves. The image reference evaluates each column on its own, from
 its difference vector and the first-match scan, so it shares no logic
 with `window_image` or its memo.
 """
@@ -22,6 +26,7 @@ from sandlab.automaton import _delta_from_entries, window_image
 from sandlab.config import Configuration, Tail
 from sandlab.errors import DomainError
 from sandlab.heights import Height, Infinity, MINUS_INF, PLUS_INF
+from sandlab.metric import Distance, _class_minimum, _separating_gauge
 
 
 def beta(l: int, m: int, n: Height) -> Height:
@@ -89,6 +94,69 @@ def naive_equals(x: Configuration, y: Configuration) -> bool:
     lo = min(x.core_start, y.core_start) - 2 * Ll
     hi = max(x.core_end, y.core_end) + 2 * Lr
     return all(x.height(i) == y.height(i) for i in range(lo, hi + 1))
+
+
+def naive_window(tail: Tail, j: int, n: int) -> tuple:
+    """tail.at(j), ..., tail.at(j + n - 1), one column at a time."""
+    return tuple(tail.at(k) for k in range(j, j + n))
+
+
+def _anchored_span(x: Configuration, y: Configuration):
+    """Both cores and column 0, and the lcm tail periods (Ll, Lr)."""
+    lo = min(x.core_start, y.core_start, 0)
+    hi = max(x.core_end, y.core_end, 0)
+    Ll = lcm(len(x.left.values), len(y.left.values))
+    Lr = lcm(len(x.right.values), len(y.right.values))
+    return lo, hi, Ll, Lr
+
+
+def naive_first_difference(x: Configuration, y: Configuration):
+    """The column `first_difference` documents, one column at a time: the
+    least differing column in lo-Ll..hi+Lr; else, where one side's tails
+    rise by different amounts over its lcm period, the first finite column
+    past the span on that side (right before left), one lcm period on."""
+    lo, hi, Ll, Lr = _anchored_span(x, y)
+    for j in range(lo - Ll, hi + Lr + 1):
+        if x.height(j) != y.height(j):
+            return j
+    for edge, d, L in ((hi, 1, Lr), (lo, -1, Ll)):
+        finite = [
+            j for j in range(edge + d, edge + d * (L + 1), d)
+            if not isinstance(x.height(j), Infinity)
+        ]
+        if finite:
+            j, far = finite[0], finite[0] + d * L
+            if x.height(far) - x.height(j) != y.height(far) - y.height(j):
+                return far
+    return None
+
+
+def whole_window_distance(x: Configuration, y: Configuration) -> Distance:
+    """`distance` read as two whole tuples over lo-Ll..hi+Lr, with a
+    closed-form minimum for every residue class past the span."""
+    lo, hi, Ll, Lr = _anchored_span(x, y)
+    base = lo - Ll
+    xs = tuple(x.height(j) for j in range(base, hi + Lr + 1))
+    ys = tuple(y.height(j) for j in range(base, hi + Lr + 1))
+    x0 = xs[-base]
+    if x0 != ys[-base]:
+        return Distance.dyadic(0)
+    m = 0 if isinstance(x0, Infinity) else x0
+    cands = []
+    for j in range(lo, hi + 1):
+        g = _separating_gauge(xs[j - base], ys[j - base], m) if j else None
+        if g is not None:
+            cands.append(max(abs(j), g))
+    for tx, ty, L, first in (
+        (x.right, y.right, Lr, range(hi + 1, hi + Lr + 1)),
+        (x.left, y.left, Ll, range(base, lo)),
+    ):
+        sx, sy = tx.step(L), ty.step(L)
+        for j in first:
+            u, v = xs[j - base], ys[j - base]
+            cands.append(_class_minimum(abs(j), L, u, sx, v, sy, m))
+    cands = [c for c in cands if c is not None]
+    return Distance.dyadic(min(cands)) if cands else Distance.zero()
 
 
 def naive_distance_exponent(x: Configuration, y: Configuration, max_gauge: int):

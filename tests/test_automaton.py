@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -232,6 +233,15 @@ def test_iterate_matches_repeated_apply():
     for _ in range(6):
         manual = apply(S, manual)
     assert equals(iterate(S, c, 6), manual)
+
+
+def test_iterate_stops_at_a_fixed_point():
+    S = zoo.make("S")
+    start = time.perf_counter()
+    assert iterate(S, ZERO, 10**11).canonical_key() == apply(S, ZERO).canonical_key()
+    pile = iterate(S, Configuration.finite({0: 100}), 200)
+    assert iterate(S, pile, 10**11).canonical_key() == pile.canonical_key()
+    assert time.perf_counter() - start < 1
 
 
 def test_iterate_rejects_negative_steps():

@@ -10,6 +10,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -45,6 +46,15 @@ def test_simulate_collision_to_flat(capsys):
     assert code == 0
     c = parse_config_file(out)
     assert equals(c, Configuration.finite({}))
+
+
+def test_simulate_ends_at_a_fixed_point(capsys):
+    argv = ["simulate", "--rule", "S", "--config", cfg("sandpile-collision-a"), "--steps"]
+    once = run_cli(argv + ["1"], capsys)
+    start = time.perf_counter()
+    assert run_cli(argv + ["100000000000"], capsys) == once
+    assert time.perf_counter() - start < 1
+    assert once[0] == 0
 
 
 def test_simulate_render_ascii_flat_row(capsys):

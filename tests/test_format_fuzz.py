@@ -35,8 +35,18 @@ FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 INT = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30)).map(str)
 HEIGHT = st.one_of(INT, st.sampled_from(["+inf", "-inf"]))
 HEIGHTS = st.lists(HEIGHT, min_size=1, max_size=4).map(" ".join)
+#: spellings `int` reads as decimals that are not ASCII [+-]?[0-9]+: `_`
+#: separators and digits of other scripts, alone or after a sign
+NOT_ASCII_DECIMAL = st.tuples(
+    st.sampled_from(["", "+", "-"]),
+    st.one_of(
+        st.integers(0, 10**6).map("{}_0".format),
+        st.text(st.characters(categories=["Nd"], exclude_characters="0123456789"),
+                min_size=1, max_size=3),
+    ),
+).map("".join)
 #: tokens no integer or height field accepts
-BAD = st.sampled_from(["x", "1.5", "inf", "--1", "+-inf", "1e3", "0x10"])
+BAD = st.sampled_from(["x", "1.5", "inf", "--1", "+-inf", "1e3", "0x10"]) | NOT_ASCII_DECIMAL
 #: lines that are comments or blank, allowed anywhere after the header
 QUIET = st.sampled_from(["", "# note", "   # indented note"])
 

@@ -176,6 +176,28 @@ def test_rule_file_radius_cap():
         assert f"over the limit of {MAX_RADIUS}" in str(info.value)
 
 
+def test_integers_are_ascii_decimals():
+    # `int` also reads `_` separators and other scripts' digits; such
+    # files would not round-trip, so every integer field refuses them
+    assert parse_rule_file("sand-rule v1\nradius: +1\ndefault: -0\n").radius == 1
+    for text, line, needle in (
+        ("sand-rule v1\nradius: 1_0\n", 2, "bad integer '1_0'"),
+        ("sand-rule v1\nradius: 1\nrule: (\u0661, 0) -> 0\n", 3, "bad height"),
+        ("sand-config v1\nkind: finite\nat 0 \u0661\u0662\n", 3, "bad height"),
+        ("sand-config v1\nkind: finite\n# x\nat 1_0 1\n", 4, "bad integer"),
+        ("sand-config v1\nkind: affine\nperiod: 0\nslope: \uff12\n", 4, "bad integer"),
+        ("sand-config v1\nkind: periodic\nperiod: 0 -\n", 3, "bad height '-'"),
+    ):
+        parse = parse_rule_file if text.startswith("sand-rule") else parse_config_file
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.line == line, text
+        assert needle in str(info.value), text
+    with pytest.raises(ParseError) as info:
+        parse_dump("dump v1\nwindow: 0 0\nheights: \u0663\n")
+    assert info.value.line == 3
+
+
 def test_parse_accepts_infinity_heights():
     c = parse_config_file("sand-config v1\nkind: finite\nat 0 +inf\nat 1 -inf\n")
     assert c.height(0) is PLUS_INF
