@@ -484,6 +484,10 @@ def verify_witness_pair(
     )
 
 
+#: the most samples `verify_right_inverse` draws; each one costs two steps
+MAX_SAMPLES = 10**6
+
+
 def verify_right_inverse(
     outer: SandAutomaton,
     inner: SandAutomaton,
@@ -495,10 +499,12 @@ def verify_right_inverse(
     Draws `samples` configurations across all four constructor classes,
     heights up to 4 with infinities, from the documented generator and
     reports the first counterexample, or exhaustion when the composition
-    restored every sample.
+    restored every sample. Refuses more than MAX_SAMPLES samples.
     """
     if samples < 1:
         raise DomainError("sample count must be >= 1")
+    if samples > MAX_SAMPLES:
+        raise DomainError(f"sample count {samples} is over the limit of {MAX_SAMPLES}")
     rng = Lcg64(seed)
     height = 4
     bounds = {"samples": samples, "height": height}

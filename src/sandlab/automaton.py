@@ -7,12 +7,15 @@ table-wide default when nothing matches. Pattern atoms are exact values,
 the two infinities, a wildcard, or the sign classes POS / NEG (which
 include the respective infinity).
 
-That first-match scan defines the rule, but evaluation goes through a
-memo: the 2r readings of a column, left to right, are the digits of one
+That first-match scan defines the rule; evaluation reads it through a
+memo. The 2r readings of a column, left to right, are the digits of one
 base-(2r+3) reading code (-infinity -> 0, d -> d + r + 1, +infinity ->
-2r + 2), and each automaton keeps a dict from code to delta that the scan
-fills on first use. `window_image` is the one evaluator: it maps a flat
-run of heights to the images of its inner columns.
+2r + 2), and each automaton keeps a dict from code to delta. A miss ANDs
+one precomputed bit set of matching lines per digit; the lowest bit left
+is the first match (`_lookup`). `window_image`, the one evaluator, maps a
+flat run of heights to the images of its inner columns with a kernel
+compiled once per radius that reads the 2r neighbours in straight-line
+code (`_kernel`).
 
 The global map adds the delta to every finite column; infinite columns
 never change. `apply` realises one synchronous step exactly on the
@@ -27,7 +30,7 @@ import os
 
 from .config import Configuration, Tail, Value
 from .errors import CoreBoundExceeded, DomainError, RuleError
-from .heights import Height, Infinity, MINUS_INF, PLUS_INF, is_finite
+from .heights import Height, Infinity, MINUS_INF, PLUS_INF
 
 
 class _Marker:
@@ -44,22 +47,10 @@ WILDCARD = _Marker("*")
 POS = _Marker("pos")  # matches every height > 0, including +infinity
 NEG = _Marker("neg")  # matches every height < 0, including -infinity
 
-Atom = int | Infinity | _Marker
-
 #: the largest radius `validate_rule` accepts; steps and searches read
 #: 2r + 1 columns around each column, so a huge radius costs time and
 #: memory before any rule line is looked at
 MAX_RADIUS = 64
-
-
-def atom_matches(atom: Atom, value: Height) -> bool:
-    if atom is WILDCARD:
-        return True
-    if atom is POS:
-        return value is PLUS_INF or (is_finite(value) and value > 0)
-    if atom is NEG:
-        return value is MINUS_INF or (is_finite(value) and value < 0)
-    return atom == value
 
 
 class Rule(Value):
@@ -75,18 +66,20 @@ class Rule(Value):
 class SandAutomaton(Value):
     """A radius, an ordered rule table and a default delta.
 
-    `memo` maps reading codes to deltas, filled on first use (see
-    `window_image`); equality, hashing and repr ignore it.
+    `memo` maps reading codes to deltas, filled on first use, from the
+    match bit sets `masks`, built on the first miss (see `_lookup`);
+    equality, hashing and repr ignore both.
     """
 
     _fields = ("radius", "rules", "default_delta")
-    __slots__ = (*_fields, "memo")
+    __slots__ = (*_fields, "memo", "masks")
 
     def __init__(self, radius: int, rules: tuple = (), default_delta: int = 0):
         self.radius = radius
         self.rules = rules
         self.default_delta = default_delta
         self.memo = {}
+        self.masks = None
 
 
 def validate_rule(radius: int, lines, default_delta: int = 0) -> SandAutomaton:
@@ -132,34 +125,35 @@ def validate_rule(radius: int, lines, default_delta: int = 0) -> SandAutomaton:
     return SandAutomaton(radius, tuple(checked), default_delta)
 
 
-def _delta_from_entries(automaton, entries):
-    for rule in automaton.rules:
-        for atom, value in zip(rule.pattern, entries):
-            if not atom_matches(atom, value):
-                break
-        else:
-            return rule.delta
-    return automaton.default_delta
-
-
-def _readings(r: int, code: int) -> tuple:
-    """The 2r readings whose reading code is `code`."""
-    top = 2 * r + 2
-    out = []
-    for _ in range(2 * r):
-        code, digit = divmod(code, top + 1)
-        out.append(
-            MINUS_INF if digit == 0 else PLUS_INF if digit == top else digit - r - 1
-        )
-    return tuple(reversed(out))
+def _build_masks(automaton: SandAutomaton) -> tuple:
+    """masks[k][digit]: the bit set of the lines whose atom k matches the
+    reading of that digit (a line with no atom k matches every reading).
+    Readings are ints or infinities, which order against 0."""
+    r, rules = automaton.radius, automaton.rules
+    readings = (MINUS_INF, *range(-r, r + 1), PLUS_INF)
+    rows = [[(1 << len(rules)) - 1] * len(readings) for _ in range(2 * r)]
+    for i, rule in enumerate(rules):
+        for row, atom in zip(rows, rule.pattern):
+            for digit, v in enumerate(readings):
+                if not (atom is WILDCARD or atom == v or (atom is POS and v > 0)
+                        or (atom is NEG and v < 0)):
+                    row[digit] &= ~(1 << i)
+    automaton.masks = tuple(map(tuple, rows))
+    return automaton.masks
 
 
 def _lookup(automaton: SandAutomaton, code: int) -> int:
-    """Delta at one reading code, scanned and memoised on first use."""
+    """Delta at one reading code, memoised on first use: the lowest bit
+    left in the AND of its digits' match sets is the first matching line."""
     delta = automaton.memo.get(code)
     if delta is None:
-        entries = _readings(automaton.radius, code)
-        delta = automaton.memo[code] = _delta_from_entries(automaton, entries)
+        live, rest = -1, code
+        for row in reversed(automaton.masks or _build_masks(automaton)):
+            rest, digit = divmod(rest, len(row))
+            live &= row[digit]
+        first = (live & -live).bit_length() - 1
+        delta = automaton.rules[first].delta if live else automaton.default_delta
+        automaton.memo[code] = delta
     return delta
 
 
@@ -172,30 +166,59 @@ def same_local_rule(a: SandAutomaton, b: SandAutomaton) -> bool:
     )
 
 
+#: radius -> its column kernel, at most MAX_RADIUS entries (see `_kernel`)
+_KERNELS = {}
+_KERNEL_SOURCE = """def kernel(hs, automaton):
+    memo = automaton.memo
+    out = []
+    append = out.append
+    for {columns} in (hs,) if len(hs) == {width} else zip({slices}):
+        if c.__class__ is Infinity:
+            append(c)
+            continue
+        code = {reads}
+        delta = memo.get(code)
+        append(c + (_lookup(automaton, code) if delta is None else delta))
+    return out
+"""
+
+
+def _kernel(r: int):
+    """The column kernel of radius r, compiled on first use. It walks
+    zip(hs, hs[1:], ..., hs[2r:]), or hs itself when it is one window, and
+    clips each difference to the centre (an infinity minus an int stays
+    put) to a digit less r + 1; one constant adds back the r + 1s."""
+    if isinstance(r, bool) or not isinstance(r, int) or not 1 <= r <= MAX_RADIUS:
+        raise DomainError(f"radius must be an int in 1..{MAX_RADIUS}, got {r!r}")
+    if r not in _KERNELS:
+        base, names = 2 * r + 3, [f"h{k}" for k in range(2 * r)]
+        reads = [
+            f"({-r - 1} if (d := {name} - c) < {-r} else d if d <= {r} else {r + 1})"
+            f" * {base ** (2 * r - 1 - k)}"
+            for k, name in enumerate(names)
+        ]
+        reads.append(str((r + 1) * (base ** (2 * r) - 1) // (base - 1)))
+        source = _KERNEL_SOURCE.format(
+            columns=", ".join([*names[:r], "c", *names[r:]]),
+            width=2 * r + 1,
+            slices=", ".join(["hs", *(f"hs[{k}:]" for k in range(1, 2 * r + 1))]),
+            reads=" + ".join(reads),
+        )
+        scope = {"Infinity": Infinity, "_lookup": _lookup}
+        exec(compile(source, f"<sandlab kernel r={r}>", "exec"), scope)
+        _KERNELS[r] = scope["kernel"]
+    return _KERNELS[r]
+
+
 def window_image(automaton: SandAutomaton, hs) -> list:
     """Images of the columns hs[r:-r] of a flat run of heights `hs`.
 
     Each finite column reads its 2r neighbours straight from the height
-    differences into a reading code (module docstring) and adds the
-    memoised delta; infinite columns are fixed.
+    differences into a reading code (module docstring, `_kernel`) and adds
+    the memoised delta; infinite columns are fixed.
     """
     r = automaton.radius
-    top = 2 * r + 2
-    offsets = (*range(-r, 0), *range(1, r + 1))
-    memo = automaton.memo
-    out = []
-    for i in range(r, len(hs) - r):
-        centre = hs[i]
-        if isinstance(centre, Infinity):
-            out.append(centre)
-            continue
-        code = 0
-        for off in offsets:
-            d = hs[i + off] - centre  # an infinity minus an int stays put
-            code = code * (top + 1) + (0 if d < -r else d + r + 1 if d <= r else top)
-        delta = memo.get(code)
-        out.append(centre + (_lookup(automaton, code) if delta is None else delta))
-    return out
+    return (_KERNELS.get(r) or _kernel(r))(hs, automaton)
 
 
 def image_height(automaton: SandAutomaton, c: Configuration, i: int) -> Height:

@@ -14,15 +14,16 @@ closed-form class minimum of `distance` but reads every column of the
 aligned window one by one and minimises every residue class, with no
 blocks and no pruning; `naive_distance_exponent` checks the closed forms
 themselves. The image reference evaluates each column on its own, from
-its difference vector and the first-match scan, so it shares no logic
-with `window_image` or its memo.
+its difference vector and the first-match scan of the rule table, so it
+shares no logic with `window_image`, its kernels, its memo or the match
+bit sets of `_lookup`.
 """
 
 from dataclasses import dataclass
 from itertools import product
 from math import lcm
 
-from sandlab.automaton import _delta_from_entries, window_image
+from sandlab.automaton import NEG, POS, WILDCARD, window_image
 from sandlab.config import Configuration, Tail
 from sandlab.errors import DomainError
 from sandlab.heights import Height, Infinity, MINUS_INF, PLUS_INF
@@ -72,6 +73,42 @@ def diff_vector(c: Configuration, i: int, l: int) -> DifferenceVector:
     return DifferenceVector(entries, l, m)
 
 
+def atom_matches(atom, value: Height) -> bool:
+    """Whether one pattern atom matches one reading."""
+    if atom is WILDCARD:
+        return True
+    if atom is POS:
+        return value is PLUS_INF or (not isinstance(value, Infinity) and value > 0)
+    if atom is NEG:
+        return value is MINUS_INF or (not isinstance(value, Infinity) and value < 0)
+    return atom == value
+
+
+def first_match_delta(automaton, entries) -> int:
+    """Delta of the first table line whose atoms all match the readings
+    `entries`, else the table's default."""
+    for rule in automaton.rules:
+        for atom, value in zip(rule.pattern, entries):
+            if not atom_matches(atom, value):
+                break
+        else:
+            return rule.delta
+    return automaton.default_delta
+
+
+def code_readings(r: int, code: int) -> tuple:
+    """The 2r readings whose reading code is `code`: digit 0 is -infinity,
+    digit 2r + 2 is +infinity and digit d is the reading d - r - 1."""
+    top = 2 * r + 2
+    out = []
+    for _ in range(2 * r):
+        code, digit = divmod(code, top + 1)
+        out.append(
+            MINUS_INF if digit == 0 else PLUS_INF if digit == top else digit - r - 1
+        )
+    return tuple(reversed(out))
+
+
 def local_delta(automaton, dvec: DifferenceVector) -> int:
     """Delta for one column given its difference vector (first match wins)."""
     if dvec.size != automaton.radius:
@@ -79,7 +116,7 @@ def local_delta(automaton, dvec: DifferenceVector) -> int:
             f"difference vector of gauge {dvec.size} fed to a radius-"
             f"{automaton.radius} rule table"
         )
-    return _delta_from_entries(automaton, dvec.entries)
+    return first_match_delta(automaton, dvec.entries)
 
 
 def naive_equals(x: Configuration, y: Configuration) -> bool:

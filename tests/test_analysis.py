@@ -369,6 +369,14 @@ def test_right_inverse_identity_on_identity():
     assert r.verdict == EXHAUSTED_NO_WITNESS
 
 
+def test_right_inverse_refuses_more_than_max_samples():
+    S, Sr = zoo.make("S"), zoo.make("Sr")
+    with pytest.raises(DomainError, match=f"limit of {analysis.MAX_SAMPLES}"):
+        verify_right_inverse(S, Sr, analysis.MAX_SAMPLES + 1, 1)
+    with pytest.raises(DomainError, match=">= 1"):
+        verify_right_inverse(S, Sr, 0, 1)
+
+
 def test_right_inverse_deterministic_in_seed():
     a = verify_right_inverse(zoo.make("Sr"), zoo.make("S"), 50, 4)
     b = verify_right_inverse(zoo.make("Sr"), zoo.make("S"), 50, 4)

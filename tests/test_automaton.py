@@ -13,6 +13,8 @@ from sandlab.automaton import (
     POS,
     WILDCARD,
     SandAutomaton,
+    _kernel,
+    _lookup,
     apply,
     apply_window,
     image_height,
@@ -27,7 +29,14 @@ from sandlab.heights import MINUS_INF, PLUS_INF
 from sandlab.rng import Lcg64, sample_configuration
 from sandlab import zoo
 
-from naive_scan import DifferenceVector, diff_vector, local_delta, naive_image_heights
+from naive_scan import (
+    DifferenceVector,
+    diff_vector,
+    first_match_delta,
+    local_delta,
+    naive_image_heights,
+    code_readings,
+)
 
 ZERO = Configuration.finite({})
 
@@ -122,12 +131,19 @@ def test_apply_window_matches_apply():
             assert img.heights(lo, hi) == want
 
 
-def _random_table(rnd, r):
-    atoms = [*range(-r, r + 1), PLUS_INF, MINUS_INF, WILDCARD, POS, NEG]
-    lines = [
+def _atoms(r):
+    return [*range(-r, r + 1), PLUS_INF, MINUS_INF, WILDCARD, POS, NEG]
+
+
+def _random_lines(rnd, r, count, atoms):
+    return [
         (tuple(rnd.choice(atoms) for _ in range(2 * r)), rnd.randint(-r, r))
-        for _ in range(rnd.randint(0, 8))
+        for _ in range(count)
     ]
+
+
+def _random_table(rnd, r):
+    lines = _random_lines(rnd, r, rnd.randint(0, 8), _atoms(r))
     return validate_rule(r, lines, rnd.randint(-r, r))
 
 
@@ -135,6 +151,11 @@ def test_lookup_matches_first_match_scan_at_every_reading():
     rnd = random.Random(20031)
     tables = [zoo.make(name) for name in ("S", "Sr", "L", "X", "Y")]
     tables += [_random_table(rnd, r) for r in (1, 1, 2, 2, 3)]
+    # 64 lines of exact readings match at most 64 of the 2401 codes, so
+    # most codes first match past one machine word of the match bit sets
+    exact = [*range(-2, 3), PLUS_INF, MINUS_INF]
+    wide = _random_lines(rnd, 2, 64, exact) + _random_lines(rnd, 2, 12, _atoms(2))
+    tables.append(validate_rule(2, wide, 1))
     for a in tables:
         r = a.radius
         readings = [MINUS_INF, *range(-r, r + 1), PLUS_INF]
@@ -150,6 +171,77 @@ def test_lookup_matches_first_match_scan_at_every_reading():
             hs.insert(r, centre)
             want = local_delta(a, DifferenceVector(entries, r, centre))
             assert window_image(a, hs) == [centre + want]
+        if r <= 2:
+            cold = SandAutomaton(r, a.rules, a.default_delta)
+            for code in range((2 * r + 3) ** (2 * r)):
+                want = first_match_delta(a, code_readings(r, code))
+                assert _lookup(cold, code) == want
+
+
+def _random_run(rnd, r, length):
+    """Heights around a random base, spread past the readable window, with
+    an infinity in about one column of six."""
+    base = rnd.randint(-10**6, 10**6)
+    return [
+        rnd.choice((PLUS_INF, MINUS_INF)) if rnd.random() < 1 / 6
+        else base + rnd.randint(-3 * r - 2, 3 * r + 2)
+        for _ in range(length)
+    ]
+
+
+def test_window_image_matches_column_by_column_reference():
+    rnd = random.Random(77)
+    seen = set()
+    for r in (1, 2, 3):
+        for _ in range(40):
+            a = _random_table(rnd, r)
+            for length in (0, 2 * r, 2 * r + 1, 2 * r + 2, 2 * r + 13):
+                hs = _random_run(rnd, r, length)
+                c = Configuration(-r, tuple(hs))
+                want = naive_image_heights(a, c, 0, length - 2 * r - 1)
+                assert tuple(window_image(a, hs)) == want
+                seen.update(
+                    (k == r, type(h).__name__) for k, h in enumerate(hs[: 2 * r + 1])
+                )
+    # infinities sat in both the centre and the neighbour positions
+    assert {(True, "Infinity"), (False, "Infinity")} <= seen
+
+
+def test_window_image_at_the_largest_radius():
+    r = MAX_RADIUS
+    rnd = random.Random(64)
+    hs = _random_run(rnd, r, 2 * r + 1)
+    hs[r - 1], hs[r + 3] = PLUS_INF, MINUS_INF
+    c = Configuration(-r, tuple(hs))
+    entries = diff_vector(c, 0, r).entries
+    # a line that misses at one position, then one that matches with a
+    # mix of exact, sign and wildcard atoms
+    miss = list(entries)
+    miss[2 * r - 1] = MINUS_INF if entries[2 * r - 1] is PLUS_INF else PLUS_INF
+    hit = [
+        WILDCARD if k % 3 == 0
+        else v if k % 3 == 1
+        else POS if v is PLUS_INF or (v != MINUS_INF and v > 0)
+        else NEG if v is MINUS_INF or v < 0
+        else 0
+        for k, v in enumerate(entries)
+    ]
+    a = validate_rule(r, [(miss, -5), (hit, 7)], 3)
+    centre = hs[r]
+    assert window_image(a, hs) == list(naive_image_heights(a, c, 0, 0)) == [centre + 7]
+    assert window_image(a, [centre] * (2 * r + 1)) == [centre + 3]
+    hs[r] = PLUS_INF
+    c = Configuration(-r, tuple(hs))
+    assert window_image(a, hs) == list(naive_image_heights(a, c, 0, 0)) == [PLUS_INF]
+
+
+def test_kernel_takes_only_a_checked_radius():
+    for bad in (0, -1, MAX_RADIUS + 1, True, 1.0, "1", None):
+        with pytest.raises(DomainError):
+            _kernel(bad)
+    assert _kernel(1) is _kernel(1)
+    with pytest.raises(DomainError):
+        window_image(SandAutomaton(MAX_RADIUS + 1), [0] * (2 * MAX_RADIUS + 3))
 
 
 def test_same_local_rule_compares_the_function():

@@ -272,6 +272,25 @@ def test_verify_inverse_exit_codes(capsys):
     assert "verdict: WITNESS_FOUND" in out
 
 
+def test_verify_inverse_refuses_samples_over_the_limit(capsys):
+    code, out, err = run_cli(
+        ["verify-inverse", "--rule-outer", "S", "--rule-inner", "Sr",
+         "--samples", "100000000000", "--seed", "1"],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: sample count 100000000000 is over the limit of 1000000\n"
+    )
+    code, out, err = run_cli(
+        ["verify-inverse", "--rule-outer", "S", "--rule-inner", "Sr",
+         "--samples", "1000001", "--seed", "1"],
+        capsys,
+    )
+    assert code == 1 and "over the limit of 1000000" in err
+
+
 def test_json_report_is_machine_readable(capsys):
     code, out, err = run_cli(
         ["check-injective", "--rule", "S", "--class", "F", "--window", "1",
