@@ -243,17 +243,13 @@ def apply(automaton: SandAutomaton, c: Configuration) -> Configuration:
     core image, r columns either side of it, and one period of each tail
     image beyond that.
     """
-    r = automaton.radius
-    a = c.core_start
-    b = c.core_end
-    pl = len(c.left.values)
-    pr = len(c.right.values)
-    # img[k] is the image of column a - r - pl + k
-    img = window_image(automaton, c.heights(a - 2 * r - pl, b + 2 * r + pr))
-    core = tuple(img[pl : len(img) - pr])
-    left = Tail(tuple(img[pl - 1 :: -1]), c.left.slope)
-    right = Tail(tuple(img[len(img) - pr :]), c.right.slope)
-    return Configuration(a - r, core, left, right).canonicalize()
+    r, left, right = automaton.radius, c.left, c.right
+    pl, pr = len(left.values), len(right.values)
+    # img[k] is the image of column core_start - r - pl + k
+    hs = left.window(0, 2 * r + pl)[::-1] + c.core + right.window(0, 2 * r + pr)
+    img = window_image(automaton, hs)
+    left, right = Tail(img[pl - 1 :: -1], left.slope), Tail(img[-pr:], right.slope)
+    return Configuration(c.core_start - r, img[pl:-pr], left, right).canonicalize()
 
 
 DEFAULT_MAX_CORE = 65536

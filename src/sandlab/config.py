@@ -18,6 +18,10 @@ Equality (`equals`, also wired to ==) is equality of the underlying
 bi-infinite sequences, independent of which representation was used to
 build them. `canonicalize` computes a unique minimal representative per
 sequence; hashes are taken from it.
+
+A `Tail` records its effective slope once, when built; `Tail.window` reads
+a run of tail columns as whole period copies, and canonicalization tests
+periodicity and trims core edges on slices of the period word and windows.
 """
 
 from __future__ import annotations
@@ -63,21 +67,27 @@ class Tail(Value):
 
     values[j] is the height j columns past the core boundary within the
     first period copy; every later copy of a finite entry gains `slope`.
-    Infinite entries repeat unchanged.
+    Infinite entries repeat unchanged. `rise` is the effective slope,
+    found once while the values are checked: `slope`, or 0 when no entry
+    is finite. Equality, hashing and repr ignore it.
     """
 
-    __slots__ = _fields = ("values", "slope")
+    _fields = ("values", "slope")
+    __slots__ = (*_fields, "rise")
 
     def __init__(self, values: tuple, slope: int = 0):
+        values = tuple(values)
         if not values:
             raise DomainError("tail period must be non-empty")
+        infinite = 0
         for v in values:
             if type(v) is not int:
-                _check_height(v)
+                infinite += isinstance(_check_height(v), Infinity)
         if isinstance(slope, bool) or not isinstance(slope, int):
             raise DomainError(f"tail slope must be an int, got {slope!r}")
         self.values = values
         self.slope = slope
+        self.rise = slope if infinite < len(values) else 0
 
     def at(self, j: int) -> Height:
         """Height j columns out from the boundary, j may be negative."""
@@ -91,28 +101,28 @@ class Tail(Value):
         and copy q of a sloped tail is each value plus slope * q, which
         infinities absorb."""
         p = len(self.values)
+        if p == 1 and not self.rise:
+            return self.values * n
         q, s = divmod(j, p)
         copies = range(q, q + (s + n) // p + 1)
-        if slope := self.effective_slope():
+        if slope := self.rise:
             return tuple([v + slope * k for k in copies for v in self.values][s : s + n])
         return (self.values * len(copies))[s : s + n]
 
     def effective_slope(self) -> int:
         """Slope, normalised to 0 when no period entry is finite."""
-        if self.slope and any(is_finite(v) for v in self.values):
-            return self.slope
-        return 0
+        return self.rise
 
     def step(self, L: int) -> int:
         """Rise of the finite entries over L columns, L a multiple of the
         period length (0 when no period entry is finite)."""
-        return self.effective_slope() * (L // len(self.values))
+        return self.rise * (L // len(self.values))
 
     def rebased(self, k: int) -> "Tail":
         """The same progression with its boundary moved k columns outward:
         rebased(k).at(j) == at(j + k)."""
         p = len(self.values)
-        if not k or (k % p == 0 and not self.effective_slope()):
+        if not k or (k % p == 0 and not self.rise):
             return self  # whole periods of a level tail change nothing
         return Tail(self.window(k, p), self.slope)
 
@@ -136,6 +146,13 @@ class Configuration:
     __slots__ = ("core_start", "core", "left", "right", "_canon")
 
     def __init__(self, core_start: int, core: tuple, left=ZERO_TAIL, right=ZERO_TAIL):
+        if type(core_start) is not int and (
+            isinstance(core_start, bool) or not isinstance(core_start, int)
+        ):
+            raise DomainError(f"core start must be an int, got {core_start!r}")
+        if type(left) is not Tail or type(right) is not Tail:
+            raise DomainError(f"tails must be Tail objects, got {left!r} and {right!r}")
+        core = tuple(core)
         for v in core:
             if type(v) is not int:
                 _check_height(v)
@@ -175,9 +192,9 @@ class Configuration:
     @classmethod
     def general(cls, core_start: int, core, left, right) -> "Configuration":
         """Explicit core plus (values, slope) tails on each side."""
-        left = left if isinstance(left, Tail) else Tail(tuple(left[0]), left[1])
-        right = right if isinstance(right, Tail) else Tail(tuple(right[0]), right[1])
-        return cls(core_start, tuple(core), left, right)
+        left = left if isinstance(left, Tail) else Tail(left[0], left[1])
+        right = right if isinstance(right, Tail) else Tail(right[0], right[1])
+        return cls(core_start, core, left, right)
 
     # -- basic access ------------------------------------------------------
 
@@ -395,20 +412,26 @@ def has_infinite_column(c: Configuration) -> bool:
 # anchor in [0, p) whose period window is lexicographically least
 # (slope 0; rotations of a primitive word are pairwise distinct, so this
 # is unique).
+#
+# Tests run on slices: a word is q-periodic when its last p - q entries equal
+# its first p - q (raised by the slope share when sloped), and each core edge
+# is trimmed against one `Tail.window` read inward over the core. Only the
+# empty-core anchor slide reads single columns.
 
 
 def _reduce_tail(tail: Tail) -> Tail:
     """The primitive period of the tail, with slope 0 when no entry is
     finite; the tail itself when it already is one."""
-    slope = tail.effective_slope()
-    p = len(tail.values)
+    vs, slope = tail.values, tail.rise
+    p = len(vs)
     for q in range(1, p):
         if p % q or (slope * q) % p:
             continue
         t = slope * q // p
-        if all(tail.at(j + q) == ext_add(tail.at(j), t) for j in range(p - q)):
-            return Tail(tail.values[:q], t)
-    return tail if slope == tail.slope else Tail(tail.values, slope)
+        if (all(w == ext_add(v, t) for v, w in zip(vs, vs[q:])) if t
+                else vs[q:] == vs[:-q]):
+            return Tail(vs[:q], t)
+    return tail if slope == tail.slope else Tail(vs, slope)
 
 
 def _canonicalize(c: Configuration) -> Configuration:
@@ -417,10 +440,12 @@ def _canonicalize(c: Configuration) -> Configuration:
     core = c.core
     # count the edge columns each tail predicts, then re-anchor it once
     hi = len(core)
-    while hi and core[hi - 1] == right.at(hi - 1 - len(core)):
+    inward = right.window(-hi, hi)  # inward[k]: right's guess at core[k]
+    while hi and core[hi - 1] == inward[hi - 1]:
         hi -= 1
     lo = 0
-    while lo < hi and core[lo] == left.at(-1 - lo):
+    inward = left.window(-hi, hi)[::-1]  # inward[k]: left's guess at core[k]
+    while lo < hi and core[lo] == inward[lo]:
         lo += 1
     start = c.core_start + lo
     left = left.rebased(-lo)
@@ -433,10 +458,9 @@ def _canonicalize(c: Configuration) -> Configuration:
         # [0, p) whose period window is least
         base = 0
         if right.slope == 0:
-            window = lambda b: [
-                height_sort_key(v) for v in right.rebased(b - start).values
-            ]
-            base = min(range(len(right.values)), key=window)
+            p = len(right.values)
+            key = lambda b: [height_sort_key(v) for v in right.window(b - start, p)]
+            base = min(range(p), key=key)
         right = right.rebased(base - start)
         return Configuration(base, (), right.mirror(), right)
     # not globally affine-periodic, so the set of valid anchors is bounded

@@ -16,7 +16,9 @@ blocks and no pruning; `naive_distance_exponent` checks the closed forms
 themselves. The image reference evaluates each column on its own, from
 its difference vector and the first-match scan of the rule table, so it
 shares no logic with `window_image`, its kernels, its memo or the match
-bit sets of `_lookup`.
+bit sets of `_lookup`. `naive_canonical_form` reduces tails and trims the
+core one `Tail.at` at a time, so it shares no logic with the sliced tests
+of `_reduce_tail` and `_canonicalize` or with `Tail.window`.
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,7 @@ from math import lcm
 from sandlab.automaton import NEG, POS, WILDCARD, window_image
 from sandlab.config import Configuration, Tail
 from sandlab.errors import DomainError
-from sandlab.heights import Height, Infinity, MINUS_INF, PLUS_INF
+from sandlab.heights import Height, Infinity, MINUS_INF, PLUS_INF, height_sort_key
 from sandlab.metric import Distance, _class_minimum, _separating_gauge
 
 
@@ -136,6 +138,66 @@ def naive_equals(x: Configuration, y: Configuration) -> bool:
 def naive_window(tail: Tail, j: int, n: int) -> tuple:
     """tail.at(j), ..., tail.at(j + n - 1), one column at a time."""
     return tuple(tail.at(k) for k in range(j, j + n))
+
+
+def _naive_rebased(tail: Tail, k: int) -> Tail:
+    """The tail with its boundary moved k columns outward, read column by
+    column over one period."""
+    return Tail(naive_window(tail, k, len(tail.values)), tail.slope)
+
+
+def _naive_mirror(tail: Tail) -> Tail:
+    """The left tail continuing a right tail backwards from its boundary."""
+    return Tail(naive_window(tail, -len(tail.values), len(tail.values))[::-1], -tail.slope)
+
+
+def naive_reduced_tail(tail: Tail) -> Tail:
+    """The tail's primitive period, found by testing each divisor q of the
+    period length column by column: at(j + q) == at(j) + t for j < p - q,
+    with t the slope share of q columns. Slope 0 when no entry is finite."""
+    p = len(tail.values)
+    finite = [v for v in tail.values if not isinstance(v, Infinity)]
+    slope = tail.slope if finite else 0
+    for q in range(1, p):
+        if p % q or (slope * q) % p:
+            continue
+        t = slope * q // p
+        if all(tail.at(j + q) == tail.at(j) + t for j in range(p - q)):
+            return Tail(tail.values[:q], t)
+    return Tail(tail.values, slope)
+
+
+def naive_canonical_form(c: Configuration) -> Configuration:
+    """The canonical representative `canonicalize` documents, built one
+    column at a time: reduced tails, the core trimmed while an edge column
+    equals its tail's next column, then for an empty core the anchor
+    (least period window when globally periodic, 0 when globally affine
+    with a slope, else the least valid anchor)."""
+    left, right = naive_reduced_tail(c.left), naive_reduced_tail(c.right)
+    core = c.core
+    hi = len(core)
+    while hi and core[hi - 1] == right.at(hi - 1 - len(core)):
+        hi -= 1
+    lo = 0
+    while lo < hi and core[lo] == left.at(-1 - lo):
+        lo += 1
+    start = c.core_start + lo
+    left, right = _naive_rebased(left, -lo), _naive_rebased(right, hi - len(core))
+    if lo < hi:
+        return Configuration(start, core[lo:hi], left, right)
+    if left == _naive_mirror(right):
+        base = 0
+        if right.slope == 0:
+            window = lambda b: [
+                height_sort_key(v) for v in naive_window(right, b - start, len(right.values))
+            ]
+            base = min(range(len(right.values)), key=window)
+        right = _naive_rebased(right, base - start)
+        return Configuration(base, (), _naive_mirror(right), right)
+    n = 0
+    while left.at(n) == right.at(-1 - n):
+        n += 1
+    return Configuration(start - n, (), _naive_rebased(left, n), _naive_rebased(right, -n))
 
 
 def _anchored_span(x: Configuration, y: Configuration):

@@ -47,6 +47,19 @@ def test_tail_window_matches_per_column_reads():
     assert t.window(-7, 11) == naive_window(t, -7, 11)
 
 
+def test_period_one_window_matches_per_column_reads():
+    """A level tail of period 1 is read as its value repeated: level tails
+    with any value, and all-infinite tails whatever their slope; a sloped
+    finite one still rises."""
+    tails = [Tail((v,), 0) for v in (0, -4, 10**30, PLUS_INF, MINUS_INF)]
+    tails += [Tail((v,), s) for v in (PLUS_INF, MINUS_INF) for s in (-3, 1, 7)]
+    tails += [Tail((2,), -1), Tail((0,), 5)]
+    for t in tails:
+        for j in (-9, -1, 0, 1, 4):
+            for n in (-2, 0, 1, 2, 5, 13):
+                assert t.window(j, n) == naive_window(t, j, n), (t, j, n)
+
+
 def _spelt_out(tail, copies, bump=None):
     """The same progression written with `copies` period copies, with
     entry `bump` (when given) raised by one, or a finite one if infinite."""

@@ -8,9 +8,13 @@ with hand-computed sequences and randomized rebuild round-trips.
 
 import pytest
 
+from sandlab import zoo
+from sandlab.automaton import apply, apply_window
 from sandlab.config import (
+    ZERO_TAIL,
     Configuration,
     Tail,
+    _reduce_tail,
     equals,
     first_difference,
     has_infinite_column,
@@ -22,7 +26,7 @@ from sandlab.errors import DomainError
 from sandlab.heights import MINUS_INF, PLUS_INF
 from sandlab.rng import Lcg64, sample_configuration
 
-from naive_scan import naive_equals
+from naive_scan import naive_canonical_form, naive_equals, naive_reduced_tail
 
 
 def test_finite_constructor_heights():
@@ -224,6 +228,172 @@ def test_equals_on_canonical_copies_matches_scan():
             assert equals(x, y) is want and equals(y, x) is want
             seen[want] += 1
     assert seen[True] > 1000 and seen[False] > 1000
+
+
+def _fields(c):
+    return (c.core_start, c.core, c.left.values, c.left.slope, c.right.values, c.right.slope)
+
+
+def _fresh(c):
+    return Configuration(c.core_start, c.core, c.left, c.right)
+
+
+def test_canonical_form_matches_column_by_column_reference_on_rebuilds():
+    """Every rebuild, whether or not it denotes its sample, canonicalizes
+    to the form the per-column reference builds."""
+    checked = 0
+    for c, rebuilds in _rebuild_corpus():
+        for w in (c, *rebuilds):
+            assert _fields(_fresh(w).canonicalize()) == _fields(naive_canonical_form(w)), w
+            checked += 1
+    assert checked > 5000
+
+
+def _seeded(rng, klass):
+    """A configuration of one of the four classes, with some infinities."""
+
+    def word():
+        return tuple(
+            (PLUS_INF, MINUS_INF)[rng.below(2)] if rng.below(6) == 0
+            else rng.int_between(-3, 3)
+            for _ in range(1 + rng.below(3))
+        )
+
+    if klass == "finite":
+        return Configuration(rng.int_between(-3, 3), word())
+    if klass == "periodic":
+        return Configuration.periodic(word())
+    if klass == "affine":
+        return Configuration.affine(word(), rng.int_between(-2, 2))
+    return Configuration(
+        rng.int_between(-3, 3), word(),
+        Tail(word(), rng.int_between(-2, 2)), Tail(word(), rng.int_between(-2, 2)),
+    )
+
+
+def test_canonical_form_matches_column_by_column_reference_on_orbits():
+    """40-step orbits of every zoo rule from every class: each step's raw
+    image (core widened by r, tails of the old periods and slopes) has the
+    canonical form of the reference, and `apply` returns that form."""
+    rng = Lcg64(4040)
+    infinite = 0
+    for name in sorted(zoo.ZOO):
+        rule = zoo.make(name)
+        r = rule.radius
+        for klass in ("finite", "periodic", "affine", "general"):
+            c = _seeded(rng, klass)
+            infinite += has_infinite_column(c)
+            for _ in range(40):
+                a, b = c.core_start, c.core_end
+                pl, pr = len(c.left.values), len(c.right.values)
+                raw = Configuration(
+                    a - r,
+                    apply_window(rule, c, a - r, b + r),
+                    Tail(apply_window(rule, c, a - r - pl, a - r - 1)[::-1], c.left.slope),
+                    Tail(apply_window(rule, c, b + r + 1, b + r + pr), c.right.slope),
+                )
+                want = _fields(naive_canonical_form(raw))
+                assert _fields(_fresh(raw).canonicalize()) == want
+                c = apply(rule, c)
+                assert _fields(c) == want
+    assert infinite > 5
+
+
+def test_reducible_sloped_words_reduce_as_the_reference():
+    """Period-6 words that are 2 or 3 copies of a sloped word, with
+    infinite entries, near misses one entry off, and all-infinite words
+    with a slope, as tails of cores of several shapes."""
+    tails = []
+    for word, slope in (
+        ((1, PLUS_INF), 2), ((0, MINUS_INF, 4), -1), ((PLUS_INF, 3, MINUS_INF), 3),
+        ((PLUS_INF, MINUS_INF), 5), ((2, 2), 0), ((5,), -4),
+    ):
+        copies = 6 // len(word)
+        long = Tail(word, slope).window(0, 6)
+        tails.append(Tail(long, slope * copies))
+        for k in (0, 3, 5):
+            bumped = list(long)
+            bumped[k] = 7 if bumped[k] in (PLUS_INF, MINUS_INF) else PLUS_INF
+            tails.append(Tail(bumped, slope * copies))
+    tails.append(Tail((PLUS_INF,) * 6, 3))
+    for t in tails:
+        got, want = _reduce_tail(t), naive_reduced_tail(t)
+        assert (got.values, got.slope) == (want.values, want.slope)
+    # the six spelt-out words and the all-infinite one; no near miss
+    assert sum(len(_reduce_tail(t).values) < 6 for t in tails) == 7
+    for left in tails[::2]:
+        for right in tails[1::2] + tails[:3]:
+            for start, core in ((0, ()), (-2, (1, PLUS_INF, 1)), (3, (9,))):
+                c = Configuration(start, core, left, right)
+                assert _fields(c.canonicalize()) == _fields(naive_canonical_form(c))
+
+
+def test_canonicalizing_an_apply_image_reads_no_single_column(monkeypatch):
+    """The edge trims and the tail reduction read whole windows: building
+    and canonicalizing an image whose canonical core is not empty makes no
+    `Tail.at` call."""
+    calls = 0
+    at = Tail.at
+
+    def counted(self, j):
+        nonlocal calls
+        calls += 1
+        return at(self, j)
+
+    rng = Lcg64(606)
+    samples = [sample_configuration(rng, height=3, include_infinities=k % 2 == 0)
+               for k in range(200)]
+    monkeypatch.setattr(Tail, "at", counted)
+    cores = 0
+    for k, c in enumerate(samples):
+        rule = zoo.make(sorted(zoo.ZOO)[k % 5])
+        before = calls
+        image = apply(rule, c)
+        if image.core:
+            cores += 1
+            assert calls == before, (rule, c)
+    assert cores > 50
+
+
+def test_tail_equality_hash_and_repr_ignore_the_rise():
+    t, u = Tail((2, PLUS_INF), 3), Tail((2, PLUS_INF), 3)
+    assert t.rise == 3
+    u.rise = 0
+    assert t == u and hash(t) == hash(u) and repr(t) == repr(u)
+    assert repr(t) == "Tail(values=(2, PLUS_INF), slope=3)"
+    # no finite entry: the rise is 0, but the slope still tells tails apart
+    steep, level = Tail((PLUS_INF,), 3), Tail((PLUS_INF,), 0)
+    assert steep.rise == level.rise == 0
+    assert steep != level and hash(steep) != hash(level)
+
+
+def test_constructors_store_tuples():
+    x = Configuration(0, [3, 4])
+    assert x.core == (3, 4) and type(x.core) is tuple
+    assert equals(x, Configuration(0, (3, 4)))
+    assert hash(x) == hash(Configuration(0, (3, 4)))
+    assert x == Configuration.finite({0: 3, 1: 4})
+    t = Tail([1, PLUS_INF], 2)
+    assert type(t.values) is tuple and t == Tail((1, PLUS_INF), 2)
+    assert hash(t) == hash(Tail((1, PLUS_INF), 2))
+    y = Configuration(-1, [0, 5], Tail([0]), t)
+    assert y == Configuration(-1, (0, 5), ZERO_TAIL, Tail((1, PLUS_INF), 2))
+    core = (1, 2)
+    assert Configuration(0, core).core is core
+
+
+@pytest.mark.parametrize("start", [1.0, "0", True, None, (0,)])
+def test_constructor_refuses_a_core_start_that_is_not_an_int(start):
+    with pytest.raises(DomainError, match="core start"):
+        Configuration(start, (1,))
+
+
+@pytest.mark.parametrize("left, right", [
+    ((1, 0), (1, 0)), (ZERO_TAIL, [0]), (None, ZERO_TAIL), (ZERO_TAIL, ((0,), 0)),
+])
+def test_constructor_refuses_tails_that_are_not_tails(left, right):
+    with pytest.raises(DomainError, match="Tail"):
+        Configuration(0, (1,), left, right)
 
 
 def test_heights_match_per_column_reads():
