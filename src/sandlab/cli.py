@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Every verdict report is written by one helper: a header with the
-subcommand and the sorted inputs that fully determine the report, so
+One table, COMMANDS, declares each subcommand once: its help line, its
+handler and its options, which build the parser and name the inputs of
+its report. Every verdict report is written by one helper: a header with
+the subcommand and the sorted inputs that fully determine the report, so
 identical invocations produce byte-identical output, then the report as
 text or JSON. Exit codes:
 
@@ -26,13 +28,7 @@ import sys
 from . import formats, zoo
 from .automaton import apply, iterate, same_local_rule
 from .config import Configuration, equals
-from .errors import (
-    CoreBoundExceeded,
-    DomainError,
-    ParseError,
-    RuleError,
-    SandlabError,
-)
+from .errors import CoreBoundExceeded, DomainError, ParseError, SandlabError
 from .zoo import ZOO
 
 EXIT_OK = 0
@@ -42,43 +38,59 @@ EXIT_VERDICT = 3
 EXIT_BOUND = 4
 
 
+def _read(path: str) -> str:
+    """The text of a rule or configuration file, which must be UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path!r} is not UTF-8 text (byte {exc.start})")
+
+
 def _load_rule(name_or_path: str):
     """A rule argument is a file path or a zoo name (file wins if both)."""
     if os.path.exists(name_or_path):
-        with open(name_or_path) as fh:
-            return formats.parse_rule_file(fh.read())
+        return formats.parse_rule_file(_read(name_or_path))
     if name_or_path in ZOO:
         return zoo.make(name_or_path)
     raise ParseError(f"no rule file {name_or_path!r} and no such zoo automaton")
 
 
 def _load_config(path: str) -> Configuration:
-    with open(path) as fh:
-        return formats.parse_config_file(fh.read())
+    return formats.parse_config_file(_read(path))
 
 
-def _render_window(args, c: Configuration):
+def _render(args, c: Configuration) -> str:
+    """The ASCII picture of c over `args.window` (by default the core and
+    column 0, two columns wider a side), then its dump under `args.dump`."""
     if args.window is not None:
-        return args.window
-    cc = c.canonicalize()
-    return (min(cc.core_start, 0) - 2, max(cc.core_end, 0) + 2)
+        lo, hi = args.window
+    else:
+        cc = c.canonicalize()
+        lo, hi = min(cc.core_start, 0) - 2, max(cc.core_end, 0) + 2
+    out = formats.render_ascii(c, lo, hi)
+    return out + formats.emit_dump(c, lo, hi) if args.dump else out
 
 
-def _report(args, inputs: dict, report, clean_verdicts) -> tuple:
+def _report(args, report, clean_verdicts, unused=None) -> tuple:
     """(exit code, text) of a verdict report.
 
-    A header names `args.subcommand` and the sorted inputs; then comes
+    A header names `args.subcommand` and, sorted, the value of each option
+    it declares but `--json`, `--max-core` and `unused`; then comes
     `report`, a WitnessReport or verify-witness's bool, as text or, under
     `args.json`, as JSON. Exit 4 on a bound, 0 on a clean verdict, else 3.
     """
     from .analysis import BOUND_EXCEEDED
+    inputs = {
+        flag[2:]: getattr(args, kwargs.get("dest", flag[2:].replace("-", "_")))
+        for flag, kwargs in COMMANDS[args.subcommand][2]
+        if flag not in ("--json", "--max-core", unused)
+    }
     if isinstance(report, bool):
         verdict, body, lines = report, {"valid_pair": report}, [f"valid pair: {report}"]
     else:
         verdict = report.verdict
-        witnesses = [
-            formats.emit_config_file(w) for w in report.witness_configurations()
-        ]
+        witnesses = list(map(formats.emit_config_file, report.witness_configurations()))
         body = {"report": report.to_dict(), "witnesses": witnesses}
         lines = [f"verdict: {verdict}", f"grade: {report.grade}"]
         for name, pairs in (("bounds", report.bounds), ("details", report.details)):
@@ -107,25 +119,12 @@ def _report(args, inputs: dict, report, clean_verdicts) -> tuple:
 
 def _cmd_simulate(args):
     automaton = _load_rule(args.rule)
-    c = _load_config(args.config)
-    result = iterate(automaton, c, args.steps, args.max_core)
-    if args.render == "ascii":
-        lo, hi = _render_window(args, result)
-        out = formats.render_ascii(result, lo, hi)
-        if args.dump:
-            out += formats.emit_dump(result, lo, hi)
-    else:
-        out = formats.emit_config_file(result)
-    return EXIT_OK, out
+    c = iterate(automaton, _load_config(args.config), args.steps, args.max_core)
+    return EXIT_OK, _render(args, c) if args.render else formats.emit_config_file(c)
 
 
 def _cmd_render(args):
-    c = _load_config(args.config)
-    lo, hi = _render_window(args, c)
-    out = formats.render_ascii(c, lo, hi)
-    if args.dump:
-        out += formats.emit_dump(c, lo, hi)
-    return EXIT_OK, out
+    return EXIT_OK, _render(args, _load_config(args.config))
 
 
 def _cmd_distance(args):
@@ -158,13 +157,8 @@ def _cmd_crown(args):
     c1 = _load_config(args.config_a)
     c2 = _load_config(args.config_b)
     d1, d2 = zoo.crown_lift(c1, c2, automaton)
-    out = (
-        "# crown a\n"
-        + formats.emit_config_file(d1)
-        + "# crown b\n"
-        + formats.emit_config_file(d2)
-    )
-    return EXIT_OK, out
+    emit = formats.emit_config_file
+    return EXIT_OK, "# crown a\n" + emit(d1) + "# crown b\n" + emit(d2)
 
 
 def _cmd_splice(args):
@@ -177,83 +171,108 @@ def _cmd_splice(args):
 
 def _cmd_check_injective(args):
     from . import analysis
-    name = "window" if args.klass == "F" else "period"  # argparse allows F, P
+    # argparse allows F and P; the header lists only the bound the class uses
+    name, unused = ("window", "period") if args.klass == "F" else ("period", "window")
     bound = getattr(args, name)
     if bound is None:
         raise DomainError(f"--class {args.klass} needs --{name}")
-    inputs = {
-        "rule": args.rule,
-        "class": args.klass,
-        name: bound,
-        "height": args.height,
-        "with-infinities": args.with_infinities,
-    }
     automaton = _load_rule(args.rule)
     report = analysis.check_injective_bounded(
         automaton, args.klass, bound, args.height, args.with_infinities
     )
-    return _report(args, inputs, report, {analysis.EXHAUSTED_NO_WITNESS})
+    return _report(args, report, {analysis.EXHAUSTED_NO_WITNESS}, "--" + unused)
 
 
 def _cmd_check_surjective(args):
     from . import analysis
-    inputs = {
-        "rule": args.rule,
-        "target": args.target,
-        "class": args.klass,
-        "window": args.window,
-        "height": args.height,
-        "with-infinities": args.with_infinities,
-    }
     automaton = _load_rule(args.rule)
     target = _load_config(args.target)
     report = analysis.check_preimage_bounded(
         automaton, target, args.klass, args.window, args.height, args.with_infinities
     )
-    return _report(args, inputs, report, {analysis.WITNESS_FOUND})
+    return _report(args, report, {analysis.WITNESS_FOUND})
 
 
 def _cmd_check_nilpotent(args):
     from . import analysis
-    inputs = {"rule": args.rule, "config": args.config, "steps": args.steps}
     automaton = _load_rule(args.rule)
     c = _load_config(args.config)
-    report = analysis.check_nilpotent_bounded(
-        automaton, c, args.steps, args.max_core
-    )
-    return _report(args, inputs, report, {analysis.WITNESS_FOUND})
+    report = analysis.check_nilpotent_bounded(automaton, c, args.steps, args.max_core)
+    return _report(args, report, {analysis.WITNESS_FOUND})
 
 
 def _cmd_verify_witness(args):
     from . import analysis
-    inputs = {
-        "rule": args.rule,
-        "config-a": args.config_a,
-        "config-b": args.config_b,
-    }
     automaton = _load_rule(args.rule)
     c1 = _load_config(args.config_a)
     c2 = _load_config(args.config_b)
-    ok = analysis.verify_witness_pair(automaton, c1, c2)
-    return _report(args, inputs, ok, {True})
+    return _report(args, analysis.verify_witness_pair(automaton, c1, c2), {True})
 
 
 def _cmd_verify_inverse(args):
     from . import analysis
-    inputs = {
-        "rule-outer": args.rule_outer,
-        "rule-inner": args.rule_inner,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
     outer = _load_rule(args.rule_outer)
     inner = _load_rule(args.rule_inner)
     report = analysis.verify_right_inverse(outer, inner, args.samples, args.seed)
-    return _report(args, inputs, report, {analysis.EXHAUSTED_NO_WITNESS})
+    return _report(args, report, {analysis.EXHAUSTED_NO_WITNESS})
 
 
-def _add_window(parser):
-    parser.add_argument("--window", nargs=2, type=int, metavar=("LO", "HI"))
+# -- the command table ---------------------------------------------------------
+
+# An option is (flag, argparse keyword arguments). The options several
+# subcommands share are declared once, here.
+_REQUIRED = {"required": True}
+_FLAG = {"action": "store_true"}
+_INT = {"type": int, "required": True}
+_CLASS = {"dest": "klass", "required": True}
+
+RULE = ("--rule", _REQUIRED)
+CONFIG = ("--config", _REQUIRED)
+TARGET = ("--target", _REQUIRED)
+CONFIG_PAIR = (("--config-a", _REQUIRED), ("--config-b", _REQUIRED))
+STEPS = ("--steps", _INT)
+HEIGHT = ("--height", _INT)
+MAX_CORE = ("--max-core", {"type": int})
+WINDOW = ("--window", {"nargs": 2, "type": int, "metavar": ("LO", "HI")})
+DUMP = ("--dump", _FLAG)
+WITH_INFINITIES = ("--with-infinities", _FLAG)
+JSON = ("--json", _FLAG)
+
+#: subcommand -> (help line, handler, options in `--help` order)
+COMMANDS = {
+    "simulate": ("iterate a rule on a configuration", _cmd_simulate,
+                 (("--rule", {**_REQUIRED, "help": "rule file or zoo name"}),
+                  ("--config", {**_REQUIRED, "help": "configuration file"}),
+                  STEPS, ("--render", {"choices": ["ascii"]}),
+                  ("--dump", {**_FLAG, "help": "append a lossless dump"}),
+                  MAX_CORE, WINDOW)),
+    "render": ("draw a configuration window", _cmd_render, (CONFIG, DUMP, WINDOW)),
+    "distance": ("exact distance between two configurations", _cmd_distance,
+                 (("config_a", {}), ("config_b", {}))),
+    "zoo": ("emit a named rule file", _cmd_zoo, (("name", {"choices": sorted(ZOO)}),)),
+    "preimage": ("explicit pre-image under the L rule", _cmd_preimage,
+                 (("--automaton", {"default": "L"}), CONFIG)),
+    "crown": ("lift a finite collision to a periodic one", _cmd_crown,
+              (RULE, *CONFIG_PAIR)),
+    "splice": ("cut a periodic pre-image out of any pre-image", _cmd_splice,
+               (RULE, CONFIG, TARGET, ("--period", _INT))),
+    "check-injective": ("bounded injectivity search", _cmd_check_injective,
+                        (RULE, ("--class", {**_CLASS, "choices": ["F", "P"]}),
+                         ("--window", {"type": int}), ("--period", {"type": int}),
+                         HEIGHT, WITH_INFINITIES, JSON)),
+    "check-surjective": ("bounded pre-image search", _cmd_check_surjective,
+                         (RULE, TARGET,
+                          ("--class", {**_CLASS, "choices": ["F", "P", "EC"]}),
+                          ("--window", _INT), HEIGHT, WITH_INFINITIES, JSON)),
+    "check-nilpotent": ("bounded zero-reachability check", _cmd_check_nilpotent,
+                        (RULE, CONFIG, STEPS, MAX_CORE, JSON)),
+    "verify-witness": ("re-verify a collision pair", _cmd_verify_witness,
+                       (RULE, *CONFIG_PAIR, JSON)),
+    "verify-inverse": ("test outer(inner(c)) == c on samples", _cmd_verify_inverse,
+                       (("--rule-outer", _REQUIRED), ("--rule-inner", _REQUIRED),
+                        ("--samples", {"type": int, "default": 500}),
+                        ("--seed", {"type": int, "default": 1}), JSON)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,93 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("simulate", help="iterate a rule on a configuration")
-    p.add_argument("--rule", required=True, help="rule file or zoo name")
-    p.add_argument("--config", required=True, help="configuration file")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--render", choices=["ascii"], default=None)
-    p.add_argument("--dump", action="store_true", help="append a lossless dump")
-    p.add_argument("--max-core", type=int, default=None)
-    _add_window(p)
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("render", help="draw a configuration window")
-    p.add_argument("--config", required=True)
-    p.add_argument("--dump", action="store_true")
-    _add_window(p)
-    p.set_defaults(handler=_cmd_render)
-
-    p = sub.add_parser("distance", help="exact distance between two configurations")
-    p.add_argument("config_a")
-    p.add_argument("config_b")
-    p.set_defaults(handler=_cmd_distance)
-
-    p = sub.add_parser("zoo", help="emit a named rule file")
-    p.add_argument("name", choices=sorted(ZOO))
-    p.set_defaults(handler=_cmd_zoo)
-
-    p = sub.add_parser("preimage", help="explicit pre-image under the L rule")
-    p.add_argument("--automaton", default="L")
-    p.add_argument("--config", required=True)
-    p.set_defaults(handler=_cmd_preimage)
-
-    p = sub.add_parser("crown", help="lift a finite collision to a periodic one")
-    p.add_argument("--rule", required=True)
-    p.add_argument("--config-a", required=True)
-    p.add_argument("--config-b", required=True)
-    p.set_defaults(handler=_cmd_crown)
-
-    p = sub.add_parser("splice", help="cut a periodic pre-image out of any pre-image")
-    p.add_argument("--rule", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--period", type=int, required=True)
-    p.set_defaults(handler=_cmd_splice)
-
-    p = sub.add_parser("check-injective", help="bounded injectivity search")
-    p.add_argument("--rule", required=True)
-    p.add_argument("--class", dest="klass", required=True, choices=["F", "P"])
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--period", type=int, default=None)
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--with-infinities", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_check_injective)
-
-    p = sub.add_parser("check-surjective", help="bounded pre-image search")
-    p.add_argument("--rule", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--class", dest="klass", required=True, choices=["F", "P", "EC"])
-    p.add_argument("--window", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--with-infinities", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_check_surjective)
-
-    p = sub.add_parser("check-nilpotent", help="bounded zero-reachability check")
-    p.add_argument("--rule", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--max-core", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_check_nilpotent)
-
-    p = sub.add_parser("verify-witness", help="re-verify a collision pair")
-    p.add_argument("--rule", required=True)
-    p.add_argument("--config-a", required=True)
-    p.add_argument("--config-b", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_verify_witness)
-
-    p = sub.add_parser("verify-inverse", help="test outer(inner(c)) == c on samples")
-    p.add_argument("--rule-outer", required=True)
-    p.add_argument("--rule-inner", required=True)
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_verify_inverse)
-
+    for name, (help_line, handler, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -361,18 +298,15 @@ def run(args) -> tuple:
     """Dispatch parsed arguments; returns (exit_code, output text)."""
     try:
         return args.handler(args)
-    except (ParseError, OSError) as exc:
+    except OSError as exc:
         return EXIT_PARSE, f"error: {exc}\n"
-    except CoreBoundExceeded as exc:
-        return EXIT_BOUND, f"error: {exc}\n"
-    except (DomainError, RuleError, SandlabError) as exc:
-        return EXIT_DOMAIN, f"error: {exc}\n"
+    except SandlabError as exc:
+        exits = {ParseError: EXIT_PARSE, CoreBoundExceeded: EXIT_BOUND}
+        return exits.get(type(exc), EXIT_DOMAIN), f"error: {exc}\n"
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    code, text = run(args)
+    code, text = run(build_parser().parse_args(argv))
     (sys.stderr if text.startswith("error:") else sys.stdout).write(text)
     return code
 

@@ -109,10 +109,6 @@ class Tail(Value):
             return tuple([v + slope * k for k in copies for v in self.values][s : s + n])
         return (self.values * len(copies))[s : s + n]
 
-    def effective_slope(self) -> int:
-        """Slope, normalised to 0 when no period entry is finite."""
-        return self.rise
-
     def step(self, L: int) -> int:
         """Rise of the finite entries over L columns, L a multiple of the
         period length (0 when no period entry is finite)."""

@@ -30,6 +30,7 @@ from .automaton import (
     POS,
     SandAutomaton,
     WILDCARD,
+    _core_cap,
     apply,
     validate_rule,
 )
@@ -41,7 +42,7 @@ from .config import (
     is_finite_class,
     support_radius,
 )
-from .errors import DomainError, InternalConsistencyError
+from .errors import CoreBoundExceeded, DomainError, InternalConsistencyError
 from .heights import MINUS_INF, PLUS_INF
 
 _W = WILDCARD
@@ -215,9 +216,16 @@ def splice_match_indices(
     period: int,
 ) -> tuple:
     """The cut positions (k1, k2) used by `periodic_splice`: the first two
-    multiples of the period at which c shows identical 2r-windows."""
+    multiples of the period at which c shows identical 2r-windows.
+
+    A period longer than the core cap raises CoreBoundExceeded before the
+    target's periodicity is tested, since that test reads a period of
+    columns."""
     if period < 1:
         raise DomainError("period must be >= 1")
+    cap = _core_cap(None)
+    if period > cap:
+        raise CoreBoundExceeded(f"splice period spans {period} columns (cap {cap})")
     if has_infinite_column(c.canonicalize()):
         raise DomainError("splice needs finite heights")
     if not equals(c0.shift(period), c0):
@@ -229,7 +237,7 @@ def splice_match_indices(
     seen = {}
     for alpha in range(scan_bound):
         k = alpha * period
-        window = tuple(c.height(k + off) for off in range(-r, r))
+        window = c.heights(k - r, k + r - 1)
         if window in seen:
             return seen[window], k
         seen[window] = k
@@ -251,8 +259,12 @@ def periodic_splice(
     repeating the block of c between them yields a periodic configuration
     whose image is still c0. Each window entry deviates from the periodic
     target by at most r, so the windows take boundedly many values and a
-    repeat must appear within (2r+1)^(2r) + 1 multiples.
+    repeat must appear within (2r+1)^(2r) + 1 multiples. A block longer
+    than the core cap raises CoreBoundExceeded before it is read.
     """
     k1, k2 = splice_match_indices(automaton, c, c0, period)
-    block = tuple(c.height(i) for i in range(k1, k2))
+    cap = _core_cap(None)
+    if k2 - k1 > cap:
+        raise CoreBoundExceeded(f"splice block spans {k2 - k1} columns (cap {cap})")
+    block = c.heights(k1, k2 - 1)
     return Configuration.periodic(block).shift(k1).canonicalize()

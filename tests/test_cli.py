@@ -417,6 +417,39 @@ def test_wide_finite_files_are_refused(tmp_path, monkeypatch, capsys):
     assert code == 0, err
 
 
+def test_non_utf8_files_exit_2_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    for argv in (
+        ["simulate", "--rule", str(bad), "--config", cfg("two-grain-column"),
+         "--steps", "1"],
+        ["render", "--config", str(bad)],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {str(bad)!r} is not UTF-8 text (byte 0)\n"
+
+
+def test_splice_refuses_periods_over_the_core_cap():
+    # child processes under a 1 GB address-space limit: the period is refused
+    # before the target's periodicity test reads a period of columns
+    src = os.path.dirname(os.path.dirname(sandlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SANDLAB_MAX_CORE", None)
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    for rule in ("S", "X"):
+        done = subprocess.run(
+            [sys.executable, "-m", "sandlab.cli", "splice", "--rule", rule,
+             "--config", cfg("sandpile-collision-b"), "--target",
+             cfg("sandpile-collision-a"), "--period", "100000000000"],
+            env=env, capture_output=True, text=True, timeout=10, preexec_fn=limit,
+        )
+        assert done.returncode == 4
+        assert done.stderr == (
+            "error: splice period spans 100000000000 columns (cap 65536)\n"
+        )
+
+
 def test_huge_search_bounds_exit_cleanly(tmp_path):
     # child processes under a 1 GB address-space limit: the guard and the
     # lazy height values must act before any big number or list is built

@@ -9,7 +9,7 @@ import pytest
 
 from sandlab.automaton import apply
 from sandlab.config import Configuration, Tail, equals
-from sandlab.errors import DomainError
+from sandlab.errors import CoreBoundExceeded, DomainError
 from sandlab.rng import Lcg64, sample_configuration
 from sandlab import zoo
 
@@ -166,6 +166,21 @@ def test_splice_preconditions():
     S = zoo.make("S")
     with pytest.raises(DomainError):
         zoo.periodic_splice(S, ZERO, Configuration.finite({0: 1}), 1)
+
+
+def test_splice_refuses_periods_and_blocks_over_the_core_cap(monkeypatch):
+    S = zoo.make("S")
+    pre = Configuration.finite({1: 1, 2: -1})  # windows first repeat 4 apart
+    assert zoo.splice_match_indices(S, pre, ZERO, 1) == (0, 4)
+    monkeypatch.setenv("SANDLAB_MAX_CORE", "3")
+    with pytest.raises(CoreBoundExceeded, match="block spans 4 columns"):
+        zoo.periodic_splice(S, pre, ZERO, 1)
+    with pytest.raises(CoreBoundExceeded, match="period spans 4 columns"):
+        zoo.splice_match_indices(S, pre, ZERO, 4)
+    monkeypatch.setenv("SANDLAB_MAX_CORE", "4")
+    spliced = zoo.periodic_splice(S, pre, ZERO, 1)
+    assert equals(apply(S, spliced), ZERO)
+    assert equals(spliced, Configuration.periodic((0, 1, -1, 0)))
 
 
 def test_rule_tables_match_bundled_files():
