@@ -417,12 +417,11 @@ def check_nilpotent_bounded(
     if steps < 0:
         raise DomainError("step bound must be >= 0")
     cap = _core_cap(max_core)
-    zero = Configuration.finite({}).canonical_key()
+    zero = Configuration.finite({})
     bounds = {"steps": steps}
     current = c
     for step in range(steps + 1):
-        # states after step 0 come from apply, canonical form cached
-        if current.canonical_key() == zero:
+        if equals(current, zero):
             note = "orbit reaches the all-zero configuration"
             if step == 0:
                 note += (

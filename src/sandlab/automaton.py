@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 
-from .config import Configuration, Tail, Value
+from .config import Configuration, Tail, Value, equals
 from .errors import CoreBoundExceeded, DomainError, RuleError
 from .heights import Height, Infinity, MINUS_INF, PLUS_INF
 
@@ -289,6 +289,6 @@ def iterate(
             raise CoreBoundExceeded(
                 f"core grew to {len(c.core)} columns (cap {cap}) at step {n + 1}"
             )
-        if c.canonical_key() == prev.canonical_key():
+        if equals(c, prev):
             break
     return c

@@ -14,14 +14,14 @@ This class of sequences is closed under shifting, uniform raising, and
 under every local rule application in this package, so all operations stay
 exact. Instances are immutable; all operations return new objects.
 
-Equality (`equals`, also wired to ==) is equality of the underlying
-bi-infinite sequences, independent of which representation was used to
-build them. `canonicalize` computes a unique minimal representative per
-sequence; hashes are taken from it.
+`canonicalize` computes a unique minimal representative per sequence.
+Equality (`equals`, also wired to ==) of the underlying bi-infinite
+sequences, whatever representation built them, is one comparison of
+canonical keys; hashes are taken from the same key.
 
 A `Tail` records its effective slope once, when built; `Tail.window` reads
-a run of tail columns as whole period copies, and canonicalization tests
-periodicity and trims core edges on slices of the period word and windows.
+a run of tail columns as whole period copies, and canonicalization works on
+slices of the period word and windows, never on single columns.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import DomainError
-from .heights import Height, Infinity, ext_add, height_sort_key, is_finite
+from .heights import Height, Infinity, ext_add, is_finite
 
 
 def _check_height(v) -> Height:
@@ -99,10 +99,10 @@ class Tail(Value):
         """(at(j), ..., at(j + n - 1)), read as a slice of whole period
         copies with no per-column `at`: a level tail repeats its values,
         and copy q of a sloped tail is each value plus slope * q, which
-        infinities absorb."""
+        infinities absorb. A negative n reads as 0, however large."""
         p = len(self.values)
         if p == 1 and not self.rise:
-            return self.values * n
+            return self.values * max(n, 0)
         q, s = divmod(j, p)
         copies = range(q, q + (s + n) // p + 1)
         if slope := self.rise:
@@ -244,11 +244,6 @@ class Configuration:
             return NotImplemented
         return equals(self, other)
 
-    def __ne__(self, other):
-        if not isinstance(other, Configuration):
-            return NotImplemented
-        return not equals(self, other)
-
     def __hash__(self):
         return hash(self.canonical_key())
 
@@ -283,33 +278,27 @@ class Configuration:
 # -- sequence equality -----------------------------------------------------
 
 
-def aligned_span(x: Configuration, y: Configuration, anchored: bool = True):
+def aligned_span(x: Configuration, y: Configuration):
     """(lo, hi, Ll, Lr) for a pair of configurations.
 
-    Columns lo..hi hold both cores and, when `anchored`, column 0, so left
-    of lo both sequences are pure left tails and right of hi pure right
-    tails. Ll and Lr are the lcm of the two tail periods on each side:
-    beyond the span, every residue class of columns mod Ll (resp. Lr) is an
-    affine progression in each sequence, rising by `Tail.step` per Ll (Lr)
+    Columns lo..hi hold both cores and column 0, so left of lo both
+    sequences are pure left tails and right of hi pure right tails. Ll and
+    Lr are the lcm of the two tail periods on each side: beyond the span,
+    every residue class of columns mod Ll (resp. Lr) is an affine
+    progression in each sequence, rising by `Tail.step` per Ll (Lr)
     columns, or a constant infinity.
     """
-    lo = min(x.core_start, y.core_start)
-    hi = max(x.core_end, y.core_end)
-    if anchored:
-        lo, hi = min(lo, 0), max(hi, 0)
+    lo = min(x.core_start, y.core_start, 0)
+    hi = max(x.core_end, y.core_end, 0)
     Ll = lcm(len(x.left.values), len(y.left.values))
     Lr = lcm(len(x.right.values), len(y.right.values))
     return lo, hi, Ll, Lr
 
 
 def equals(x: Configuration, y: Configuration) -> bool:
-    """True iff x and y denote the same bi-infinite sequence."""
-    # canonical forms are unique per sequence, so when both are cached
-    # their keys decide; no column is reported, so the scan need not
-    # reach column 0
-    if x._canon is not None and y._canon is not None:
-        return x.canonical_key() == y.canonical_key()
-    return _difference(x, y, *aligned_span(x, y, anchored=False)) is None
+    """True iff x and y denote the same bi-infinite sequence: canonical
+    forms are unique per sequence, so their keys decide."""
+    return x.canonical_key() == y.canonical_key()
 
 
 def first_difference(x: Configuration, y: Configuration):
@@ -321,16 +310,15 @@ def first_difference(x: Configuration, y: Configuration):
     first finite column right of hi plus Lr; else, when the left tails do,
     the first finite column left of lo minus Ll.
     """
-    return _difference(x, y, *aligned_span(x, y))
-
-
-def _difference(x, y, lo, hi, Ll, Lr):
+    if equals(x, y):
+        return None
+    lo, hi, Ll, Lr = aligned_span(x, y)
     for cols, xs, ys in aligned_blocks(x, y, lo - Ll, hi + Lr):
         if xs != ys:
             return next(j for j, u, v in zip(cols, xs, ys) if u != v)
-    # Both lcm windows agree, so only a per-window step can still differ;
-    # it shows one window out from the first finite column, which lies
-    # within one period of x's tail.
+    # Both lcm windows agree, so a per-window step differs on one side; it
+    # shows one window out from the first finite column, which lies within
+    # one period of x's tail.
     for tx, ty, edge, d, L in (
         (x.right, y.right, hi, +1, Lr),
         (x.left, y.left, lo, -1, Ll),
@@ -339,7 +327,6 @@ def _difference(x, y, lo, hi, Ll, Lr):
             run = aligned_blocks(x, y, edge + d, edge + d * len(tx.values))
             finite = (j for cols, xs, _ in run for j, v in zip(cols, xs) if is_finite(v))
             return next(finite) + d * L
-    return None
 
 
 BLOCK = 4096  # columns per aligned read: bounds the memory of a comparison
@@ -386,11 +373,8 @@ def support_radius(c: Configuration) -> int:
     cc = c.canonicalize()
     if not is_finite_class(cc):
         raise DomainError("support_radius needs a finite-class configuration")
-    k = 0
-    for off, v in enumerate(cc.core):
-        if v != 0:
-            k = max(k, abs(cc.core_start + off))
-    return k
+    # the canonical core starts and ends on a nonzero column
+    return max(abs(cc.core_start), abs(cc.core_end)) if cc.core else 0
 
 
 def has_infinite_column(c: Configuration) -> bool:
@@ -410,9 +394,9 @@ def has_infinite_column(c: Configuration) -> bool:
 # is unique).
 #
 # Tests run on slices: a word is q-periodic when its last p - q entries equal
-# its first p - q (raised by the slope share when sloped), and each core edge
-# is trimmed against one `Tail.window` read inward over the core. Only the
-# empty-core anchor slide reads single columns.
+# its first p - q (raised by the slope share when sloped), each core edge is
+# trimmed against one `Tail.window` read inward over the core, and an empty
+# core is anchored by one rotation scan or one pl + pr column read per side.
 
 
 def _reduce_tail(tail: Tail) -> Tail:
@@ -453,17 +437,32 @@ def _canonicalize(c: Configuration) -> Configuration:
         # globally affine-periodic: anchor 0 (slope != 0) or the anchor in
         # [0, p) whose period window is least
         base = 0
-        if right.slope == 0:
-            p = len(right.values)
-            key = lambda b: [height_sort_key(v) for v in right.window(b - start, p)]
-            base = min(range(p), key=key)
+        if right.slope == 0:  # the least rotation of the word at 0..p-1
+            base = _least_rotation(right.window(-start, len(right.values)))
         right = right.rebased(base - start)
         return Configuration(base, (), right.mirror(), right)
-    # not globally affine-periodic, so the set of valid anchors is bounded
-    # below; slide to its minimum
-    n = 0
-    while left.at(n) == right.at(-1 - n):
-        n += 1
-        if n == 10**7:  # pragma: no cover
-            raise AssertionError("canonical anchor slide failed to terminate")
+    # not globally affine-periodic: the least valid anchor is where the two
+    # sides part, within pl + pr columns left of the core (sides that agree
+    # that far agree everywhere, by Fine and Wilf)
+    m = len(left.values) + len(right.values)
+    pairs = enumerate(zip(left.window(0, m), reversed(right.window(-m, m))))
+    n = next((k for k, (u, v) in pairs if u != v), m)
+    if n == m:  # pragma: no cover
+        raise AssertionError("the two sides of an empty core never part")
     return Configuration(start - n, (), left.rebased(n), right.rebased(-n))
+
+
+def _least_rotation(s: tuple) -> int:
+    """The start of the least rotation of the primitive height word s, in
+    time linear in len(s): the last Lyndon factor of s + s that starts in s
+    (Duval, "Factorizing words over an ordered alphabet", J. Alg. 1983)."""
+    n, s = len(s), s + s
+    i = start = 0
+    while i < n:
+        start, j, k = i, i + 1, i
+        while j < 2 * n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return start

@@ -282,7 +282,7 @@ def render_ascii(c: Configuration, lo: int, hi: int) -> str:
     MAX_RENDER_CELLS cells are refused.
     """
     if lo > hi:
-        raise ParseError("empty render window")
+        raise DomainError("empty render window")
     _check_render_size(1, hi - lo + 1)
     heights = c.heights(lo, hi)
     finite = [h for h in heights if not isinstance(h, Infinity)]

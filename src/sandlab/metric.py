@@ -9,20 +9,20 @@ gauge at which their difference vectors at position 0 disagree; equal
 configurations are at distance 0.
 
 Distances are kept exact: a Distance is a flag for zero plus the exponent
-l, never a float. The exponent can be astronomically large (it grows with
-the heights involved), so `distance` scans no gauges: a column j gives
-max(|j|, least gauge separating its heights). Past the aligned span around
-column 0, each residue class of the lcm tail period is minimised in closed
-form from its first column, read outward in blocks of `config.BLOCK`
-columns; a class starting at column j never goes below |j|, so each side
-stops once |j| reaches the best candidate.
+l, never a float. Equal canonical keys give 0 at once; otherwise `distance`
+reads the canonical forms and scans no gauges, as the exponent grows with
+the heights: a column j gives max(|j|, least gauge separating its heights).
+Past the aligned span around column 0, each residue class of the lcm of the
+primitive tail periods is minimised in closed form from its first column,
+read outward in `config.BLOCK` column blocks; a class starting at column j
+never goes below |j|, so each side stops once |j| reaches the best candidate.
 """
 
 from __future__ import annotations
 
 from functools import total_ordering
 
-from .config import Configuration, Value, aligned_blocks, aligned_span
+from .config import Configuration, Value, aligned_blocks, aligned_span, equals
 from .errors import DomainError
 from .heights import Height, Infinity, PLUS_INF
 
@@ -87,9 +87,12 @@ def _separating_gauge(u: Height, v: Height, m: int):
 
 def distance(x: Configuration, y: Configuration) -> Distance:
     """Exact distance 2^-l, where l is the least gauge whose difference
-    vectors at position 0 disagree. Reads the span of `aligned_span`, then
+    vectors at position 0 disagree. Reads the canonical forms' span, then
     each side's residue classes outward in bounded blocks, up to the first
     class start j with |j| >= the best candidate so far."""
+    if equals(x, y):
+        return Distance.zero()
+    x, y = x.canonicalize(), y.canonicalize()
     lo, hi, Ll, Lr = aligned_span(x, y)
     x0 = x.height(0)
     if x0 != y.height(0):
@@ -103,8 +106,7 @@ def distance(x: Configuration, y: Configuration) -> Distance:
     # per configuration; minimise each in closed form from its first column.
     best = _outward_minimum(x, y, x.right, y.right, hi + 1, hi + Lr, m, best)
     best = _outward_minimum(x, y, x.left, y.left, lo - 1, lo - Ll, m, best)
-    # no column and no residue class separates them
-    return Distance.zero() if best is None else Distance.dyadic(best)
+    return Distance.dyadic(best)
 
 
 def _outward_minimum(x, y, tx, ty, first, last, m, best):

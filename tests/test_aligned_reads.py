@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import sandlab
 from sandlab import metric
@@ -58,6 +59,31 @@ def test_period_one_window_matches_per_column_reads():
         for j in (-9, -1, 0, 1, 4):
             for n in (-2, 0, 1, 2, 5, 13):
                 assert t.window(j, n) == naive_window(t, j, n), (t, j, n)
+
+
+def test_far_windows_match_per_column_reads():
+    """A read wholly on the far side of the core hands `Tail.window` a
+    negative run length, however large, which reads as empty."""
+    tails = (Tail((0,)), Tail((PLUS_INF,)), Tail((-4,), 3), Tail((2, MINUS_INF, 5), -1))
+    for left in tails:
+        for right in tails:
+            c = Configuration(-2, (7, 8, 9), left, right)
+            for lo in (10**19, -10**19 - 5, 10**40, -3 * 10**40):
+                assert c.heights(lo, lo + 5) == tuple(map(c.height, range(lo, lo + 6)))
+            assert left.window(3, -10**19) == ()
+
+
+def test_two_spellings_of_a_long_period_compare_at_once():
+    # a 101-column word repeated 997 and 991 times: every lcm window has
+    # 99,790,727 columns, yet equal keys decide before any of them is read
+    word = _word(Lcg64(101), 101, infinities=False)
+    for compare, equal in (
+        (equals, True), (first_difference, None), (distance, metric.Distance.zero()),
+    ):
+        x, y = Configuration.periodic(word * 997), Configuration.periodic(word * 991)
+        start = time.perf_counter()
+        assert compare(x, y) == equal
+        assert time.perf_counter() - start < 0.1
 
 
 def _spelt_out(tail, copies, bump=None):

@@ -16,8 +16,10 @@ import pytest
 
 import sandlab
 from sandlab import cli, witnesses
+from sandlab.automaton import apply_window
 from sandlab.config import Configuration, equals
 from sandlab.formats import parse_config_file
+from sandlab.zoo import make
 
 
 def run_cli(argv, capsys):
@@ -92,6 +94,18 @@ def test_render_window_and_dump(capsys):
     assert "dump v1" in out
     assert "window: -2 3" in out
     assert "heights: 0 0 2 2 2 2" in out
+
+
+def test_far_render_windows_draw_the_flat_background(capsys):
+    flat = "      \n------\n      \n"
+    for lo in ("10000000000000000000", "-10000000000000000005"):
+        argv = ["render", "--config", cfg("two-grain-column"), "--window", lo, str(int(lo) + 5)]
+        assert run_cli(argv, capsys) == (0, flat, "")
+
+
+def test_empty_render_window_is_a_domain_error(capsys):
+    argv = ["render", "--config", cfg("two-grain-column"), "--window", "1", "-1"]
+    assert run_cli(argv, capsys) == (1, "", "error: empty render window\n")
 
 
 def test_distance_output(capsys):
@@ -473,6 +487,39 @@ def test_huge_search_bounds_exit_cleanly(tmp_path):
         )
         assert done.returncode == code, done.stderr
         assert needle in done.stdout + done.stderr
+
+
+def test_long_periods_and_far_cores_end_at_once(tmp_path):
+    # child processes under a 1 GB address-space limit: canonical forms take
+    # time linear in the core plus the periods, and equal keys decide before
+    # any column between two cores 10^30 apart is read
+    word = [(i * i) % 7 - 3 for i in range(99991)]
+    long = tmp_path / "long.cfg"
+    long.write_text("sand-config v1\nkind: periodic\nperiod: " + " ".join(map(str, word)) + "\n")
+    zero = tmp_path / "zero.cfg"
+    zero.write_text("sand-config v1\nkind: finite\n")
+    far = tmp_path / "far.cfg"
+    far.write_text(
+        f"sand-config v1\nkind: general\ncore-start: {10**30}\ncore: 0\n"
+        "left-period: 0\nleft-slope: 0\nright-period: 0\nright-slope: 0\n"
+    )
+    src = os.path.dirname(os.path.dirname(sandlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    image = apply_window(make("S"), Configuration.periodic(word), 0, len(word) - 1)
+    for argv, code, check in (
+        (["simulate", "--rule", "S", "--config", str(long), "--steps", "1"], 0,
+         lambda out: parse_config_file(out).heights(0, len(word) - 1) == image),
+        (["distance", str(zero), str(far)], 0, lambda out: out == "0\n"),
+        (["verify-witness", "--rule", "S", "--config-a", str(zero), "--config-b", str(far)],
+         3, lambda out: "valid pair: False" in out),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "sandlab.cli", *argv], env=env,
+            capture_output=True, text=True, timeout=10, preexec_fn=limit,
+        )
+        assert (done.returncode, done.stderr) == (code, ""), argv
+        assert check(done.stdout), argv
 
 
 def test_huge_rule_radius_exits_on_its_line(tmp_path):

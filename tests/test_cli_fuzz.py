@@ -160,6 +160,13 @@ def test_every_argv_ends_in_a_documented_exit(name, paths, data):
 GLIDER = witnesses.path_of("two-grain-column.cfg")
 ITEM_4 = "ROADMAP item 4: a drifting orbit runs every step"
 ITEM_2 = "ROADMAP item 2: the F pre-image walk tries every height"
+ITEM_5 = "ROADMAP item 5: an unequal pair scans every column between its cores"
+#: files the child processes read, written to a temporary folder as $TMP/<name>
+FILES = {
+    "zero.cfg": "kind: finite\n",
+    "far-one.cfg": f"kind: general\ncore-start: {10**30}\ncore: 1\n"
+                   "left-period: 0\nleft-slope: 0\nright-period: 0\nright-slope: 0\n",
+}
 UNBOUNDED = {
     "simulate-L-glider": (
         ["simulate", "--rule", "L", "--config", GLIDER, "--steps", HUGE], ITEM_4),
@@ -168,19 +175,24 @@ UNBOUNDED = {
     "check-surjective-F-huge-height": (
         ["check-surjective", "--rule", "S", "--target", GLIDER, "--class", "F",
          "--window", "2", "--height", HUGE], ITEM_2),
+    "distance-far-core": (["distance", "$TMP/zero.cfg", "$TMP/far-one.cfg"], ITEM_5),
 }
 
 
 @pytest.fixture(scope="module")
-def unbounded_runs():
+def unbounded_runs(tmp_path_factory):
     """The UNBOUNDED argvs, started together as child processes under a
     1 GB address-space limit; each has 5 s from the start to end."""
+    root = tmp_path_factory.mktemp("unbounded")
+    for name, body in FILES.items():
+        (root / name).write_text(CONFIG_HEADER + "\n" + body)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sandlab.__file__)))
     env.pop("SANDLAB_MAX_CORE", None)
     limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
     runs = {
         key: subprocess.Popen(
-            [sys.executable, "-m", "sandlab.cli", *argv], env=env, preexec_fn=limit,
+            [sys.executable, "-m", "sandlab.cli", *(a.replace("$TMP", str(root)) for a in argv)],
+            env=env, preexec_fn=limit,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         for key, (argv, _) in UNBOUNDED.items()

@@ -6,6 +6,9 @@ on canonicalization being a true normal form. These tests pin that down
 with hand-computed sequences and randomized rebuild round-trips.
 """
 
+import itertools
+import time
+
 import pytest
 
 from sandlab import zoo
@@ -328,6 +331,67 @@ def test_reducible_sloped_words_reduce_as_the_reference():
                 assert _fields(c.canonicalize()) == _fields(naive_canonical_form(c))
 
 
+def _primitive_words():
+    """Seeded primitive words of length 2-64 over small alphabets of
+    negatives, positives and infinities, plus words on which a least-rotation
+    scan has to restart after a long partial match."""
+    words = [
+        (0, 0, 1, 0, 0, 1, 0, 0, 2), (0, 0, 1, 0, 0, 1, 0, 0, 0),
+        (1, 0, 1, 1, 0, 1, 0), (0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0),
+        (2, 2, 1, 2, 2, 1, 2, 2, 1, 2), (MINUS_INF, 0, MINUS_INF, 0, MINUS_INF, -1),
+        (PLUS_INF, -3, PLUS_INF, -3, PLUS_INF, -3, PLUS_INF),
+    ]
+    pool = (-2, -1, 0, 1, 3, PLUS_INF, MINUS_INF)
+    rng = Lcg64(1980)
+    while len(words) < 400:
+        alphabet = [pool[rng.below(len(pool))] for _ in range(1 + rng.below(4))]
+        word = tuple(alphabet[rng.below(len(alphabet))] for _ in range(2 + rng.below(63)))
+        if len(naive_reduced_tail(Tail(word)).values) == len(word):
+            words.append(word)
+    return words
+
+
+def test_periodic_anchor_is_the_least_rotation_of_the_reference():
+    """A globally periodic sequence is anchored at its least period window,
+    as the reference's min over all rotations anchors it, however far it
+    was shifted."""
+    for word in _primitive_words():
+        for k in (0, len(word) - 1, -10**15 - 7):
+            c = Configuration.periodic(word).shift(k)
+            assert _fields(c.canonicalize()) == _fields(naive_canonical_form(c)), c
+
+
+def test_empty_core_anchor_matches_the_reference():
+    """Every pair of small level and sloped tails around an empty core, so
+    that the two sides agree for as long as two periods allow before they
+    part, or agree everywhere."""
+    checked = 0
+    for alphabet, longest, slopes in (((0, 1), 5, (0, 1)), ((0, 1, MINUS_INF), 3, (0, -1))):
+        words = [w for p in range(1, longest + 1) for w in itertools.product(alphabet, repeat=p)]
+        for left in words:
+            for right in words:
+                for sl, sr in itertools.product(slopes, repeat=2):
+                    c = Configuration(3, (), Tail(left, sl), Tail(right, sr))
+                    assert _fields(c.canonicalize()) == _fields(naive_canonical_form(c)), c
+                    checked += 1
+    assert checked > 20000
+
+
+def test_a_long_primitive_period_canonicalizes_at_once():
+    # (0 0 1) repeated, then one 0: the least rotation starts at that last
+    # 0, the one place where three 0s meet
+    word = (0, 0, 1) * 33330 + (0,)
+    start = time.perf_counter()
+    canon = Configuration.periodic(word).canonicalize()
+    assert time.perf_counter() - start < 1
+    assert canon.core_start == 99990 and canon.right.values == (0,) + word[:-1]
+    rng = Lcg64(99991)
+    word = tuple(rng.int_between(-3, 3) for _ in range(99991))
+    start = time.perf_counter()
+    Configuration.periodic(word).shift(10**12).canonicalize()
+    assert time.perf_counter() - start < 1
+
+
 def test_canonicalizing_an_apply_image_reads_no_single_column(monkeypatch):
     """The edge trims and the tail reduction read whole windows: building
     and canonicalizing an image whose canonical core is not empty makes no
@@ -585,6 +649,10 @@ def test_support_radius():
     assert support_radius(Configuration.finite({})) == 0
     assert support_radius(Configuration.finite({0: 1})) == 0
     assert support_radius(Configuration.finite({-4: 1, 2: 5})) == 4
+    # cores padded with zero columns, infinite columns, cores off column 0
+    assert support_radius(Configuration(-9, (0, 0, 3, 0, PLUS_INF, 0))) == 7
+    assert support_radius(Configuration(4, (0, MINUS_INF, 0, 0, 2, 0))) == 8
+    assert support_radius(Configuration(5, (0, 0))) == 0
 
 
 def test_heights_window():

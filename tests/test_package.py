@@ -133,6 +133,7 @@ def test_canonical_form_is_cached_once():
     assert canon.core == (1,) and canon.core_start == 2
     fresh = Configuration.finite({2: 1})
     assert fresh._canon is None
-    assert equals(c, fresh) and fresh._canon is None
+    # equality compares canonical keys, so it caches both canonical forms
+    assert equals(c, fresh) and c._canon is canon and fresh._canon is not None
     fresh.canonicalize()
     assert equals(c, fresh) and c == fresh and hash(c) == hash(fresh)
