@@ -401,17 +401,28 @@ def has_infinite_column(c: Configuration) -> bool:
 
 def _reduce_tail(tail: Tail) -> Tail:
     """The primitive period of the tail, with slope 0 when no entry is
-    finite; the tail itself when it already is one."""
+    finite; the tail itself when it already is one.
+
+    The periods of the word that divide p = len(values) are the multiples
+    of the least one, so stripping each prime factor f of p while the word
+    keeps period q // f ends at the least period after O(log p) compares."""
     vs, slope = tail.values, tail.rise
-    p = len(vs)
-    for q in range(1, p):
-        if p % q or (slope * q) % p:
-            continue
-        t = slope * q // p
-        if (all(w == ext_add(v, t) for v, w in zip(vs, vs[q:])) if t
-                else vs[q:] == vs[:-q]):
-            return Tail(vs[:q], t)
-    return tail if slope == tail.slope else Tail(vs, slope)
+    p = q = n = len(vs)
+    f = 2
+    while n > 1:
+        if f * f > n:
+            f = n  # what is left of n is prime
+        kept = True
+        while n % f == 0:
+            n, d = n // f, q // f
+            t, frac = divmod(slope * d, p)
+            kept = kept and not frac and (
+                all(w == ext_add(v, t) for v, w in zip(vs, vs[d:])) if t
+                else vs[d:] == vs[:-d])
+            if kept:
+                q = d
+        f += 1
+    return tail if q == p and slope == tail.slope else Tail(vs[:q], slope * q // p)
 
 
 def _canonicalize(c: Configuration) -> Configuration:

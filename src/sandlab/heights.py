@@ -97,10 +97,3 @@ def ext_add(value: Height, delta: int) -> Height:
     if isinstance(value, Infinity):
         return value
     return value + delta
-
-
-def height_sort_key(value: Height):
-    """Total-order key: MINUS_INF < all ints < PLUS_INF."""
-    if isinstance(value, Infinity):
-        return (value.sign, 0)
-    return (0, value)

@@ -1,6 +1,7 @@
-"""A small zoo of named rule tables plus constructive witness builders.
+"""A small zoo of named automata plus constructive witness builders.
 
-The five automata:
+The five automata; each table lives only in its bundled rule file
+`witnesses/<name>.rule`, which `make(name)` reads:
 
   S   radius 1, the sandpile rule: a grain falls off any column that reads
       +infinity on its left and not -infinity on its right, and lands on
@@ -25,15 +26,8 @@ from __future__ import annotations
 
 import bisect
 
-from .automaton import (
-    NEG,
-    POS,
-    SandAutomaton,
-    WILDCARD,
-    _core_cap,
-    apply,
-    validate_rule,
-)
+from . import witnesses
+from .automaton import SandAutomaton, _core_cap, apply
 from .config import (
     Configuration,
     Tail,
@@ -43,79 +37,35 @@ from .config import (
     support_radius,
 )
 from .errors import CoreBoundExceeded, DomainError, InternalConsistencyError
-from .heights import MINUS_INF, PLUS_INF
 
-_W = WILDCARD
-
-
-def make_S() -> SandAutomaton:
-    return validate_rule(
-        1,
-        [
-            ((PLUS_INF, MINUS_INF), 0),
-            ((PLUS_INF, _W), +1),
-            ((_W, MINUS_INF), -1),
-        ],
-        0,
-    )
-
-
-def make_Sr() -> SandAutomaton:
-    """S with every arrow reversed: each delta and the default negated."""
-    S = make_S()
-    rules = [(rule.pattern, -rule.delta) for rule in S.rules]
-    return validate_rule(S.radius, rules, -S.default_delta)
-
-
-def make_L() -> SandAutomaton:
-    return validate_rule(
-        1,
-        [
-            ((NEG, _W), -1),
-            ((POS, _W), +1),
-        ],
-        0,
-    )
-
-
-def make_X() -> SandAutomaton:
-    return validate_rule(
-        2,
-        [
-            ((PLUS_INF, _W, _W, _W), -1),
-            ((2, _W, _W, _W), -1),
-            ((1, -1, _W, _W), -1),
-            ((1, -2, _W, _W), -1),
-            ((1, MINUS_INF, _W, _W), -1),
-            ((0, -2, _W, _W), -1),
-            ((0, MINUS_INF, _W, _W), -1),
-        ],
-        0,
-    )
-
-
-def make_Y() -> SandAutomaton:
-    return validate_rule(
-        2,
-        [
-            ((PLUS_INF, _W, _W, _W), -1),
-            ((2, _W, _W, _W), -1),
-            ((1, _W, _W, _W), -1),
-            ((0, _W, _W, _W), -1),
-            ((-1, MINUS_INF, _W, _W), -1),
-        ],
-        0,
-    )
-
-
-ZOO = {"S": make_S, "Sr": make_Sr, "L": make_L, "X": make_X, "Y": make_Y}
+ZOO = ("S", "Sr", "L", "X", "Y")
 
 
 def make(name: str) -> SandAutomaton:
-    try:
-        return ZOO[name]()
-    except KeyError:
+    """The named zoo automaton, read from its bundled rule file."""
+    if name not in ZOO:
         raise DomainError(f"unknown zoo automaton {name!r}; have {sorted(ZOO)}")
+    return witnesses.load_rule(name)
+
+
+def make_S() -> SandAutomaton:
+    return make("S")
+
+
+def make_Sr() -> SandAutomaton:
+    return make("Sr")
+
+
+def make_L() -> SandAutomaton:
+    return make("L")
+
+
+def make_X() -> SandAutomaton:
+    return make("X")
+
+
+def make_Y() -> SandAutomaton:
+    return make("Y")
 
 
 # -- explicit pre-image for L ------------------------------------------------
@@ -187,7 +137,8 @@ def crown_lift(c1: Configuration, c2: Configuration, automaton: SandAutomaton):
     of (2k + 2r + 1)-periodic configurations that repeat each input's
     central window [-k, k] padded with zero columns, k being the larger
     support radius. The copies are too far apart to see each other, so the
-    images again agree and the pair is a periodic-class collision.
+    images again agree and the pair is a periodic-class collision. A period
+    longer than the core cap raises CoreBoundExceeded before it is read.
     """
     if not (is_finite_class(c1) and is_finite_class(c2)):
         raise DomainError("crown padding needs finite-class configurations")
@@ -197,6 +148,9 @@ def crown_lift(c1: Configuration, c2: Configuration, automaton: SandAutomaton):
         raise DomainError("crown padding needs a colliding pair")
     k = max(support_radius(c1), support_radius(c2))
     r = automaton.radius
+    period, cap = 2 * (k + r) + 1, _core_cap(None)
+    if period > cap:
+        raise CoreBoundExceeded(f"crown period spans {period} columns (cap {cap})")
     window = range(-(k + r), k + r + 1)
 
     def lift(c):

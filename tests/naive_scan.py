@@ -28,7 +28,7 @@ from math import lcm
 from sandlab.automaton import NEG, POS, WILDCARD, window_image
 from sandlab.config import Configuration, Tail
 from sandlab.errors import DomainError
-from sandlab.heights import Height, Infinity, MINUS_INF, PLUS_INF, height_sort_key
+from sandlab.heights import Height, Infinity, MINUS_INF, PLUS_INF
 from sandlab.metric import Distance, _class_minimum, _separating_gauge
 
 
@@ -188,9 +188,7 @@ def naive_canonical_form(c: Configuration) -> Configuration:
     if left == _naive_mirror(right):
         base = 0
         if right.slope == 0:
-            window = lambda b: [
-                height_sort_key(v) for v in naive_window(right, b - start, len(right.values))
-            ]
+            window = lambda b: naive_window(right, b - start, len(right.values))
             base = min(range(len(right.values)), key=window)
         right = _naive_rebased(right, base - start)
         return Configuration(base, (), _naive_mirror(right), right)

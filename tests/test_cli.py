@@ -464,6 +464,27 @@ def test_splice_refuses_periods_over_the_core_cap():
         )
 
 
+def test_crown_refuses_periods_over_the_core_cap(tmp_path):
+    # child processes under a 1 GB address-space limit: a far support asks
+    # for a 2k + 2r + 1 column period, refused before any column is read
+    src = os.path.dirname(os.path.dirname(sandlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SANDLAB_MAX_CORE", None)
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    for far in (10**6, 10**12):
+        b = tmp_path / f"far-{far}.cfg"
+        b.write_text(f"sand-config v1\nkind: finite\nat {far} 1\nat {far + 1} -1\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "sandlab.cli", "crown", "--rule", "S",
+             "--config-a", cfg("sandpile-collision-a"), "--config-b", str(b)],
+            env=env, capture_output=True, text=True, timeout=5, preexec_fn=limit,
+        )
+        assert (done.returncode, done.stdout) == (4, "")
+        assert done.stderr == (
+            f"error: crown period spans {2 * far + 5} columns (cap 65536)\n"
+        )
+
+
 def test_huge_search_bounds_exit_cleanly(tmp_path):
     # child processes under a 1 GB address-space limit: the guard and the
     # lazy height values must act before any big number or list is built

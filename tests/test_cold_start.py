@@ -68,8 +68,9 @@ def test_cold_run_matches_in_process(argv, capsys):
     assert done.stdout
 
 
-def loaded_by(statements: str) -> set:
-    """Modules a fresh interpreter loads while running `statements`."""
+def loaded_by(statements: str, *flags: str) -> set:
+    """Modules a fresh interpreter, started with `flags`, loads while
+    running `statements`."""
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -77,7 +78,7 @@ def loaded_by(statements: str) -> set:
         "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", probe], env=ENV, capture_output=True, text=True,
+        [sys.executable, *flags, "-c", probe], env=ENV, capture_output=True, text=True,
         timeout=60, check=True,
     )
     return set(done.stderr.split())
@@ -98,6 +99,13 @@ def test_simple_subcommands_skip_the_searches(argv):
     assert "sandlab.analysis" not in loaded
     assert "sandlab.rng" not in loaded
     assert ("sandlab.metric" in loaded) == (argv[0] == "distance")
+
+
+def test_zoo_reads_its_rule_file_without_importlib_resources():
+    # -S skips `site`, which may import importlib.resources on its own
+    loaded = loaded_by('import sandlab.cli\nsandlab.cli.main(["zoo", "S"])', "-S")
+    assert "sandlab.witnesses" in loaded
+    assert "importlib.resources" not in loaded
 
 
 def test_search_subcommands_load_analysis_on_demand():

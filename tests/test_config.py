@@ -331,6 +331,37 @@ def test_reducible_sloped_words_reduce_as_the_reference():
                 assert _fields(c.canonicalize()) == _fields(naive_canonical_form(c))
 
 
+def test_reduced_tails_at_highly_composite_lengths_match_the_reference():
+    """Seeded words of length 720 and 5,040 spelt out from a base word of a
+    divisor length, level and sloped, with infinite entries, some of them
+    one entry off the pattern."""
+    pool = (-1, 0, 2, PLUS_INF, MINUS_INF)
+    rng = Lcg64(2004)
+    for p in (720, 5040):
+        divisors = [d for d in range(1, p + 1) if p % d == 0]
+        for _ in range(16):
+            q = divisors[rng.below(len(divisors))]
+            word = tuple(pool[rng.below(len(pool))] for _ in range(q))
+            rise = rng.below(5) - 2
+            values = list(Tail(word, rise).window(0, p))
+            if rng.below(3) == 0:
+                k = rng.below(p)
+                values[k] = 7 if values[k] in (PLUS_INF, MINUS_INF) else PLUS_INF
+            t = Tail(values, rise * (p // q))
+            got, want = _reduce_tail(t), naive_reduced_tail(t)
+            assert (got.values, got.slope) == (want.values, want.slope)
+
+
+def test_reduced_tail_of_a_long_word_takes_period_time():
+    """A random level word of length 720,720, which has 240 divisors, is
+    reduced by stripping prime factors, not by trying every divisor."""
+    rng = Lcg64(7)
+    t = Tail(tuple(rng.below(3) for _ in range(720720)))
+    start = time.perf_counter()
+    assert _reduce_tail(t) is t
+    assert time.perf_counter() - start < 0.5
+
+
 def _primitive_words():
     """Seeded primitive words of length 2-64 over small alphabets of
     negatives, positives and infinities, plus words on which a least-rotation

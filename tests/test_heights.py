@@ -6,7 +6,6 @@ from sandlab.heights import (
     MINUS_INF,
     PLUS_INF,
     ext_add,
-    height_sort_key,
     is_finite,
 )
 
@@ -56,7 +55,7 @@ def test_ext_add():
 
 def test_sort_key_orders_all_values():
     values = [PLUS_INF, 3, MINUS_INF, -1, 0]
-    ordered = sorted(values, key=height_sort_key)
+    ordered = sorted(values)
     assert ordered == [MINUS_INF, -1, 0, 3, PLUS_INF]
 
 

@@ -1,6 +1,7 @@
 """The lazily loaded package surface and the value classes."""
 
 import importlib
+import pathlib
 
 import pytest
 
@@ -33,6 +34,8 @@ EXPORTS = {
         make_Y periodic_splice splice_match_indices""",
 }
 SUBMODULES = [*EXPORTS, "cli", "witnesses"]
+#: lines in src/sandlab/*.py, the count ROADMAP aim 2 tracks
+SOURCE_BUDGET = 2665
 
 
 def test_exported_names_resolve_to_their_submodule_objects():
@@ -137,3 +140,13 @@ def test_canonical_form_is_cached_once():
     assert equals(c, fresh) and c._canon is canon and fresh._canon is not None
     fresh.canonicalize()
     assert equals(c, fresh) and c == fresh and hash(c) == hash(fresh)
+
+
+def test_source_stays_within_budget():
+    package = pathlib.Path(sandlab.__file__).parent
+    lines = sum(path.read_text(encoding="utf-8").count("\n") for path in package.glob("*.py"))
+    assert lines <= SOURCE_BUDGET, (
+        f"src/sandlab/*.py has {lines} lines, over the budget of {SOURCE_BUDGET}. "
+        "Only a change that adds a capability may raise the budget, and it must "
+        "say why in CHANGES.md (ROADMAP aim 2)."
+    )

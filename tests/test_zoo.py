@@ -10,8 +10,9 @@ import pytest
 from sandlab.automaton import apply
 from sandlab.config import Configuration, Tail, equals
 from sandlab.errors import CoreBoundExceeded, DomainError
+from sandlab.heights import PLUS_INF
 from sandlab.rng import Lcg64, sample_configuration
-from sandlab import zoo
+from sandlab import witnesses, zoo
 
 ZERO = Configuration.finite({})
 
@@ -118,7 +119,7 @@ def test_L_preimage_random_round_trip():
 
 def test_L_preimage_rejects_infinite_columns():
     with pytest.raises(DomainError):
-        zoo.build_L_preimage(Configuration.finite({0: zoo.PLUS_INF}))
+        zoo.build_L_preimage(Configuration.finite({0: PLUS_INF}))
 
 
 def test_crown_lift_of_sandpile_pair():
@@ -183,8 +184,6 @@ def test_splice_refuses_periods_and_blocks_over_the_core_cap(monkeypatch):
     assert equals(spliced, Configuration.periodic((0, 1, -1, 0)))
 
 
-def test_rule_tables_match_bundled_files():
-    from sandlab import witnesses
-
-    for name in ("S", "Sr", "L", "X", "Y"):
-        assert witnesses.load_rule(name) == zoo.make(name)
+def test_zoo_is_exactly_the_bundled_rule_files():
+    rules = [name for name, kind in witnesses.available().items() if kind == "rule"]
+    assert sorted(name + ".rule" for name in zoo.ZOO) == rules
