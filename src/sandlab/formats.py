@@ -1,6 +1,6 @@
-"""Versioned text formats for rules and configurations, plus rendering.
+"""Versioned text formats for rules, configurations and dumps, plus rendering.
 
-Both formats are line-oriented, diff-friendly, and round-trip exactly:
+The formats are line-oriented, diff-friendly, and round-trip exactly:
 emitting a parsed file and re-parsing it reproduces the same structure.
 
 Rule files:
@@ -30,10 +30,14 @@ Configuration files:
     right-period: 3 1
     right-slope: 0
 
-`#` starts a comment; blank lines are ignored. A `key:` line may appear
-once, and a configuration file takes only the lines of its kind; only
-`rule:` and `at` lines repeat (a later `at` line for a column wins).
-Anything else is a ParseError that names its line.
+One grammar serves all three formats, dumps (`emit_dump`) included: `#`
+starts a comment, blank lines are ignored, the first line left is the
+header, and every other line is `key: value`, keyed by the text before its
+first colon with spaces stripped, or `at col height`. Only `rule:` and `at`
+lines repeat (a later `at` line for a column wins), and a configuration
+file takes only its kind's lines. Anything else is a ParseError naming its
+line. Refusals come in order: the header, each line as read, then missing
+lines, then values (a configuration checks its kind, then each field).
 """
 
 from __future__ import annotations
@@ -49,71 +53,57 @@ DUMP_HEADER = "dump v1"
 MAX_RENDER_CELLS = 10**6
 
 
-def _strip_lines(text):
-    """(line_number, content) for every meaningful line."""
-    out = []
-    for num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((num, line))
-    return out
+def _keyed_lines(text, header, keys=None, repeats=()):
+    """Yield (line number, key, value) lazily for the lines after `header`;
+    refuse a repeated key not in `repeats`, and one not in `keys` if given."""
+    lines = ((num, line) for num, raw in enumerate(text.splitlines(), start=1)
+             if (line := raw.split("#", 1)[0].strip()))
+    num, line = next(lines, (1, ""))
+    if line != header:
+        raise ParseError(f"missing header {header!r}", num)
+    seen = set()
+    for num, line in lines:
+        key, colon, value = line.partition(":")
+        key = key.strip() if colon and key.strip() != "at" else None
+        if line.startswith("at "):  # the one key written without a colon
+            key, value = "at", line[3:]
+        if key is None or (keys is not None and key not in keys):
+            raise ParseError(f"unrecognised line {line!r}", num)
+        if key in seen and key not in repeats:
+            raise ParseError(f"repeated '{key}:' line", num)
+        seen.add(key)
+        yield num, key, value.strip()
 
 
-def _parse_height(token, line):
-    if token == "+inf":
-        return PLUS_INF
-    if token == "-inf":
-        return MINUS_INF
-    return _parse_int(token, line, "height")
+#: the tokens that are not integers; heights take only the infinities
+_TOKENS = {"+inf": PLUS_INF, "-inf": MINUS_INF, "*": WILDCARD, "pos": POS, "neg": NEG}
+_SPELLINGS = {value: token for token, value in _TOKENS.items()}
+
+
+def _parse_height(token, line, tokens=("+inf", "-inf")):
+    """A height token, or with `tokens=_TOKENS` a rule atom token."""
+    return _TOKENS[token] if token in tokens else _parse_int(token, line, "height")
 
 
 def format_height(value) -> str:
-    if value is PLUS_INF:
-        return "+inf"
-    if value is MINUS_INF:
-        return "-inf"
-    return str(value)
+    """The token of a height or a rule atom."""
+    return str(value) if isinstance(value, int) else _SPELLINGS[value]
 
 
 # -- rule files ---------------------------------------------------------------
 
-_ATOM_MARKERS = {"*": WILDCARD, "pos": POS, "neg": NEG}
-
-
-def _parse_atom(token, line):
-    if token in _ATOM_MARKERS:
-        return _ATOM_MARKERS[token]
-    return _parse_height(token, line)
-
-
-def _format_atom(atom) -> str:
-    if atom is WILDCARD:
-        return "*"
-    if atom is POS:
-        return "pos"
-    if atom is NEG:
-        return "neg"
-    return format_height(atom)
-
 
 def parse_rule_file(text: str) -> SandAutomaton:
-    lines = _strip_lines(text)
-    if not lines or lines[0][1] != RULE_HEADER:
-        raise ParseError(f"missing header {RULE_HEADER!r}", lines[0][0] if lines else 1)
     values = {"default": 0}
     raw_rules = []
     where = {}  # RuleError.part -> line number
-    for num, line in lines[1:]:
-        if line.startswith(("radius:", "default:")):
-            key, value = line.split(":", 1)
-            if key in where:
-                raise ParseError(f"repeated '{key}:' line", num)
+    for num, key, value in _keyed_lines(text, RULE_HEADER, ("radius", "default", "rule"),
+                                        ("rule",)):
+        if key == "rule":
+            raw_rules.append((num, value))
+        else:
             values[key] = _parse_int(value, num)
             where[key] = num
-        elif line.startswith("rule:"):
-            raw_rules.append((num, line[len("rule:"):].strip()))
-        else:
-            raise ParseError(f"unrecognised line {line!r}", num)
     if "radius" not in values:
         raise ParseError("missing 'radius:' line")
     rules = []
@@ -125,8 +115,8 @@ def parse_rule_file(text: str) -> SandAutomaton:
         pat_text = pat_text.strip()
         if not (pat_text.startswith("(") and pat_text.endswith(")")):
             raise ParseError("pattern must be parenthesised", num)
-        tokens = [t.strip() for t in pat_text[1:-1].split(",") if t.strip()]
-        pattern = tuple(_parse_atom(t, num) for t in tokens)
+        atoms = pat_text[1:-1].split(",") if pat_text[1:-1].strip() else []
+        pattern = tuple(_parse_height(t.strip(), num, _TOKENS) for t in atoms)
         rules.append((pattern, _parse_int(delta_text, num)))
     try:
         return validate_rule(values["radius"], rules, values["default"])
@@ -150,7 +140,7 @@ def _parse_int(token, line, what="integer"):
 def emit_rule_file(automaton: SandAutomaton) -> str:
     out = [RULE_HEADER, f"radius: {automaton.radius}", f"default: {automaton.default_delta}"]
     for rule in automaton.rules:
-        atoms = ", ".join(_format_atom(a) for a in rule.pattern)
+        atoms = ", ".join(map(format_height, rule.pattern))
         out.append(f"rule: ({atoms}) -> {rule.delta}")
     return "\n".join(out) + "\n"
 
@@ -169,44 +159,29 @@ _KIND_KEYS = {
 
 
 def parse_config_file(text: str) -> Configuration:
-    lines = _strip_lines(text)
-    if not lines or lines[0][1] != CONFIG_HEADER:
-        raise ParseError(f"missing header {CONFIG_HEADER!r}", lines[0][0] if lines else 1)
-    fields = {}
+    fields = {}  # key -> (value, line number) of its first line
     ats = []
-    keyed = []  # (line number, key) of every line, "at" for an 'at' line
-    for num, line in lines[1:]:
-        if line.startswith("at "):
-            parts = line.split()
-            if len(parts) != 3:
+    for num, key, value in _keyed_lines(text, CONFIG_HEADER, repeats=("at",)):
+        if key == "at":
+            parts = value.split()
+            if len(parts) != 2:
                 raise ParseError("'at' needs a column and a height", num)
-            ats.append((_parse_int(parts[1], num), _parse_height(parts[2], num)))
-            keyed.append((num, "at"))
-        elif ":" in line:
-            key, value = line.split(":", 1)
-            key = key.strip()
-            if key in fields:
-                raise ParseError(f"repeated '{key}:' line", num)
-            fields[key] = (num, value.strip())
-            keyed.append((num, key))
-        else:
-            raise ParseError(f"unrecognised line {line!r}", num)
-    if "kind" not in fields:
-        raise ParseError("missing 'kind:' line")
-    num, kind = fields["kind"]
-    if kind not in _KIND_KEYS:
-        raise ParseError(f"unknown kind {kind!r}", num)
-    for num, key in keyed:
-        if key not in _KIND_KEYS[kind]:
-            raise ParseError(f"kind {kind} takes no {key!r} line", num)
+            ats.append((_parse_int(parts[0], num), _parse_height(parts[1], num)))
+        fields.setdefault(key, (value, num))
 
     def field(key, parse, default=None):
-        if key not in fields:
-            if default is None:
-                raise ParseError(f"missing '{key}:' line")
-            return default
-        num, value = fields[key]
-        return parse(value, num)
+        if key in fields:
+            return parse(*fields[key])
+        if default is None:
+            raise ParseError(f"missing '{key}:' line")
+        return default
+
+    kind, num = field("kind", lambda kind, num: (kind, num))
+    if kind not in _KIND_KEYS:
+        raise ParseError(f"unknown kind {kind!r}", num)
+    for key, (_, num) in fields.items():
+        if key not in _KIND_KEYS[kind]:
+            raise ParseError(f"kind {kind} takes no {key!r} line", num)
 
     def heights(value, num):
         return tuple(_parse_height(t, num) for t in value.split())
@@ -219,11 +194,10 @@ def parse_config_file(text: str) -> Configuration:
         if span > cap:
             raise CoreBoundExceeded(f"finite core spans {span} columns (cap {cap})")
         return Configuration.finite(devs)
-    if kind == "periodic":
-        return Configuration.periodic(field("period", heights))
-    if kind == "affine":
+    if kind != "general":  # a periodic file is an affine one of slope 0
         period = field("period", heights)
-        return Configuration.affine(period, field("slope", _parse_int))
+        slope = field("slope", _parse_int, 0 if kind == "periodic" else None)
+        return Configuration.affine(period, slope)
     return Configuration.general(
         field("core-start", _parse_int),
         field("core", heights, ()),
@@ -238,27 +212,25 @@ def emit_config_file(c: Configuration) -> str:
     out = [CONFIG_HEADER]
     if cc.left == ZERO_TAIL and cc.right == ZERO_TAIL:
         out.append("kind: finite")
-        for off, v in enumerate(cc.core):
-            if v != 0:
-                out.append(f"at {cc.core_start + off} {format_height(v)}")
-        return "\n".join(out) + "\n"
-    if not cc.core and cc.left == cc.right.mirror():
+        out += (f"at {cc.core_start + off} {format_height(v)}"
+                for off, v in enumerate(cc.core) if v != 0)
+    elif not cc.core and cc.left == cc.right.mirror():
         # globally affine-periodic sequences can be anchored anywhere, so
         # read one period off columns 0..q-1 and emit the friendly kind
         slope = cc.right.slope
         period = cc.right.rebased(-cc.core_start).values
         out.append("kind: affine" if slope else "kind: periodic")
-        out.append("period: " + " ".join(format_height(v) for v in period))
+        out.append("period: " + " ".join(map(format_height, period)))
         if slope:
             out.append(f"slope: {slope}")
-        return "\n".join(out) + "\n"
-    out.append("kind: general")
-    out.append(f"core-start: {cc.core_start}")
-    out.append(("core: " + " ".join(format_height(v) for v in cc.core)).rstrip())
-    out.append("left-period: " + " ".join(format_height(v) for v in cc.left.values))
-    out.append(f"left-slope: {cc.left.slope}")
-    out.append("right-period: " + " ".join(format_height(v) for v in cc.right.values))
-    out.append(f"right-slope: {cc.right.slope}")
+    else:
+        out.append("kind: general")
+        out.append(f"core-start: {cc.core_start}")
+        out.append(("core: " + " ".join(map(format_height, cc.core))).rstrip())
+        out.append("left-period: " + " ".join(map(format_height, cc.left.values)))
+        out.append(f"left-slope: {cc.left.slope}")
+        out.append("right-period: " + " ".join(map(format_height, cc.right.values)))
+        out.append(f"right-slope: {cc.right.slope}")
     return "\n".join(out) + "\n"
 
 
@@ -319,28 +291,19 @@ def emit_dump(c: Configuration, lo: int, hi: int) -> str:
 
 def parse_dump(text: str):
     """(lo, hi, heights) from an emit_dump block."""
-    lines = _strip_lines(text)
-    if not lines or lines[0][1] != DUMP_HEADER:
-        raise ParseError(f"missing header {DUMP_HEADER!r}", lines[0][0] if lines else 1)
-    fields = {}
-    for num, line in lines[1:]:
-        key, sep, value = line.partition(":")
-        if not sep or key not in ("window", "heights"):
-            raise ParseError(f"unrecognised line {line!r}", num)
-        if key in fields:
-            raise ParseError(f"repeated '{key}:' line", num)
-        fields[key] = (num, value.split())
+    fields = {key: (num, value.split())
+              for num, key, value in _keyed_lines(text, DUMP_HEADER, ("window", "heights"))}
     if len(fields) != 2:
         raise ParseError("dump needs 'window:' and 'heights:' lines")
     num, parts = fields["window"]
     if len(parts) != 2:
         raise ParseError("window needs two bounds", num)
     lo, hi = (_parse_int(t, num) for t in parts)
+    if hi < lo - 1:
+        raise ParseError(f"window {lo}..{hi} has a negative width", num)
     num, tokens = fields["heights"]
     heights = tuple(_parse_height(t, num) for t in tokens)
     if len(heights) != hi - lo + 1:
-        raise ParseError(
-            f"expected {hi - lo + 1} heights for window {lo}..{hi}, "
-            f"got {len(heights)}"
-        )
+        raise ParseError(f"expected {hi - lo + 1} heights for window {lo}..{hi}, "
+                         f"got {len(heights)}", num)
     return lo, hi, heights

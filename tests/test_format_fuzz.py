@@ -135,7 +135,8 @@ BAD_RULE_LINE = st.one_of(
     BAD.map("rule: ({}, 0) -> 0".format),
     st.sampled_from([
         "rule: 0, 0 -> 0", "rule: (0, 0) 0", "rule: (0) -> 0", "rule: (0, 0, 0) -> 0",
-        "rule: (9, 0) -> 0", "rule: (0, 0) -> 9", "radius: 0", "radius: 65",
+        "rule: (9, 0) -> 0", "rule: (0, 0) -> 9", "rule: (0, , 0) -> 0",
+        "rule: (,0,,0,) -> 0", "rule: (0, 0,) -> 0", "radius: 0", "radius: 65",
         "radius: 100000000000", "default: 9", "kind: finite", "at 0 1", "wat: 3",
         "radius 1", CONFIG_HEADER,
     ]),
@@ -205,7 +206,7 @@ MALFORMED_CONFIG_LINE = st.one_of(
     BAD.map("at 0 {}".format),
     BAD.map("at {} 0".format),
     st.sampled_from([
-        "at 1", "at 1 2 3", "period", "wat: 9", "kind: nope", "sand-config v1",
+        "at 1", "at 1 2 3", "at: 5", "period", "wat: 9", "kind: nope", "sand-config v1",
         RULE_HEADER, "radius: 1",
     ]),
 )

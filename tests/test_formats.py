@@ -51,6 +51,10 @@ def test_rule_file_arity_error_carries_line_number():
         parse_rule_file(text)
     assert "4 atoms" in str(info.value) or "expected 4" in str(info.value)
     assert info.value.line == 3
+    with pytest.raises(ParseError) as info:
+        parse_rule_file("sand-rule v1\nradius: 1\nrule: () -> 0\n")
+    assert "pattern has 0 atoms, expected 2" in str(info.value)
+    assert info.value.line == 3
 
 
 def test_rule_file_bad_delta():
@@ -64,6 +68,10 @@ def test_rule_file_validation_errors_carry_line_numbers():
         ("sand-rule v1\n\nradius: 0\n", 3),
         ("sand-rule v1\nradius: 0\nrule: (0, 0) -> 0\n", 2),
         ("sand-rule v1\nradius: 1\ndefault: 3\n", 3),
+        # an empty atom is refused, not dropped
+        ("sand-rule v1\nradius: 1\nrule: (1, , 0) -> 0\n", 3),
+        ("sand-rule v1\nradius: 1\n# x\nrule: (,1,,0,) -> 1\n", 4),
+        ("sand-rule v1\nradius: 1\nrule: (0, 0,) -> 1\n", 3),
     )
     for text, line in cases:
         with pytest.raises(ParseError) as info:
@@ -145,6 +153,9 @@ def test_config_file_refuses_stray_and_repeated_lines():
         ("kind: periodic\nperiod: 0 1\nperiod: 2\n", 4, "repeated 'period:'"),
         ("kind: general\ncore-start: 0\ncore-start: 1\n", 4, "repeated"),
         ("kind: nope\n", 2, "unknown kind"),
+        # `at` is written without a colon; an `at:` line is not dropped
+        ("kind: finite\nat: 5\n", 3, "unrecognised line 'at: 5'"),
+        ("kind: finite\nat 0 3\nat: 5\n", 4, "unrecognised line"),
     )
     for body, line, needle in cases:
         with pytest.raises(ParseError) as info:
@@ -256,8 +267,28 @@ def test_dump_refuses_repeated_and_unknown_lines():
         ("heights: 1\nheights: 1\nwindow: 0 0\n", 3, "repeated 'heights:'"),
         ("window: 0 0\nheights: 1\nslope: 1\n", 4, "unrecognised"),
         ("window: 0\nheights: 1\n", 2, "two bounds"),
+        ("window: 5 0\nheights: 1\n", 2, "window 5..0 has a negative width"),
+        ("heights: 1 2\n# x\nwindow: 0 3\n", 2, "expected 4 heights for window 0..3"),
     ):
         with pytest.raises(ParseError) as info:
             parse_dump("dump v1\n" + body)
         assert info.value.line == line
         assert needle in str(info.value)
+
+    # an empty window, hi == lo - 1, is a valid dump
+    assert parse_dump("dump v1\nwindow: 1 0\nheights:\n") == (1, 0, ())
+
+
+@pytest.mark.parametrize("parse, text, spelled", [
+    (parse_rule_file, "sand-rule v1\nradius : 1\nrule\t: (0, 0) -> 1\n",
+     "sand-rule v1\nradius: 1\nrule: (0, 0) -> 1\n"),
+    (parse_config_file, "sand-config v1\nkind : general\ncore-start : 0\n"
+     "left-period  : 0\nright-period : 1 2\n",
+     "sand-config v1\nkind: general\ncore-start: 0\nleft-period: 0\nright-period: 1 2\n"),
+    (parse_dump, "dump v1\nwindow : 0 1\nheights :+inf 2\n",
+     "dump v1\nwindow: 0 1\nheights: +inf 2\n"),
+], ids=["rule", "config", "dump"])
+def test_a_key_is_the_text_before_its_colon_stripped(parse, text, spelled):
+    # one grammar: a space before the colon spells the same key in every format
+    value, expected = parse(text), parse(spelled)
+    assert equals(value, expected) if parse is parse_config_file else value == expected
