@@ -22,14 +22,19 @@ canonical keys; hashes are taken from the same key.
 A `Tail` records its effective slope once, when built; `Tail.window` reads
 a run of tail columns as whole period copies, and canonicalization works on
 slices of the period word and windows, never on single columns.
+
+`first_difference` and `metric.distance` read a pair through one list of
+runs (`_runs`): column runs column by column, and class runs, whose residue
+classes mod an lcm period are affine progressions, one or two periods at a
+time, so the columns between two far cores are never read one by one.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import inf, lcm
 
 from .errors import DomainError
-from .heights import Height, Infinity, ext_add, is_finite
+from .heights import Height, Infinity, ext_add
 
 
 def _check_height(v) -> Height:
@@ -108,11 +113,6 @@ class Tail(Value):
         if slope := self.rise:
             return tuple([v + slope * k for k in copies for v in self.values][s : s + n])
         return (self.values * len(copies))[s : s + n]
-
-    def step(self, L: int) -> int:
-        """Rise of the finite entries over L columns, L a multiple of the
-        period length (0 when no period entry is finite)."""
-        return self.rise * (L // len(self.values))
 
     def rebased(self, k: int) -> "Tail":
         """The same progression with its boundary moved k columns outward:
@@ -278,23 +278,6 @@ class Configuration:
 # -- sequence equality -----------------------------------------------------
 
 
-def aligned_span(x: Configuration, y: Configuration):
-    """(lo, hi, Ll, Lr) for a pair of configurations.
-
-    Columns lo..hi hold both cores and column 0, so left of lo both
-    sequences are pure left tails and right of hi pure right tails. Ll and
-    Lr are the lcm of the two tail periods on each side: beyond the span,
-    every residue class of columns mod Ll (resp. Lr) is an affine
-    progression in each sequence, rising by `Tail.step` per Ll (Lr)
-    columns, or a constant infinity.
-    """
-    lo = min(x.core_start, y.core_start, 0)
-    hi = max(x.core_end, y.core_end, 0)
-    Ll = lcm(len(x.left.values), len(y.left.values))
-    Lr = lcm(len(x.right.values), len(y.right.values))
-    return lo, hi, Ll, Lr
-
-
 def equals(x: Configuration, y: Configuration) -> bool:
     """True iff x and y denote the same bi-infinite sequence: canonical
     forms are unique per sequence, so their keys decide."""
@@ -304,32 +287,59 @@ def equals(x: Configuration, y: Configuration) -> bool:
 def first_difference(x: Configuration, y: Configuration):
     """A column where x and y differ, or None when they are equal.
 
-    With (lo, hi, Ll, Lr) = aligned_span(x, y), the column returned is:
-    the least differing column in lo-Ll..hi+Lr when there is one; else,
-    when the right tails rise by different steps per Lr columns, the
-    first finite column right of hi plus Lr; else, when the left tails do,
-    the first finite column left of lo minus Ll.
+    With lo..hi the columns of both cores and column 0, and Ll (Lr) the lcm
+    of the left (right) tail periods, it is the first difference met by
+    these reads: lo-Ll..lo-1; each run of `_runs` from lo on, a class run
+    cut to its first 2L columns (progressions that agree twice agree
+    everywhere); then lo-Ll-1 down to lo-2Ll. That is the least differing
+    column in lo-Ll..hi+Lr if any; else, if the right tails rise apart, the
+    first finite column right of hi plus Lr; else the first finite column
+    left of lo minus Ll.
     """
     if equals(x, y):
         return None
-    lo, hi, Ll, Lr = aligned_span(x, y)
-    for cols, xs, ys in aligned_blocks(x, y, lo - Ll, hi + Lr):
-        if xs != ys:
-            return next(j for j, u, v in zip(cols, xs, ys) if u != v)
-    # Both lcm windows agree, so a per-window step differs on one side; it
-    # shows one window out from the first finite column, which lies within
-    # one period of x's tail.
-    for tx, ty, edge, d, L in (
-        (x.right, y.right, hi, +1, Lr),
-        (x.left, y.left, lo, -1, Ll),
-    ):
-        if tx.step(L) != ty.step(L):
-            run = aligned_blocks(x, y, edge + d, edge + d * len(tx.values))
-            finite = (j for cols, xs, _ in run for j, v in zip(cols, xs) if is_finite(v))
-            return next(finite) + d * L
+    (_, end, Ll, _, _), *runs = _runs(x, y)
+    reads, first = [], end - Ll + 1
+    for a, b, L, _, _ in runs:
+        if b - a >= L:  # a class run ends the read at its first L columns;
+            # its next L are read on their own, the rest agree if those do
+            reads += [(first, a + L - 1), (a + L, min(b, a + 2 * L - 1))]
+            first = b + 1
+    reads.append((end - Ll, end - 2 * Ll + 1))
+    for first, last in reads:
+        for cols, xs, ys in aligned_blocks(x, y, first, last):
+            if xs != ys:
+                return next(j for j, u, v in zip(cols, xs, ys) if u != v)
 
 
 BLOCK = 4096  # columns per aligned read: bounds the memory of a comparison
+
+
+def _runs(x: Configuration, y: Configuration) -> list:
+    """A pair's columns as ascending runs (a, b, L, dx, dy) of columns a..b,
+    cut at column 0 and where a core starts or ends; the outer runs end at
+    -inf and inf.
+
+    In a class run, an outer run or a stretch of more than BLOCK columns
+    with both sequences in a tail, each residue class of columns mod L is,
+    in x (y), an affine progression rising by dx (dy) per L columns
+    rightwards, or a constant infinity. The other runs are column runs: L
+    is their length and they rise by 0, so each class is one column.
+    """
+    cuts = sorted({0, x.core_start, x.core_end + 1, y.core_start, y.core_end + 1})
+    runs = []
+    for a, b in zip([-inf, *cuts], [c - 1 for c in cuts] + [inf]):
+        tails = b - a >= BLOCK and [
+            (len(c.left.values), -c.left.rise) if b < c.core_start
+            else (len(c.right.values), c.right.rise) if a > c.core_end else None
+            for c in (x, y)]
+        if not tails or None in tails:
+            runs.append((a, b, b - a + 1, 0, 0))
+        else:
+            (px, sx), (py, sy) = tails
+            L = lcm(px, py)
+            runs.append((a, b, L, sx * (L // px), sy * (L // py)))
+    return runs
 
 
 def aligned_blocks(x: Configuration, y: Configuration, first: int, last: int):

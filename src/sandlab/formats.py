@@ -283,7 +283,10 @@ def render_ascii(c: Configuration, lo: int, hi: int) -> str:
 
 
 def emit_dump(c: Configuration, lo: int, hi: int) -> str:
-    """Lossless companion block for a rendered window."""
+    """Lossless companion block for columns lo..hi; hi == lo - 1 gives an
+    empty window, a narrower one is refused as `parse_dump` would."""
+    if hi < lo - 1:
+        raise DomainError(f"window {lo}..{hi} has a negative width")
     _check_render_size(1, hi - lo + 1)
     values = " ".join(format_height(h) for h in c.heights(lo, hi))
     return f"{DUMP_HEADER}\nwindow: {lo} {hi}\nheights: {values}\n"

@@ -12,17 +12,19 @@ Distances are kept exact: a Distance is a flag for zero plus the exponent
 l, never a float. Equal canonical keys give 0 at once; otherwise `distance`
 reads the canonical forms and scans no gauges, as the exponent grows with
 the heights: a column j gives max(|j|, least gauge separating its heights).
-Past the aligned span around column 0, each residue class of the lcm of the
-primitive tail periods is minimised in closed form from its first column,
-read outward in `config.BLOCK` column blocks; a class starting at column j
-never goes below |j|, so each side stops once |j| reaches the best candidate.
+It walks the runs of `config._runs` outward from column 0, nearest first: a
+column run column by column, a class run by each residue class, minimised in
+closed form from its first column up to the run's far end. A class starting
+at column j never goes below |j|, so the walk stops once |j| reaches the
+best candidate, and cores far apart cost no more than near ones.
 """
 
 from __future__ import annotations
 
 from functools import total_ordering
+from math import inf
 
-from .config import Configuration, Value, aligned_blocks, aligned_span, equals
+from .config import Configuration, Value, _runs, aligned_blocks, equals
 from .errors import DomainError
 from .heights import Height, Infinity, PLUS_INF
 
@@ -65,90 +67,77 @@ class Distance(Value):
 
 
 def _separating_gauge(u: Height, v: Height, m: int):
-    """Least l >= 1 at which beta_l^m tells u and v apart (None if u == v)."""
+    """Least l >= 1 at which beta_l^m tells u and v apart; inf when u == v,
+    as no gauge does."""
     if u == v:
-        return None
+        return inf
     u_inf = isinstance(u, Infinity)
     v_inf = isinstance(v, Infinity)
     if u_inf and v_inf:
         return 1
     if u_inf or v_inf:
-        inf, w = (u, v) if u_inf else (v, u)
-        if inf is PLUS_INF:
-            return max(1, w - m)
-        return max(1, m - w)
+        top, w = (u, v) if u_inf else (v, u)
+        return max(1, w - m if top is PLUS_INF else m - w)
     lo, hi = (u, v) if u < v else (v, u)
-    if lo > m:
-        return max(1, lo - m)
-    if hi < m:
-        return max(1, m - hi)
-    return 1
+    return lo - m if lo > m else m - hi if hi < m else 1
 
 
 def distance(x: Configuration, y: Configuration) -> Distance:
     """Exact distance 2^-l, where l is the least gauge whose difference
-    vectors at position 0 disagree. Reads the canonical forms' span, then
-    each side's residue classes outward in bounded blocks, up to the first
-    class start j with |j| >= the best candidate so far."""
+    vectors at position 0 disagree. Walks the canonical forms' runs
+    outward from column 0, nearest first, each from its near end, up to
+    the first column j with |j| >= the best candidate so far."""
     if equals(x, y):
         return Distance.zero()
     x, y = x.canonicalize(), y.canonicalize()
-    lo, hi, Ll, Lr = aligned_span(x, y)
     x0 = x.height(0)
     if x0 != y.height(0):
         return Distance.dyadic(0)
     m = 0 if isinstance(x0, Infinity) else x0
-
-    best = min((max(abs(j), _separating_gauge(u, v, m))
-                for cols, xs, ys in aligned_blocks(x, y, lo, hi) if xs != ys
-                for j, u, v in zip(cols, xs, ys) if u != v), default=None)
-    # Beyond lo..hi each residue class of columns is an affine progression
-    # per configuration; minimise each in closed form from its first column.
-    best = _outward_minimum(x, y, x.right, y.right, hi + 1, hi + Lr, m, best)
-    best = _outward_minimum(x, y, x.left, y.left, lo - 1, lo - Ll, m, best)
+    # (|near end|, near end, direction, far end, L, rises outward)
+    walks = sorted((-b, b, -1, a, L, -dx, -dy) if b < 0 else (a, a, 1, b, L, dx, dy)
+                   for a, b, L, dx, dy in _runs(x, y))
+    best = inf
+    for near, start, d, far, L, su, sv in walks:
+        if near >= best:
+            break
+        # the first L columns start one residue class each
+        count = min(L, abs(far - start) + 1)
+        for cols, xs, ys in aligned_blocks(x, y, start, start + d * (count - 1)):
+            if abs(cols[0]) >= best:
+                break
+            if su == sv and xs == ys:
+                continue  # equal starts and equal rises: no class separates
+            for j, u, v in zip(cols, xs, ys):
+                if abs(j) >= best:
+                    break
+                g = (max(abs(j), _separating_gauge(u, v, m)) if abs(far - j) < L
+                     else _class_minimum(abs(j), L, u, su, v, sv, m, abs(far)))
+                if g < best:
+                    best = g
     return Distance.dyadic(best)
 
 
-def _outward_minimum(x, y, tx, ty, first, last, m, best):
-    """`best` lowered by the residue classes of tails tx, ty that start at
-    columns first..last (one lcm period L), walked outward: a class
-    starting at column j stays >= |j|."""
-    L = abs(last - first) + 1
-    sx, sy = tx.step(L), ty.step(L)
-    for cols, xs, ys in aligned_blocks(x, y, first, last):
-        if best is not None and abs(cols[0]) >= best:
-            return best
-        if sx == sy and xs == ys:
-            continue  # equal starts and equal steps: no class separates
-        for j, u, v in zip(cols, xs, ys):
-            if best is not None and abs(j) >= best:
-                return best
-            g = _class_minimum(abs(j), L, u, sx, v, sy, m)
-            if g is not None and (best is None or g < best):
-                best = g
-    return best
-
-
-def _class_minimum(a0, L, u0, su, v0, sv, m):
+def _class_minimum(a0, L, u0, su, v0, sv, m, amax=inf):
     """Minimum of max(a0 + k*L, separating gauge at column k) over k >= 0
-    for one residue class of tail columns.
+    with a0 + k*L <= amax, for one residue class of tail columns.
 
-    The column at step k sits at absolute position a0 + k*L (a0 >= 1) and
+    The column at step k sits at absolute position a0 + k*L (a0 >= 0) and
     carries heights u(k) / v(k): constant when infinite, otherwise affine
-    with the given per-step increments. Returns None when the class never
+    with the given per-step increments. Returns inf when the class never
     separates the configurations.
     """
     u_inf = isinstance(u0, Infinity)
     v_inf = isinstance(v0, Infinity)
     if u_inf and v_inf:
-        return None if u0 is v0 else max(a0, 1)
+        return inf if u0 is v0 else max(a0, 1)
     if not u_inf and not v_inf and u0 == v0 and su == sv:
-        return None
+        return inf
 
     # Candidate steps: small k, plus integer neighbourhoods of every
     # breakpoint of the piecewise-affine gauge term and of its crossings
-    # with the |column| term. Evaluating the true function at all of them
-    # and taking the least value is exact.
+    # with the |column| term, clipped to amax. Evaluating the true function
+    # at all of them and taking the least value is exact.
     cands = {0, 1, 2}
 
     def add_root(num, den):
@@ -173,14 +162,11 @@ def _class_minimum(a0, L, u0, su, v0, sv, m):
         add_root(1 - c0, d)  # clamp boundary max(1, form)
         add_root(c0 - a0, L - d)  # crossing with the |column| arm
 
-    best = None
-    for k in sorted(cands):
+    best = inf
+    for k in cands if amax == inf else {min(k, (amax - a0) // L) for k in cands}:
         u = u0 if u_inf else u0 + su * k
         v = v0 if v_inf else v0 + sv * k
-        g = _separating_gauge(u, v, m)
-        if g is None:
-            continue
-        val = max(a0 + k * L, g)
-        if best is None or val < best:
-            best = val
+        g = max(a0 + k * L, _separating_gauge(u, v, m))
+        if g < best:
+            best = g
     return best

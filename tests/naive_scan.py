@@ -8,22 +8,24 @@ computed from scratch. The pre-image reference tries every candidate of
 the bounded class in turn and checks its image column by column.
 
 They read configurations only through `height` (or `Tail.at`) and the
-tail period lengths, so they share no logic with `Tail.window`, `equals`,
-`first_difference` or `distance`. `whole_window_distance` keeps the
-closed-form class minimum of `distance` but reads every column of the
-aligned window one by one and minimises every residue class, with no
-blocks and no pruning; `naive_distance_exponent` checks the closed forms
-themselves. The image reference evaluates each column on its own, from
-its difference vector and the first-match scan of the rule table, so it
-shares no logic with `window_image`, its kernels, its memo or the match
-bit sets of `_lookup`. `naive_canonical_form` reduces tails and trims the
-core one `Tail.at` at a time, so it shares no logic with the sliced tests
-of `_reduce_tail` and `_canonicalize` or with `Tail.window`.
+tail period words and slopes, so they share no logic with `Tail.window`,
+`equals`, `first_difference` or `distance`. `whole_window_distance` keeps
+the closed-form class minimum of `distance` but reads every column of the
+aligned window one by one, takes each tail's rise per lcm period from its
+slope and finite entries, and minimises every residue class, with no
+runs, no blocks and no pruning; `naive_distance_exponent` checks the
+closed forms themselves. The image reference evaluates each column on its
+own, from its difference vector and the first-match scan of the rule
+table, so it shares no logic with `window_image`, its kernels, its memo
+or the match bit sets of `_lookup`. `naive_canonical_form` reduces tails
+and trims the core one `Tail.at` at a time, so it shares no logic with
+the sliced tests of `_reduce_tail` and `_canonicalize` or with
+`Tail.window`.
 """
 
 from dataclasses import dataclass
 from itertools import product
-from math import lcm
+from math import inf, lcm
 
 from sandlab.automaton import NEG, POS, WILDCARD, window_image
 from sandlab.config import Configuration, Tail
@@ -228,6 +230,15 @@ def naive_first_difference(x: Configuration, y: Configuration):
     return None
 
 
+def _rise(tail: Tail, L: int) -> int:
+    """How much the finite entries of a tail gain over L columns, L a
+    multiple of its period: one slope per period copy, or 0 when no
+    entry is finite."""
+    if all(isinstance(v, Infinity) for v in tail.values):
+        return 0
+    return tail.slope * (L // len(tail.values))
+
+
 def whole_window_distance(x: Configuration, y: Configuration) -> Distance:
     """`distance` read as two whole tuples over lo-Ll..hi+Lr, with a
     closed-form minimum for every residue class past the span."""
@@ -239,21 +250,18 @@ def whole_window_distance(x: Configuration, y: Configuration) -> Distance:
     if x0 != ys[-base]:
         return Distance.dyadic(0)
     m = 0 if isinstance(x0, Infinity) else x0
-    cands = []
-    for j in range(lo, hi + 1):
-        g = _separating_gauge(xs[j - base], ys[j - base], m) if j else None
-        if g is not None:
-            cands.append(max(abs(j), g))
+    cands = [max(abs(j), _separating_gauge(xs[j - base], ys[j - base], m))
+             for j in range(lo, hi + 1) if j]
     for tx, ty, L, first in (
         (x.right, y.right, Lr, range(hi + 1, hi + Lr + 1)),
         (x.left, y.left, Ll, range(base, lo)),
     ):
-        sx, sy = tx.step(L), ty.step(L)
+        sx, sy = _rise(tx, L), _rise(ty, L)
         for j in first:
             u, v = xs[j - base], ys[j - base]
             cands.append(_class_minimum(abs(j), L, u, sx, v, sy, m))
-    cands = [c for c in cands if c is not None]
-    return Distance.dyadic(min(cands)) if cands else Distance.zero()
+    best = min(cands, default=inf)
+    return Distance.zero() if best == inf else Distance.dyadic(best)
 
 
 def naive_distance_exponent(x: Configuration, y: Configuration, max_gauge: int):

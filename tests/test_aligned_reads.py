@@ -152,6 +152,113 @@ def test_distance_matches_the_whole_window_reference():
     assert far >= 4
 
 
+def _with_defect(base, start, width, rng):
+    """The affine sequence `base` with columns start..start+width-1 written
+    out as a core and one of them changed."""
+    core = list(base.heights(start, start + width - 1))
+    k = rng.below(width)
+    core[k] = rng.int_between(-3, 3) if core[k] in (PLUS_INF, MINUS_INF) else core[k] + 1
+    p, slope = len(base.right.values), base.right.slope
+    left = Tail(base.heights(start - p, start - 1)[::-1], -slope)
+    right = Tail(base.heights(start + width, start + width + p - 1), slope)
+    return Configuration(start, tuple(core), left, right)
+
+
+def _far_gap_pairs():
+    """Pairs whose cores lie more than BLOCK columns apart, both on one side
+    of column 0 or one on each: two defects in one affine sequence, one
+    defect against the sequence itself, one side steeper past its core,
+    two unrelated configurations moved apart, and two affine sequences
+    spliced far from column 0, whose odd columns fall towards column 0's
+    reading at two rates across the gap, so the nearest gauge lies past
+    it."""
+    rng = Lcg64(1717)
+    for k in range(8):
+        g = (-1) ** k * (BLOCK + 10 + rng.below(4000))
+        rates = (1 + rng.below(3), 4 + rng.below(3))
+        # even columns +inf, so the reference height is 0; odd ones start
+        # near 10^6 and fall by r every two columns from column 0 towards g
+        x, z = (Configuration.affine((PLUS_INF, 10**6 + rng.below(9)), -r * (-1) ** k)
+                for r in rates)
+        near, far = (z, x) if g > 0 else (x, z)
+        yield x, Configuration(g, (), Tail(near.heights(g - 2, g - 1)[::-1], -near.right.slope),
+                               Tail(far.heights(g, g + 1), far.right.slope))
+    for k in range(24):
+        word = _word(rng, 1 + rng.below(6), infinities=k % 3 == 0)
+        base = Configuration.affine(word, rng.int_between(-2, 2))
+        a = rng.int_between(-9000, 9000)
+        b = a + (-1) ** rng.below(2) * (BLOCK + 10 + rng.below(4000))
+        x, y = _with_defect(base, a, 1 + rng.below(5), rng), _with_defect(base, b, 3, rng)
+        yield x, y
+        yield x, base.shift(len(word) * (b // len(word))).raise_by(base.right.slope * (b // len(word)))
+        if k % 2:
+            yield x, Configuration(y.core_start, y.core, y.left, Tail(y.right.values, y.right.slope + 1))
+        else:
+            yield Configuration(y.core_start, y.core, Tail(y.left.values, y.left.slope - 1), y.right), x
+        yield (sample_configuration(rng, 3, k % 3 == 0).shift(a),
+               sample_configuration(rng, 3, k % 3 == 0).shift(b))
+
+
+def test_far_gaps_match_the_per_column_references():
+    count = 0
+    for x, y in _far_gap_pairs():
+        for u, v in ((x, y), (y, x)):
+            assert first_difference(u, v) == naive_first_difference(u, v), (u, v)
+            assert distance(u, v) == whole_window_distance(u, v), (u, v)
+        count += 1
+    assert count == 104
+
+
+def _capped_reads(monkeypatch, cap=10**5):
+    """Make `Configuration.heights` refuse to read more than `cap` columns
+    in all, so a walk over every column of a far gap fails at once."""
+    read = 0
+    heights = Configuration.heights
+
+    def capped(self, lo, hi):
+        nonlocal read
+        read += max(hi - lo + 1, 0)
+        if read > cap:
+            raise AssertionError(f"over {cap} columns read")
+        return heights(self, lo, hi)
+
+    monkeypatch.setattr(Configuration, "heights", capped)
+
+
+def _far_cores():
+    """(x, y, first difference, distance exponent) for cores 10^30 columns
+    from column 0, on either side and on both."""
+    far = 10**30
+    zero = Configuration.finite({})
+    for j in (far, -far):
+        one = Configuration.finite({j: 1})
+        yield zero, one, j, far
+        yield one, zero, j, far
+        yield one, Configuration.finite({-j: 2}), -far, far
+    sloped = Configuration.affine((1, PLUS_INF, 3), 2)
+    rng = Lcg64(30)
+    x, y = _with_defect(sloped, -far, 4, rng), _with_defect(sloped, far + 7, 2, rng)
+    # x's changed column is the nearest difference, and its heights, some
+    # 2 * 10^30 / 3 below column 0's, separate at a gauge below |column|
+    col = next(j for j in range(-far, -far + 4) if x.height(j) != sloped.height(j))
+    yield x, y, col, -col
+
+
+def test_far_cores_first_difference_reads_no_gap(monkeypatch):
+    cases = list(_far_cores())
+    _capped_reads(monkeypatch)
+    for x, y, col, _ in cases:
+        assert first_difference(x, y) == col
+        assert x.height(col) != y.height(col)
+
+
+def test_far_cores_distance_reads_no_gap(monkeypatch):
+    cases = list(_far_cores())
+    _capped_reads(monkeypatch)
+    for x, y, _, exponent in cases:
+        assert distance(x, y) == metric.Distance.dyadic(exponent)
+
+
 def test_difference_reads_no_single_column(monkeypatch):
     def refused(*args):
         raise AssertionError("per-column read")

@@ -5,7 +5,7 @@ import pytest
 
 from sandlab.automaton import MAX_RADIUS, validate_rule
 from sandlab.config import Configuration, Tail, equals
-from sandlab.errors import ParseError
+from sandlab.errors import DomainError, ParseError
 from sandlab.formats import (
     emit_config_file,
     emit_dump,
@@ -254,6 +254,14 @@ def test_dump_round_trip():
     lo, hi, heights = parse_dump(text)
     assert (lo, hi) == (-4, 4)
     assert heights == c.heights(-4, 4)
+
+
+def test_emit_dump_writes_only_windows_parse_dump_reads():
+    c = Configuration.finite({0: 2})
+    assert parse_dump(emit_dump(c, 1, 0)) == (1, 0, ())
+    for lo, hi in ((5, 0), (1, -1), (0, -10**20)):
+        with pytest.raises(DomainError, match=f"window {lo}..{hi} has a negative width"):
+            emit_dump(c, lo, hi)
 
 
 def test_dump_length_validation():
