@@ -36,9 +36,9 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .automaton import SandAutomaton, _core_cap, apply, window_image
+from .automaton import SandAutomaton, _orbit, apply, window_image
 from .config import Configuration, Tail, Value, equals, first_difference
-from .errors import DomainError
+from .errors import CoreBoundExceeded, DomainError
 from .heights import MINUS_INF, PLUS_INF, is_finite
 from .rng import Lcg64, sample_configuration
 
@@ -416,59 +416,43 @@ def check_nilpotent_bounded(
     """
     if steps < 0:
         raise DomainError("step bound must be >= 0")
-    cap = _core_cap(max_core)
-    zero = Configuration.finite({})
-    bounds = {"steps": steps}
-    current = c
-    for step in range(steps + 1):
-        if equals(current, zero):
-            note = "orbit reaches the all-zero configuration"
-            if step == 0:
-                note += (
-                    " at step 0: the input already is 0; counted as a "
-                    "(degenerate) success by convention"
+    zero, bounds, last = Configuration(0, ()), {"steps": steps}, None
+    try:
+        for step, current in enumerate(_orbit(automaton, c, steps, max_core)):
+            if equals(current, zero):
+                note = "orbit reaches the all-zero configuration"
+                if step == 0:
+                    note += (
+                        " at step 0: the input already is 0; counted as a "
+                        "(degenerate) success by convention"
+                    )
+                return WitnessReport(
+                    WITNESS_FOUND,
+                    current.canonicalize(),
+                    bounds,
+                    note,
+                    PROOF,
+                    {"steps_to_zero": step},
                 )
-            return WitnessReport(
-                WITNESS_FOUND,
-                current.canonicalize(),
-                bounds,
-                note,
-                PROOF,
-                {"steps_to_zero": step},
-            )
-        if step == steps:
-            break
-        nxt = apply(automaton, current)
-        if len(nxt.core) > cap:
-            return WitnessReport(
-                BOUND_EXCEEDED,
-                None,
-                bounds,
-                "core growth guard tripped before the step bound",
-                EVIDENCE,
-                {"steps_done": step + 1},
-            )
-        if equals(nxt, current):
-            return WitnessReport(
-                BOUND_EXCEEDED,
-                None,
-                bounds,
+            previous, last = last, current
+    except CoreBoundExceeded:
+        note = "core growth guard tripped before the step bound"
+        details = {"steps_done": step + 1}
+    else:  # the orbit ended at the step bound or after a fixed point
+        if step and equals(last, previous):
+            note = (
                 "orbit reached a non-zero fixed point; it can never reach 0. "
                 "Zero-reachability for all inputs stays undecidable in "
-                "general, so bounded runs report BOUND_EXCEEDED",
-                EVIDENCE,
-                {"steps_done": step + 1, "fixed_point": True},
+                "general, so bounded runs report BOUND_EXCEEDED"
             )
-        current = nxt
-    return WitnessReport(
-        BOUND_EXCEEDED,
-        None,
-        bounds,
-        "no zero configuration within the step bound; nilpotency is "
-        "undecidable in general, so exceeding the bound decides nothing",
-        EVIDENCE,
-        {"steps_done": steps},
-    )
+            details = {"steps_done": step, "fixed_point": True}
+        else:
+            note = (
+                "no zero configuration within the step bound; nilpotency is "
+                "undecidable in general, so exceeding the bound decides nothing"
+            )
+            details = {"steps_done": steps}
+    return WitnessReport(BOUND_EXCEEDED, None, bounds, note, EVIDENCE, details)
 
 
 # -- composition checks -------------------------------------------------------

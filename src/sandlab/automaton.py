@@ -21,14 +21,14 @@ The global map adds the delta to every finite column; infinite columns
 never change. `apply` realises one synchronous step exactly on the
 core-plus-tails representation: tail windows shift rigidly under the map,
 so the image keeps each period length and slope, and only a bounded
-neighbourhood of the core needs explicit evaluation.
+neighbourhood of the core needs explicit evaluation. `_orbit` is the one
+orbit loop, behind `iterate` and the nilpotency probe; it reads the core
+cap, which `config` owns, once per orbit.
 """
 
 from __future__ import annotations
 
-import os
-
-from .config import Configuration, Tail, Value, equals
+from .config import Configuration, Tail, Value, _core_cap, equals
 from .errors import CoreBoundExceeded, DomainError, RuleError
 from .heights import Height, Infinity, MINUS_INF, PLUS_INF
 
@@ -252,20 +252,21 @@ def apply(automaton: SandAutomaton, c: Configuration) -> Configuration:
     return Configuration(c.core_start - r, img[pl:-pr], left, right).canonicalize()
 
 
-DEFAULT_MAX_CORE = 65536
-
-
-def _core_cap(max_core):
-    cap = max_core
-    if cap is None:
-        env = os.environ.get("SANDLAB_MAX_CORE")
-        try:
-            cap = DEFAULT_MAX_CORE if env is None else int(env)
-        except ValueError:
-            raise DomainError(f"SANDLAB_MAX_CORE is not an integer: {env!r}")
-    if cap < 0:
-        raise DomainError(f"core cap must be >= 0, got {cap}")
-    return cap
+def _orbit(automaton: SandAutomaton, c: Configuration, steps: int, max_core):
+    """Yield c, f(c), ... up to f^steps(c), ending after the first fixed
+    point. The core cap is read once, before c is yielded; a core over it
+    raises CoreBoundExceeded naming the step."""
+    cap = _core_cap(max_core)
+    yield c
+    for n in range(steps):
+        c, prev = apply(automaton, c), c
+        if len(c.core) > cap:
+            raise CoreBoundExceeded(
+                f"core grew to {len(c.core)} columns (cap {cap}) at step {n + 1}"
+            )
+        yield c
+        if equals(c, prev):
+            return
 
 
 def iterate(
@@ -282,13 +283,6 @@ def iterate(
     """
     if steps < 0:
         raise DomainError("step count must be >= 0")
-    cap = _core_cap(max_core)
-    for n in range(steps):
-        c, prev = apply(automaton, c), c
-        if len(c.core) > cap:
-            raise CoreBoundExceeded(
-                f"core grew to {len(c.core)} columns (cap {cap}) at step {n + 1}"
-            )
-        if equals(c, prev):
-            break
+    for c in _orbit(automaton, c, steps, max_core):
+        pass
     return c

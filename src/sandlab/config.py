@@ -23,6 +23,12 @@ A `Tail` records its effective slope once, when built; `Tail.window` reads
 a run of tail columns as whole period copies, and canonicalization works on
 slices of the period word and windows, never on single columns.
 
+`Configuration.finite` builds a dense core from sparse input, so this
+module owns the core cap (`SANDLAB_MAX_CORE`, else `DEFAULT_MAX_CORE`):
+`_core_cap` reads it, and `_check_span` refuses a core, period or block
+wider than it before anything is built. The one orbit loop,
+`automaton._orbit`, reads the same cap.
+
 `first_difference` and `metric.distance` read a pair through one list of
 runs (`_runs`): column runs column by column, and class runs, whose residue
 classes mod an lcm period are affine progressions, one or two periods at a
@@ -31,10 +37,34 @@ time, so the columns between two far cores are never read one by one.
 
 from __future__ import annotations
 
+import os
 from math import inf, lcm
 
-from .errors import DomainError
+from .errors import CoreBoundExceeded, DomainError
 from .heights import Height, Infinity, ext_add
+
+
+DEFAULT_MAX_CORE = 65536
+
+
+def _core_cap(max_core):
+    cap = max_core
+    if cap is None:
+        env = os.environ.get("SANDLAB_MAX_CORE")
+        try:
+            cap = DEFAULT_MAX_CORE if env is None else int(env)
+        except ValueError:
+            raise DomainError(f"SANDLAB_MAX_CORE is not an integer: {env!r}")
+    if cap < 0:
+        raise DomainError(f"core cap must be >= 0, got {cap}")
+    return cap
+
+
+def _check_span(what: str, n: int) -> None:
+    """Refuse n columns over the core cap before any of them is built."""
+    cap = _core_cap(None)
+    if n > cap:
+        raise CoreBoundExceeded(f"{what} spans {n} columns (cap {cap})")
 
 
 def _check_height(v) -> Height:
@@ -162,11 +192,11 @@ class Configuration:
 
     @classmethod
     def finite(cls, deviations: dict) -> "Configuration":
-        """Zero background with the given column -> height deviations."""
+        """Zero background with the given column -> height deviations; a
+        span over the core cap raises CoreBoundExceeded."""
         devs = {i: _check_height(v) for i, v in deviations.items() if v != 0}
-        if not devs:
-            return cls(0, ())
-        a, b = min(devs), max(devs)
+        a, b = (min(devs), max(devs)) if devs else (0, -1)
+        _check_span("finite core", b - a + 1)
         core = tuple(devs.get(i, 0) for i in range(a, b + 1))
         return cls(a, core)
 

@@ -42,9 +42,9 @@ lines, then values (a configuration checks its kind, then each field).
 
 from __future__ import annotations
 
-from .automaton import NEG, POS, SandAutomaton, WILDCARD, _core_cap, validate_rule
+from .automaton import NEG, POS, SandAutomaton, WILDCARD, validate_rule
 from .config import ZERO_TAIL, Configuration
-from .errors import CoreBoundExceeded, DomainError, ParseError, RuleError
+from .errors import DomainError, ParseError, RuleError
 from .heights import Infinity, MINUS_INF, PLUS_INF
 
 RULE_HEADER = "sand-rule v1"
@@ -187,13 +187,7 @@ def parse_config_file(text: str) -> Configuration:
         return tuple(_parse_height(t, num) for t in value.split())
 
     if kind == "finite":
-        devs = dict(ats)  # a later line for a column wins
-        cols = [col for col, value in devs.items() if value != 0]
-        span = max(cols) - min(cols) + 1 if cols else 0
-        cap = _core_cap(None)
-        if span > cap:
-            raise CoreBoundExceeded(f"finite core spans {span} columns (cap {cap})")
-        return Configuration.finite(devs)
+        return Configuration.finite(dict(ats))  # a later line for a column wins
     if kind != "general":  # a periodic file is an affine one of slope 0
         period = field("period", heights)
         slope = field("slope", _parse_int, 0 if kind == "periodic" else None)

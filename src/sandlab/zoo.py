@@ -24,19 +24,18 @@ periodic pre-image from an arbitrary one.
 
 from __future__ import annotations
 
-import bisect
-
 from . import witnesses
-from .automaton import SandAutomaton, _core_cap, apply
+from .automaton import SandAutomaton, apply
 from .config import (
     Configuration,
     Tail,
+    _check_span,
     equals,
     has_infinite_column,
     is_finite_class,
     support_radius,
 )
-from .errors import CoreBoundExceeded, DomainError, InternalConsistencyError
+from .errors import DomainError, InternalConsistencyError
 
 ZOO = ("S", "Sr", "L", "X", "Y")
 
@@ -77,53 +76,37 @@ def make_Y() -> SandAutomaton:
 
 
 def build_L_preimage(c: Configuration) -> Configuration:
-    """A configuration that L maps onto c, built column by column."""
-    if has_infinite_column(c.canonicalize()):
-        raise DomainError("pre-image construction needs finite heights")
+    """A configuration that L maps onto c, built in one pass over columns."""
     cc = c.canonicalize()
+    if has_infinite_column(cc):
+        raise DomainError("pre-image construction needs finite heights")
     a, b = cc.core_start, cc.core_end
     pl, pr = len(cc.left.values), len(cc.right.values)
 
     # widened core window; margins keep tail periodicity arguments valid
     A = a - 2 - 2 * pl
     B = b + 2 + 2 * pr
-    lo_scan = A - 2 * pl - 2
-    hi_scan = B + pr + 2
-    variations = [
-        i for i in range(lo_scan, hi_scan + 1) if cc.height(i) != cc.height(i - 1)
-    ]
-    if not variations:
+    lo = A - 2 * pl - 2
+    hs = cc.heights(lo - 1, B + pr + 2)  # hs[i - lo + 1] is column i
+    if len(set(hs)) == 1:
         return cc  # constant configurations are their own pre-image
-
-    def governing(i):
-        pos = bisect.bisect_right(variations, i)
-        return variations[pos - 1] if pos else None
-
-    def pre(i):
-        v = governing(i)
-        if v is None:
-            return cc.height(i)
-        ascending = cc.height(v) > cc.height(v - 1)
-        even = (i - v) % 2 == 0
-        return cc.height(i) + (1 if ascending == even else -1)
-
-    core = tuple(pre(i) for i in range(A, B + 1))
-
-    left_has = any(
-        cc.height(i) != cc.height(i - 1) for i in range(a - 2 * pl, a - pl)
-    )
-    right_has = any(
-        cc.height(i) != cc.height(i - 1) for i in range(b + 2 + pr, b + 2 + 2 * pr)
-    )
-    if left_has:
-        left = Tail(tuple(pre(A - 1 - j) for j in range(pl)), cc.left.slope)
+    # pre[i - lo]: a variation sets the sign of the +/-1, which then alternates
+    pre, sign = [], 0
+    for below, h in zip(hs, hs[1:]):
+        sign = -sign if h == below else 1 if h > below else -1
+        pre.append(h + sign)
+    n = A - lo  # pre[n] is column A
+    core = pre[n : n + B - A + 1]
+    if len(set(hs[a - 2 * pl - lo : a - pl - lo + 1])) > 1:  # varies in a-2pl..a-pl-1
+        left = Tail(pre[n - pl : n][::-1], cc.left.slope)
     else:
         left = cc.left  # everything below the first variation is copied
-    if right_has:
-        right = Tail(tuple(pre(B + 1 + j) for j in range(pr)), cc.right.slope)
+    n += len(core)  # pre[n] is column B + 1
+    if len(set(hs[b + 2 + pr - lo : b + 3 + 2 * pr - lo])) > 1:  # in b+2+pr..b+1+2pr
+        right = Tail(pre[n : n + pr], cc.right.slope)
     else:
         # beyond the last variation the pre-image alternates forever
-        right = Tail((pre(B + 1), pre(B + 2)), 0)
+        right = Tail(pre[n : n + 2], 0)
     return Configuration(A, core, left, right).canonicalize()
 
 
@@ -148,9 +131,7 @@ def crown_lift(c1: Configuration, c2: Configuration, automaton: SandAutomaton):
         raise DomainError("crown padding needs a colliding pair")
     k = max(support_radius(c1), support_radius(c2))
     r = automaton.radius
-    period, cap = 2 * (k + r) + 1, _core_cap(None)
-    if period > cap:
-        raise CoreBoundExceeded(f"crown period spans {period} columns (cap {cap})")
+    _check_span("crown period", 2 * (k + r) + 1)
     window = range(-(k + r), k + r + 1)
 
     def lift(c):
@@ -177,9 +158,7 @@ def splice_match_indices(
     columns."""
     if period < 1:
         raise DomainError("period must be >= 1")
-    cap = _core_cap(None)
-    if period > cap:
-        raise CoreBoundExceeded(f"splice period spans {period} columns (cap {cap})")
+    _check_span("splice period", period)
     if has_infinite_column(c.canonicalize()):
         raise DomainError("splice needs finite heights")
     if not equals(c0.shift(period), c0):
@@ -217,8 +196,6 @@ def periodic_splice(
     than the core cap raises CoreBoundExceeded before it is read.
     """
     k1, k2 = splice_match_indices(automaton, c, c0, period)
-    cap = _core_cap(None)
-    if k2 - k1 > cap:
-        raise CoreBoundExceeded(f"splice block spans {k2 - k1} columns (cap {cap})")
+    _check_span("splice block", k2 - k1)
     block = c.heights(k1, k2 - 1)
     return Configuration.periodic(block).shift(k1).canonicalize()

@@ -21,15 +21,24 @@ or the match bit sets of `_lookup`. `naive_canonical_form` reduces tails
 and trims the core one `Tail.at` at a time, so it shares no logic with
 the sliced tests of `_reduce_tail` and `_canonicalize` or with
 `Tail.window`.
+
+`naive_L_preimage` builds the explicit L pre-image one `height` call per
+column, with a bisect over the list of variations, so it shares no logic
+with the one-pass `zoo.build_L_preimage`. `naive_iterate` and
+`naive_nilpotency` step an orbit with a plain `apply` loop, so they share
+no logic with `automaton._orbit`.
 """
+
+import bisect
 
 from dataclasses import dataclass
 from itertools import product
 from math import inf, lcm
 
-from sandlab.automaton import NEG, POS, WILDCARD, window_image
-from sandlab.config import Configuration, Tail
-from sandlab.errors import DomainError
+from sandlab.analysis import BOUND_EXCEEDED, EVIDENCE, PROOF, WITNESS_FOUND, WitnessReport
+from sandlab.automaton import NEG, POS, WILDCARD, apply, window_image
+from sandlab.config import Configuration, Tail, has_infinite_column
+from sandlab.errors import CoreBoundExceeded, DomainError
 from sandlab.heights import Height, Infinity, MINUS_INF, PLUS_INF
 from sandlab.metric import Distance, _class_minimum, _separating_gauge
 
@@ -388,3 +397,98 @@ def preimage_reference(automaton, target, klass: str, n: int, h: int, inf=False)
             for word in product(values, repeat=2 * n + 1)
         )
     return next((c for c in candidates if naive_maps_onto(automaton, c, target)), None)
+
+
+def naive_L_preimage(c: Configuration) -> Configuration:
+    """A configuration that L maps onto c: each column undoes a +/-1 whose
+    sign alternates away from the nearest height variation at or below it."""
+    if has_infinite_column(c.canonicalize()):
+        raise DomainError("pre-image construction needs finite heights")
+    cc = c.canonicalize()
+    a, b = cc.core_start, cc.core_end
+    pl, pr = len(cc.left.values), len(cc.right.values)
+    A = a - 2 - 2 * pl
+    B = b + 2 + 2 * pr
+    lo_scan = A - 2 * pl - 2
+    hi_scan = B + pr + 2
+    variations = [
+        i for i in range(lo_scan, hi_scan + 1) if cc.height(i) != cc.height(i - 1)
+    ]
+    if not variations:
+        return cc
+
+    def governing(i):
+        pos = bisect.bisect_right(variations, i)
+        return variations[pos - 1] if pos else None
+
+    def pre(i):
+        v = governing(i)
+        if v is None:
+            return cc.height(i)
+        ascending = cc.height(v) > cc.height(v - 1)
+        even = (i - v) % 2 == 0
+        return cc.height(i) + (1 if ascending == even else -1)
+
+    core = tuple(pre(i) for i in range(A, B + 1))
+    left_has = any(
+        cc.height(i) != cc.height(i - 1) for i in range(a - 2 * pl, a - pl)
+    )
+    right_has = any(
+        cc.height(i) != cc.height(i - 1) for i in range(b + 2 + pr, b + 2 + 2 * pr)
+    )
+    if left_has:
+        left = Tail(tuple(pre(A - 1 - j) for j in range(pl)), cc.left.slope)
+    else:
+        left = cc.left
+    if right_has:
+        right = Tail(tuple(pre(B + 1 + j) for j in range(pr)), cc.right.slope)
+    else:
+        right = Tail((pre(B + 1), pre(B + 2)), 0)
+    return Configuration(A, core, left, right).canonicalize()
+
+
+def naive_iterate(automaton, c: Configuration, steps: int, cap: int):
+    """`iterate` as a plain `apply` loop: the input at steps=0, else the
+    last image, stopping at the first image equal to its pre-image."""
+    for n in range(steps):
+        c, prev = apply(automaton, c), c
+        if len(c.core) > cap:
+            raise CoreBoundExceeded(
+                f"core grew to {len(c.core)} columns (cap {cap}) at step {n + 1}"
+            )
+        if naive_equals(c, prev):
+            break
+    return c
+
+
+def naive_nilpotency(automaton, c: Configuration, steps: int, cap: int):
+    """`check_nilpotent_bounded` as a plain `apply` loop."""
+    zero, bounds = Configuration(0, ()), {"steps": steps}
+    for step in range(steps + 1):
+        if naive_equals(c, zero):
+            note = "orbit reaches the all-zero configuration"
+            if step == 0:
+                note += (" at step 0: the input already is 0; counted as a "
+                         "(degenerate) success by convention")
+            return WitnessReport(WITNESS_FOUND, c.canonicalize(), bounds, note,
+                                 PROOF, {"steps_to_zero": step})
+        if step == steps:
+            break
+        nxt = apply(automaton, c)
+        if len(nxt.core) > cap:
+            return WitnessReport(BOUND_EXCEEDED, None, bounds,
+                                 "core growth guard tripped before the step bound",
+                                 EVIDENCE, {"steps_done": step + 1})
+        if naive_equals(nxt, c):
+            return WitnessReport(
+                BOUND_EXCEEDED, None, bounds,
+                "orbit reached a non-zero fixed point; it can never reach 0. "
+                "Zero-reachability for all inputs stays undecidable in "
+                "general, so bounded runs report BOUND_EXCEEDED",
+                EVIDENCE, {"steps_done": step + 1, "fixed_point": True})
+        c = nxt
+    return WitnessReport(
+        BOUND_EXCEEDED, None, bounds,
+        "no zero configuration within the step bound; nilpotency is "
+        "undecidable in general, so exceeding the bound decides nothing",
+        EVIDENCE, {"steps_done": steps})

@@ -17,9 +17,9 @@ from sandlab.analysis import (
     verify_right_inverse,
     verify_witness_pair,
 )
-from sandlab import analysis
-from sandlab.automaton import _core_cap, apply, validate_rule, window_image
-from sandlab.config import Configuration, equals
+from sandlab import analysis, automaton
+from sandlab.automaton import apply, validate_rule, window_image
+from sandlab.config import Configuration, _core_cap, equals
 from sandlab.errors import DomainError
 from sandlab.heights import MINUS_INF, PLUS_INF
 from sandlab.rng import Lcg64, sample_configuration
@@ -315,7 +315,8 @@ def test_nilpotency_probe_reads_the_core_cap_once(monkeypatch):
         calls.append(max_core)
         return _core_cap(max_core)
 
-    monkeypatch.setattr(analysis, "_core_cap", counting_cap)
+    # the probe reads the cap only through the one orbit loop
+    monkeypatch.setattr(automaton, "_core_cap", counting_cap)
     r = check_nilpotent_bounded(zoo.make("S"), Configuration.finite({0: 100}), 30)
     assert r.details == {"steps_done": 30}
     assert calls == [None]

@@ -35,6 +35,8 @@ from naive_scan import (
     first_match_delta,
     local_delta,
     naive_image_heights,
+    naive_iterate,
+    naive_nilpotency,
     code_readings,
 )
 
@@ -353,6 +355,42 @@ def test_iterate_core_bound():
     assert equals(apply(S, final), final)
 
 
+def test_orbit_matches_a_plain_apply_loop():
+    # seeded configurations under every zoo rule, with caps small enough to
+    # trip the core guard: the same nilpotency report, the same iterate
+    # result or cap message, the input itself at steps=0 and else the
+    # canonical image that apply returned, also at a fixed point
+    rng, notes = Lcg64(11), set()
+    fields = lambda x: (x.core_start, x.core, x.left, x.right)
+    for name in zoo.ZOO:
+        automaton = zoo.make(name)
+        for _ in range(60):
+            c = sample_configuration(rng, height=3)
+            for steps, cap in ((0, 0), (1, 0), (5, 4), (12, 9)):
+                report = check_nilpotent_bounded(automaton, c, steps, cap)
+                assert report == naive_nilpotency(automaton, c, steps, cap)
+                notes.add(report.evidence_note.split(" at step 0")[0].split(";")[0])
+                try:
+                    want = naive_iterate(automaton, c, steps, cap)
+                except CoreBoundExceeded as e:
+                    with pytest.raises(CoreBoundExceeded) as got:
+                        iterate(automaton, c, steps, cap)
+                    assert str(got.value) == str(e)
+                    continue
+                got = iterate(automaton, c, steps, cap)
+                if steps == 0:
+                    assert got is c
+                else:
+                    assert got.canonicalize() is got
+                    assert fields(got) == fields(want)
+    assert notes == {
+        "orbit reaches the all-zero configuration",
+        "core growth guard tripped before the step bound",
+        "orbit reached a non-zero fixed point",
+        "no zero configuration within the step bound",
+    }
+
+
 def test_core_bound_env_variable(monkeypatch):
     S = zoo.make("S")
     big = Configuration.finite({0: 100})
@@ -373,6 +411,10 @@ def test_parameter_overrides_env(monkeypatch):
     monkeypatch.setenv("SANDLAB_MAX_CORE", "5")
     final = iterate(S, big, 200, max_core=10**6)
     assert equals(apply(S, final), final)
+    # an explicit cap never reads the variable, even an unreadable one
+    monkeypatch.setenv("SANDLAB_MAX_CORE", "not-a-number")
+    assert equals(iterate(S, big, 200, max_core=10**6), final)
+    assert check_nilpotent_bounded(S, big, 5, max_core=10**6).details == {"steps_done": 5}
 
 
 def test_sandpile_on_tails():

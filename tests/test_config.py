@@ -7,10 +7,15 @@ with hand-computed sequences and randomized rebuild round-trips.
 """
 
 import itertools
+import os
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
 
+import sandlab
 from sandlab import zoo
 from sandlab.automaton import apply, apply_window
 from sandlab.config import (
@@ -701,3 +706,26 @@ def test_repr_round_trip_worthy():
         Configuration.general(-1, (PLUS_INF,), Tail((0,), 0), Tail((1,), 2)),
     ):
         assert "config" in repr(c)
+
+
+def test_finite_refuses_a_span_over_the_core_cap_before_building_it():
+    # a child process under a 1 GB address-space limit: a core of 2 * 10**30
+    # columns must be refused, not built
+    code = (
+        "from sandlab.config import Configuration\n"
+        "from sandlab.errors import CoreBoundExceeded\n"
+        "try:\n"
+        "    Configuration.finite({-10**30: 2, 10**30: 1})\n"
+        "except CoreBoundExceeded as e:\n"
+        "    print(e)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sandlab.__file__)))
+    env.pop("SANDLAB_MAX_CORE", None)
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=5, preexec_fn=limit,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    span = 2 * 10**30 + 1
+    assert done.stdout == f"finite core spans {span} columns (cap 65536)\n"

@@ -10,9 +10,12 @@ import pytest
 from sandlab.automaton import apply
 from sandlab.config import Configuration, Tail, equals
 from sandlab.errors import CoreBoundExceeded, DomainError
+from sandlab.formats import emit_config_file
 from sandlab.heights import PLUS_INF
 from sandlab.rng import Lcg64, sample_configuration
 from sandlab import witnesses, zoo
+
+from naive_scan import naive_L_preimage
 
 ZERO = Configuration.finite({})
 
@@ -115,6 +118,14 @@ def test_L_preimage_random_round_trip():
         c = sample_configuration(rng, height=4, include_infinities=False)
         pre = zoo.build_L_preimage(c)
         assert equals(apply(L, pre), c)
+
+
+def test_L_preimage_matches_the_column_by_column_reference():
+    rng = Lcg64(7)
+    for _ in range(3000):
+        c = sample_configuration(rng, height=5)
+        want = emit_config_file(naive_L_preimage(c))
+        assert emit_config_file(zoo.build_L_preimage(c)) == want, c
 
 
 def test_L_preimage_rejects_infinite_columns():
