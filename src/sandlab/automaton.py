@@ -28,7 +28,7 @@ cap, which `config` owns, once per orbit.
 
 from __future__ import annotations
 
-from .config import Configuration, Tail, Value, _core_cap, equals
+from .config import Configuration, Value, _configuration, _core_cap, _tail, equals
 from .errors import CoreBoundExceeded, DomainError, RuleError
 from .heights import Height, Infinity, MINUS_INF, PLUS_INF
 
@@ -239,17 +239,20 @@ def apply(automaton: SandAutomaton, c: Configuration) -> Configuration:
     Tail columns further than r from the core see a window that is a rigid
     copy of the one a full period earlier (shifted by the slope, which the
     readings cancel), so their deltas repeat with the tail period and the
-    image tail keeps the same length and slope. One flat read covers the
-    core image, r columns either side of it, and one period of each tail
-    image beyond that.
+    image tail keeps the same length, slope and rise (infinities stay put).
+    One flat read covers the core image, r columns either side of it, and
+    one period of each tail image beyond that. The raw image is built
+    unchecked from the kernel's values, and `canonicalize` reduces it
+    through the module-global `config._canonicalize`.
     """
     r, left, right = automaton.radius, c.left, c.right
     pl, pr = len(left.values), len(right.values)
     # img[k] is the image of column core_start - r - pl + k
     hs = left.window(0, 2 * r + pl)[::-1] + c.core + right.window(0, 2 * r + pr)
     img = window_image(automaton, hs)
-    left, right = Tail(img[pl - 1 :: -1], left.slope), Tail(img[-pr:], right.slope)
-    return Configuration(c.core_start - r, img[pl:-pr], left, right).canonicalize()
+    left = _tail(tuple(img[pl - 1 :: -1]), left.slope, left.rise)
+    right = _tail(tuple(img[-pr:]), right.slope, right.rise)
+    return _configuration(c.core_start - r, tuple(img[pl:-pr]), left, right).canonicalize()
 
 
 def _orbit(automaton: SandAutomaton, c: Configuration, steps: int, max_core):

@@ -20,8 +20,10 @@ sequences, whatever representation built them, is one comparison of
 canonical keys; hashes are taken from the same key.
 
 A `Tail` records its effective slope once, when built; `Tail.window` reads
-a run of tail columns as whole period copies, and canonicalization works on
-slices of the period word and windows, never on single columns.
+a run of tail columns as whole period copies. The public constructors check
+every value; `_tail` and `_configuration` build from checked values (kernel
+outputs, slices of checked cores and tails), so a global step builds each
+object once. Canonicalization works on slices, never on single columns.
 
 `Configuration.finite` builds a dense core from sparse input, so this
 module owns the core cap (`SANDLAB_MAX_CORE`, else `DEFAULT_MAX_CORE`):
@@ -67,6 +69,12 @@ def _check_span(what: str, n: int) -> None:
         raise CoreBoundExceeded(f"{what} spans {n} columns (cap {cap})")
 
 
+def _check_int(what: str, v) -> int:
+    if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
+        raise DomainError(f"{what} must be an int, got {v!r}")
+    return v
+
+
 def _check_height(v) -> Height:
     if isinstance(v, Infinity):
         return v
@@ -103,8 +111,8 @@ class Tail(Value):
     values[j] is the height j columns past the core boundary within the
     first period copy; every later copy of a finite entry gains `slope`.
     Infinite entries repeat unchanged. `rise` is the effective slope,
-    found once while the values are checked: `slope`, or 0 when no entry
-    is finite. Equality, hashing and repr ignore it.
+    found once when built: `slope`, or 0 when no entry is finite.
+    Equality, hashing and repr ignore it.
     """
 
     _fields = ("values", "slope")
@@ -118,10 +126,8 @@ class Tail(Value):
         for v in values:
             if type(v) is not int:
                 infinite += isinstance(_check_height(v), Infinity)
-        if isinstance(slope, bool) or not isinstance(slope, int):
-            raise DomainError(f"tail slope must be an int, got {slope!r}")
-        self.values = values
-        self.slope = slope
+        _check_int("tail slope", slope)
+        self.values, self.slope = values, slope
         self.rise = slope if infinite < len(values) else 0
 
     def at(self, j: int) -> Height:
@@ -150,13 +156,20 @@ class Tail(Value):
         p = len(self.values)
         if not k or (k % p == 0 and not self.rise):
             return self  # whole periods of a level tail change nothing
-        return Tail(self.window(k, p), self.slope)
+        return _tail(self.window(k, p), self.slope, self.rise)
 
     def mirror(self) -> "Tail":
         """The left tail that continues this right tail backwards from the
         same boundary: mirror().at(j) == at(-1 - j)."""
         p = len(self.values)
-        return Tail(self.window(-p, p)[::-1], -self.slope)
+        return _tail(self.window(-p, p)[::-1], -self.slope, -self.rise)
+
+
+def _tail(values: tuple, slope: int, rise: int) -> Tail:
+    """A Tail from a checked non-empty tuple, its slope and its rise."""
+    t = object.__new__(Tail)
+    t.values, t.slope, t.rise = values, slope, rise
+    return t
 
 
 ZERO_TAIL = Tail((0,), 0)
@@ -172,20 +185,15 @@ class Configuration:
     __slots__ = ("core_start", "core", "left", "right", "_canon")
 
     def __init__(self, core_start: int, core: tuple, left=ZERO_TAIL, right=ZERO_TAIL):
-        if type(core_start) is not int and (
-            isinstance(core_start, bool) or not isinstance(core_start, int)
-        ):
-            raise DomainError(f"core start must be an int, got {core_start!r}")
+        if type(core_start) is not int:
+            _check_int("core start", core_start)
         if type(left) is not Tail or type(right) is not Tail:
             raise DomainError(f"tails must be Tail objects, got {left!r} and {right!r}")
         core = tuple(core)
         for v in core:
             if type(v) is not int:
                 _check_height(v)
-        self.core_start = core_start
-        self.core = core
-        self.left = left
-        self.right = right
+        self.core_start, self.core, self.left, self.right = core_start, core, left, right
         self._canon = None
 
     # -- constructors ------------------------------------------------------
@@ -194,7 +202,8 @@ class Configuration:
     def finite(cls, deviations: dict) -> "Configuration":
         """Zero background with the given column -> height deviations; a
         span over the core cap raises CoreBoundExceeded."""
-        devs = {i: _check_height(v) for i, v in deviations.items() if v != 0}
+        devs = {_check_int("column", i): v for i, v in deviations.items()}
+        devs = {i: _check_height(v) for i, v in devs.items() if v != 0}
         a, b = (min(devs), max(devs)) if devs else (0, -1)
         _check_span("finite core", b - a + 1)
         core = tuple(devs.get(i, 0) for i in range(a, b + 1))
@@ -218,9 +227,8 @@ class Configuration:
     @classmethod
     def general(cls, core_start: int, core, left, right) -> "Configuration":
         """Explicit core plus (values, slope) tails on each side."""
-        left = left if isinstance(left, Tail) else Tail(left[0], left[1])
-        right = right if isinstance(right, Tail) else Tail(right[0], right[1])
-        return cls(core_start, core, left, right)
+        tails = [t if isinstance(t, Tail) else Tail(t[0], t[1]) for t in (left, right)]
+        return cls(core_start, core, *tails)
 
     # -- basic access ------------------------------------------------------
 
@@ -253,19 +261,16 @@ class Configuration:
 
     def shift(self, k: int) -> "Configuration":
         """Translate the whole configuration k columns: r_i = c_{i-k}."""
+        k = _check_int("offset", k)
         return Configuration(self.core_start + k, self.core, self.left, self.right)
 
     def raise_by(self, k: int) -> "Configuration":
         """Add k grains to every finite column."""
-        if k == 0:
+        if _check_int("offset", k) == 0:
             return self
         lift = lambda vs: tuple(ext_add(v, k) for v in vs)
-        return Configuration(
-            self.core_start,
-            lift(self.core),
-            Tail(lift(self.left.values), self.left.slope),
-            Tail(lift(self.right.values), self.right.slope),
-        )
+        tails = [Tail(lift(t.values), t.slope) for t in (self.left, self.right)]
+        return Configuration(self.core_start, lift(self.core), *tails)
 
     # -- equality and hashing ----------------------------------------------
 
@@ -287,14 +292,7 @@ class Configuration:
 
     def canonical_key(self) -> tuple:
         c = self.canonicalize()
-        return (
-            c.core_start,
-            c.core,
-            c.left.values,
-            c.left.slope,
-            c.right.values,
-            c.right.slope,
-        )
+        return (c.core_start, c.core, c.left.values, c.left.slope, c.right.values, c.right.slope)
 
     def __repr__(self):
         a, b = self.core_start, self.core_end
@@ -303,6 +301,13 @@ class Configuration:
             f"left={self.left.values!r}{self.left.slope:+d} "
             f"right={self.right.values!r}{self.right.slope:+d}>"
         )
+
+
+def _configuration(core_start: int, core: tuple, left: Tail, right: Tail) -> Configuration:
+    """A Configuration from a checked start, core tuple and tails."""
+    c = object.__new__(Configuration)
+    c.core_start, c.core, c.left, c.right, c._canon = core_start, core, left, right, None
+    return c
 
 
 # -- sequence equality -----------------------------------------------------
@@ -418,8 +423,7 @@ def support_radius(c: Configuration) -> int:
 
 
 def has_infinite_column(c: Configuration) -> bool:
-    check = lambda vs: any(isinstance(v, Infinity) for v in vs)
-    return check(c.core) or check(c.left.values) or check(c.right.values)
+    return any(isinstance(v, Infinity) for v in c.core + c.left.values + c.right.values)
 
 
 # -- canonicalization ------------------------------------------------------
@@ -434,9 +438,12 @@ def has_infinite_column(c: Configuration) -> bool:
 # is unique).
 #
 # Tests run on slices: a word is q-periodic when its last p - q entries equal
-# its first p - q (raised by the slope share when sloped), each core edge is
-# trimmed against one `Tail.window` read inward over the core, and an empty
-# core is anchored by one rotation scan or one pl + pr column read per side.
+# its first p - q (raised by the slope share when sloped); both core edges
+# are trimmed on one flat tuple (left period reversed, core, right period),
+# an edge column going while it equals the column one period further out less
+# that tail's rise, and the new tails are the period-long slices next to the
+# kept core; an empty core is anchored by one rotation scan or one pl + pr
+# column read per side.
 
 
 def _reduce_tail(tail: Tail) -> Tail:
@@ -462,27 +469,25 @@ def _reduce_tail(tail: Tail) -> Tail:
             if kept:
                 q = d
         f += 1
-    return tail if q == p and slope == tail.slope else Tail(vs[:q], slope * q // p)
+    return tail if q == p and slope == tail.slope else _tail(vs[:q], s := slope * q // p, s)
 
 
 def _canonicalize(c: Configuration) -> Configuration:
     left = _reduce_tail(c.left)
     right = _reduce_tail(c.right)
-    core = c.core
-    # count the edge columns each tail predicts, then re-anchor it once
-    hi = len(core)
-    inward = right.window(-hi, hi)  # inward[k]: right's guess at core[k]
-    while hi and core[hi - 1] == inward[hi - 1]:
+    pl, pr, ls, rs = len(left.values), len(right.values), left.rise, right.rise
+    flat = left.values[::-1] + c.core + right.values
+    lo, hi = pl, pl + len(c.core)  # the kept core is flat[lo:hi]
+    while hi > lo and flat[hi - 1] == (
+            w if (w := flat[hi - 1 + pr]).__class__ is Infinity else w - rs):
         hi -= 1
-    lo = 0
-    inward = left.window(-hi, hi)[::-1]  # inward[k]: left's guess at core[k]
-    while lo < hi and core[lo] == inward[lo]:
+    while lo < hi and flat[lo] == (w if (w := flat[lo - pl]).__class__ is Infinity else w - ls):
         lo += 1
-    start = c.core_start + lo
-    left = left.rebased(-lo)
-    right = right.rebased(hi - len(core))
+    start = c.core_start + lo - pl
+    left = _tail(flat[lo - pl : lo][::-1], left.slope, ls)
+    right = _tail(flat[hi : hi + pr], right.slope, rs)
     if lo < hi:
-        return Configuration(start, core[lo:hi], left, right)
+        return _configuration(start, flat[lo:hi], left, right)
 
     if left == right.mirror():
         # globally affine-periodic: anchor 0 (slope != 0) or the anchor in
@@ -491,7 +496,7 @@ def _canonicalize(c: Configuration) -> Configuration:
         if right.slope == 0:  # the least rotation of the word at 0..p-1
             base = _least_rotation(right.window(-start, len(right.values)))
         right = right.rebased(base - start)
-        return Configuration(base, (), right.mirror(), right)
+        return _configuration(base, (), right.mirror(), right)
     # not globally affine-periodic: the least valid anchor is where the two
     # sides part, within pl + pr columns left of the core (sides that agree
     # that far agree everywhere, by Fine and Wilf)
@@ -500,7 +505,7 @@ def _canonicalize(c: Configuration) -> Configuration:
     n = next((k for k, (u, v) in pairs if u != v), m)
     if n == m:  # pragma: no cover
         raise AssertionError("the two sides of an empty core never part")
-    return Configuration(start - n, (), left.rebased(n), right.rebased(-n))
+    return _configuration(start - n, (), left.rebased(n), right.rebased(-n))
 
 
 def _least_rotation(s: tuple) -> int:

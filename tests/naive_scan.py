@@ -18,9 +18,11 @@ closed forms themselves. The image reference evaluates each column on its
 own, from its difference vector and the first-match scan of the rule
 table, so it shares no logic with `window_image`, its kernels, its memo
 or the match bit sets of `_lookup`. `naive_canonical_form` reduces tails
-and trims the core one `Tail.at` at a time, so it shares no logic with
-the sliced tests of `_reduce_tail` and `_canonicalize` or with
-`Tail.window`.
+and trims the core one `Tail.at` at a time, and builds every tail and
+configuration through the checked public constructors, so it shares no
+logic with the sliced period tests of `_reduce_tail`, the flat edge trim
+of `_canonicalize`, the unchecked `_tail` and `_configuration` that
+`apply` and `_canonicalize` build with, or `Tail.window`.
 
 `naive_L_preimage` builds the explicit L pre-image one `height` call per
 column, with a bisect over the list of variations, so it shares no logic

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from sandlab import config
 from sandlab.analysis import check_nilpotent_bounded
 from sandlab.automaton import (
     MAX_RADIUS,
@@ -389,6 +390,30 @@ def test_orbit_matches_a_plain_apply_loop():
         "orbit reached a non-zero fixed point",
         "no zero configuration within the step bound",
     }
+
+
+def test_each_step_goes_through_the_module_global_canonicalize(monkeypatch):
+    """The benchmark's core-width probe wraps `config._canonicalize`; each
+    `apply` must call it exactly once, on its raw image, or the probe's
+    peak core width and canonicalization count go blind."""
+    seen = []
+    canonicalize = config._canonicalize
+
+    def probe(c):
+        seen.append(c)
+        return canonicalize(c)
+
+    monkeypatch.setattr(config, "_canonicalize", probe)
+    rng = Lcg64(19)
+    for name in zoo.ZOO:
+        automaton = zoo.make(name)
+        for c in [sample_configuration(rng, height=3) for _ in range(4)]:
+            for _ in range(10):
+                before = len(seen)
+                c, prev = apply(automaton, c), c
+                assert len(seen) == before + 1
+                assert seen[-1] is not prev and seen[-1]._canon is c
+    assert len(seen) == 10 * 4 * len(zoo.ZOO)
 
 
 def test_core_bound_env_variable(monkeypatch):

@@ -279,6 +279,19 @@ def _seeded(rng, klass):
     )
 
 
+def _raw_image(rule, c):
+    """One step's image before canonicalization: the core widened by r and
+    tails of the old periods and slopes, read through `apply_window`."""
+    r, a, b = rule.radius, c.core_start, c.core_end
+    pl, pr = len(c.left.values), len(c.right.values)
+    return Configuration(
+        a - r,
+        apply_window(rule, c, a - r, b + r),
+        Tail(apply_window(rule, c, a - r - pl, a - r - 1)[::-1], c.left.slope),
+        Tail(apply_window(rule, c, b + r + 1, b + r + pr), c.right.slope),
+    )
+
+
 def test_canonical_form_matches_column_by_column_reference_on_orbits():
     """40-step orbits of every zoo rule from every class: each step's raw
     image (core widened by r, tails of the old periods and slopes) has the
@@ -287,24 +300,57 @@ def test_canonical_form_matches_column_by_column_reference_on_orbits():
     infinite = 0
     for name in sorted(zoo.ZOO):
         rule = zoo.make(name)
-        r = rule.radius
         for klass in ("finite", "periodic", "affine", "general"):
             c = _seeded(rng, klass)
             infinite += has_infinite_column(c)
             for _ in range(40):
-                a, b = c.core_start, c.core_end
-                pl, pr = len(c.left.values), len(c.right.values)
-                raw = Configuration(
-                    a - r,
-                    apply_window(rule, c, a - r, b + r),
-                    Tail(apply_window(rule, c, a - r - pl, a - r - 1)[::-1], c.left.slope),
-                    Tail(apply_window(rule, c, b + r + 1, b + r + pr), c.right.slope),
-                )
+                raw = _raw_image(rule, c)
                 want = _fields(naive_canonical_form(raw))
                 assert _fields(_fresh(raw).canonicalize()) == want
                 c = apply(rule, c)
                 assert _fields(c) == want
     assert infinite > 5
+
+
+def test_apply_builds_hashable_self_canonical_images_on_orbits():
+    """12-step orbits of every zoo rule from six seeded starts of each class
+    and a few built ones. `apply` builds its image without the public
+    checks, so each result must still hold tuples (and hash), keep each
+    tail's rise as `Tail` finds it, be its own canonical form and match the
+    column-by-column reference. The counts show that the orbits reach empty
+    cores on both anchor branches, image tails whose primitive period
+    shrinks, all-infinite tails with a slope, and radius-2 rules."""
+    rng = Lcg64(1919)
+    built = [
+        Configuration(0, (1, 2), Tail((PLUS_INF,), 3), Tail((MINUS_INF, PLUS_INF), -2)),
+        Configuration(2, (), Tail((0, 0)), Tail((5, 5, 5), 0)),
+        Configuration(-1, (3,), Tail((1, 2, 1, 2), 2), Tail((MINUS_INF,) * 2, -1)),
+    ]
+    seen = dict.fromkeys(
+        ["periodic anchor", "parting anchor", "shrunk period", "infinite sloped tail",
+         "radius 2"], 0)
+    for name in sorted(zoo.ZOO):
+        rule = zoo.make(name)
+        starts = [_seeded(rng, k) for k in ("finite", "periodic", "affine", "general") * 6]
+        for c in starts + built:
+            for _ in range(12):
+                want = _fields(naive_canonical_form(_raw_image(rule, c)))
+                d = apply(rule, c)
+                assert _fields(d) == want
+                assert all(type(vs) is tuple for vs in (d.core, d.left.values, d.right.values))
+                assert hash(d) == hash(d.canonical_key())
+                assert d._canon is d
+                for t, before in ((d.left, c.left), (d.right, c.right)):
+                    assert t.rise == Tail(t.values, t.slope).rise
+                    seen["shrunk period"] += len(t.values) < len(before.values)
+                    seen["infinite sloped tail"] += bool(before.slope) and all(
+                        v in (PLUS_INF, MINUS_INF) for v in before.values)
+                seen["radius 2"] += rule.radius == 2
+                if not d.core:
+                    periodic = d.left == d.right.mirror()
+                    seen["periodic anchor" if periodic else "parting anchor"] += 1
+                c = d
+    assert min(seen.values()) > 3, seen
 
 
 def test_reducible_sloped_words_reduce_as_the_reference():
@@ -486,6 +532,21 @@ def test_constructors_store_tuples():
 def test_constructor_refuses_a_core_start_that_is_not_an_int(start):
     with pytest.raises(DomainError, match="core start"):
         Configuration(start, (1,))
+
+
+@pytest.mark.parametrize("column", [1.5, "a", True, None])
+def test_finite_refuses_a_column_that_is_not_an_int(column):
+    for height in (1, 0):
+        with pytest.raises(DomainError, match="column must be an int"):
+            Configuration.finite({0: 2, column: height})
+
+
+@pytest.mark.parametrize("k", [True, False, 1.5, "1", None])
+def test_shift_and_raise_refuse_an_offset_that_is_not_an_int(k):
+    c = Configuration(0, (2, PLUS_INF), Tail((1,), 1))
+    for move in (c.shift, c.raise_by):
+        with pytest.raises(DomainError, match="offset must be an int"):
+            move(k)
 
 
 @pytest.mark.parametrize("left, right", [
