@@ -379,14 +379,16 @@ def _runs(x: Configuration, y: Configuration) -> list:
 
 def aligned_blocks(x: Configuration, y: Configuration, first: int, last: int):
     """Yield (cols, xs, ys) for the columns first..last, walked from
-    `first` towards `last`: `cols` is a range of at most BLOCK columns in
-    walk order, and xs, ys hold the heights of x and y at those columns.
-    Memory stays bounded by one block however long the walk."""
-    d = 1 if last >= first else -1
-    for j in range(first, last + d, d * BLOCK):
-        cols = range(j, last + d, d)[:BLOCK]
-        a, b = sorted((j, cols[-1]))
+    `first` towards `last`: `cols` is a range of columns in walk order, and
+    xs, ys hold the heights of x and y at those columns. Blocks start at 64
+    columns and grow eightfold up to BLOCK, so a walk that stops early reads
+    little, and memory stays bounded by one BLOCK however long the walk."""
+    d, n = (1 if last >= first else -1), 64
+    while d * (last - first) >= 0:
+        cols = range(first, last + d, d)[:n]
+        a, b = sorted((first, cols[-1]))
         yield cols, x.heights(a, b)[::d], y.heights(a, b)[::d]
+        first, n = first + d * n, min(8 * n, BLOCK)
 
 
 # -- aggregate measures ----------------------------------------------------

@@ -14,9 +14,10 @@ reads the canonical forms and scans no gauges, as the exponent grows with
 the heights: a column j gives max(|j|, least gauge separating its heights).
 It walks the runs of `config._runs` outward from column 0, nearest first: a
 column run column by column, a class run by each residue class, minimised in
-closed form from its first column up to the run's far end. A class starting
-at column j never goes below |j|, so the walk stops once |j| reaches the
-best candidate, and cores far apart cost no more than near ones.
+closed form from its first column up to the run's far end or the best
+candidate so far. A class starting at column j never goes below |j|, so the
+walk stops once |j| reaches the best candidate, and cores far apart cost no
+more than near ones.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from functools import total_ordering
 from math import inf
 
-from .config import Configuration, Value, _runs, aligned_blocks, equals
+from .config import Configuration, Value, _check_int, _runs, aligned_blocks, equals
 from .errors import DomainError
 from .heights import Height, Infinity, PLUS_INF
 
@@ -45,7 +46,7 @@ class Distance(Value):
 
     @classmethod
     def dyadic(cls, exponent: int) -> "Distance":
-        if exponent < 0:
+        if _check_int("distance exponent", exponent) < 0:
             raise DomainError("distance exponent must be >= 0")
         return cls(False, exponent)
 
@@ -112,7 +113,7 @@ def distance(x: Configuration, y: Configuration) -> Distance:
                 if abs(j) >= best:
                     break
                 g = (max(abs(j), _separating_gauge(u, v, m)) if abs(far - j) < L
-                     else _class_minimum(abs(j), L, u, su, v, sv, m, abs(far)))
+                     else _class_minimum(abs(j), L, u, su, v, sv, m, min(abs(far), best - 1)))
                 if g < best:
                     best = g
     return Distance.dyadic(best)
@@ -120,19 +121,20 @@ def distance(x: Configuration, y: Configuration) -> Distance:
 
 def _class_minimum(a0, L, u0, su, v0, sv, m, amax=inf):
     """Minimum of max(a0 + k*L, separating gauge at column k) over k >= 0
-    with a0 + k*L <= amax, for one residue class of tail columns.
+    with a0 + k*L <= amax, for one residue class of tail columns; inf when
+    no such column separates the configurations.
 
     The column at step k sits at absolute position a0 + k*L (a0 >= 0) and
     carries heights u(k) / v(k): constant when infinite, otherwise affine
-    with the given per-step increments. Returns inf when the class never
-    separates the configurations.
+    with the given per-step increments. As the value at step k is at least
+    a0 + k*L, a caller whose best candidate is b may pass amax = b - 1: the
+    clipped minimum is exact when the true one is below b, and >= b else.
     """
-    u_inf = isinstance(u0, Infinity)
-    v_inf = isinstance(v0, Infinity)
-    if u_inf and v_inf:
-        return inf if u0 is v0 else max(a0, 1)
-    if not u_inf and not v_inf and u0 == v0 and su == sv:
-        return inf
+    u_inf, v_inf = isinstance(u0, Infinity), isinstance(v0, Infinity)
+    if amax < a0 or u0 == v0 and (su == sv or u_inf):
+        return inf  # no column in range, or no column ever separates
+    if amax - a0 < L or u_inf and v_inf:
+        return max(a0, _separating_gauge(u0, v0, m))  # one column decides
 
     # Candidate steps: small k, plus integer neighbourhoods of every
     # breakpoint of the piecewise-affine gauge term and of its crossings
@@ -141,20 +143,14 @@ def _class_minimum(a0, L, u0, su, v0, sv, m, amax=inf):
     cands = {0, 1, 2}
 
     def add_root(num, den):
-        if den == 0:
-            return
-        q = num // den
-        for k in (q - 1, q, q + 1, q + 2):
-            if k >= 0:
-                cands.add(k)
+        if den:  # the steps k >= 0 among q - 1..q + 2, q = num // den
+            q = num // den
+            cands.update(range(max(q - 1, 0), q + 3))
 
     forms = []  # affine expressions c + d*k whose sign/clamp changes matter
-    if not u_inf:
-        forms.append((u0 - m, su))
-        forms.append((m - u0, -su))
-    if not v_inf:
-        forms.append((v0 - m, sv))
-        forms.append((m - v0, -sv))
+    for w0, sw, w_inf in ((u0, su, u_inf), (v0, sv, v_inf)):
+        if not w_inf:
+            forms += [(w0 - m, sw), (m - w0, -sw)]
     if not u_inf and not v_inf:
         add_root(v0 - u0, su - sv)  # where u and v coincide
     for c0, d in forms:

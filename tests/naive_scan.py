@@ -9,12 +9,14 @@ the bounded class in turn and checks its image column by column.
 
 They read configurations only through `height` (or `Tail.at`) and the
 tail period words and slopes, so they share no logic with `Tail.window`,
-`equals`, `first_difference` or `distance`. `whole_window_distance` keeps
-the closed-form class minimum of `distance` but reads every column of the
-aligned window one by one, takes each tail's rise per lcm period from its
-slope and finite entries, and minimises every residue class, with no
-runs, no blocks and no pruning; `naive_distance_exponent` checks the
-closed forms themselves. The image reference evaluates each column on its
+`equals`, `first_difference` or `distance`. `whole_window_distance` reads
+every column of the aligned window one by one, takes each tail's rise per
+lcm period from its slope and finite entries, and minimises every residue
+class with `naive_class_minimum`, a column-by-column scan whose gauges
+bisect on `beta`, with no runs, no blocks and no pruning; only a class
+whose scan reaches its step cap falls back to the closed-form
+`_class_minimum`, and `naive_distance_exponent` checks the closed forms
+themselves. The image reference evaluates each column on its
 own, from its difference vector and the first-match scan of the rule
 table, so it shares no logic with `window_image`, its kernels, its memo
 or the match bit sets of `_lookup`. `naive_canonical_form` reduces tails
@@ -250,9 +252,44 @@ def _rise(tail: Tail, L: int) -> int:
     return tail.slope * (L // len(tail.values))
 
 
+CLASS_SCAN_STEPS = 1000
+
+
+def naive_gauge(u: Height, v: Height, m: int):
+    """Least gauge l >= 1 whose readings beta_l^m tell u and v apart, found
+    by bisection on `beta` (once two heights read apart they stay apart at
+    every larger gauge); inf when u == v."""
+    if u == v:
+        return inf
+    lo, hi = 1, max([1] + [abs(w - m) for w in (u, v) if not isinstance(w, Infinity)])
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if beta(mid, m, u) != beta(mid, m, v) else (mid + 1, hi)
+    return lo
+
+
+def naive_class_minimum(a0, L, u0, su, v0, sv, m, amax=inf, cap=CLASS_SCAN_STEPS):
+    """The least max(a0 + k*L, naive_gauge) over the columns k = 0, 1, ...
+    of one residue class with a0 + k*L <= amax, scanned one column at a
+    time until a0 + k*L reaches the best value so far, which no later
+    column can beat; None when that takes more than `cap` columns. Heights
+    are u0 + su*k and v0 + sv*k, or constant when infinite."""
+    at = lambda w, s, k: w if isinstance(w, Infinity) else w + s * k
+    if u0 == v0 and at(u0, su, 1) == at(v0, sv, 1):
+        return inf  # progressions that agree twice agree everywhere
+    best, k = inf, 0
+    while a0 + k * L <= amax and a0 + k * L < best:
+        if k == cap:
+            return None
+        best = min(best, max(a0 + k * L, naive_gauge(at(u0, su, k), at(v0, sv, k), m)))
+        k += 1
+    return best
+
+
 def whole_window_distance(x: Configuration, y: Configuration) -> Distance:
-    """`distance` read as two whole tuples over lo-Ll..hi+Lr, with a
-    closed-form minimum for every residue class past the span."""
+    """`distance` read as two whole tuples over lo-Ll..hi+Lr, with every
+    residue class past the span minimised by `naive_class_minimum`, or by
+    the closed form where that scan reaches its step cap."""
     lo, hi, Ll, Lr = _anchored_span(x, y)
     base = lo - Ll
     xs = tuple(x.height(j) for j in range(base, hi + Lr + 1))
@@ -270,7 +307,8 @@ def whole_window_distance(x: Configuration, y: Configuration) -> Distance:
         sx, sy = _rise(tx, L), _rise(ty, L)
         for j in first:
             u, v = xs[j - base], ys[j - base]
-            cands.append(_class_minimum(abs(j), L, u, sx, v, sy, m))
+            g = naive_class_minimum(abs(j), L, u, sx, v, sy, m)
+            cands.append(_class_minimum(abs(j), L, u, sx, v, sy, m) if g is None else g)
     best = min(cands, default=inf)
     return Distance.zero() if best == inf else Distance.dyadic(best)
 

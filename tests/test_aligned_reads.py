@@ -8,9 +8,12 @@ import subprocess
 import sys
 import time
 
+from itertools import islice
+
+import naive_scan
 import sandlab
 from sandlab import metric
-from sandlab.config import BLOCK, Configuration, Tail, equals, first_difference
+from sandlab.config import BLOCK, Configuration, Tail, aligned_blocks, equals, first_difference
 from sandlab.heights import MINUS_INF, PLUS_INF
 from sandlab.metric import distance
 from sandlab.rng import Lcg64, sample_configuration
@@ -142,7 +145,17 @@ def test_equals_and_first_difference_match_a_per_column_scan():
     assert count > 1000
 
 
-def test_distance_matches_the_whole_window_reference():
+def test_distance_matches_the_whole_window_reference(monkeypatch):
+    scanned = 0
+
+    def counted(*args):
+        nonlocal scanned
+        g = scan(*args)
+        scanned += g is not None
+        return g
+
+    scan = naive_scan.naive_class_minimum
+    monkeypatch.setattr(naive_scan, "naive_class_minimum", counted)
     far = 0
     for x, y in _pairs():
         d = distance(x, y)
@@ -150,6 +163,8 @@ def test_distance_matches_the_whole_window_reference():
         assert d == distance(y, x)
         far += not d.is_zero and d.exponent > BLOCK
     assert far >= 4
+    # the reference minimised that many classes by its own column scan
+    assert scanned > 100
 
 
 def _with_defect(base, start, width, rng):
@@ -296,6 +311,103 @@ def test_distance_stops_at_its_best_candidate(monkeypatch):
     right = _spelt_out(tails[1], 2, bump=2)
     d = distance(x, Configuration(-3, core, tails[0], right))
     assert d.exponent == 6 and starts and max(starts) <= d.exponent
+
+
+def _slope_apart(rng, p=40):
+    """A raised configuration with a period-p right tail, and the same one
+    with that tail climbing one more per period, as in a compare pair
+    apart only in its right tail's slope."""
+    lift = 10**9 + rng.below(10**6)
+    word = lambda n: tuple(lift + rng.int_between(-6, 6) for _ in range(n))
+    core, slope = word(1 + rng.below(10)), rng.int_between(-2, 2)
+    left = Tail(word(1 + rng.below(40)), rng.int_between(-2, 2))
+    start, right = -rng.below(len(core)), word(p)
+    return (Configuration(start, core, left, Tail(right, slope)),
+            Configuration(start, core, left, Tail(right, slope + 1)))
+
+
+def test_a_tail_slope_pair_minimises_at_most_one_class_in_full(monkeypatch):
+    """The first class that separates sets a best candidate no later class
+    of the run can beat, so each later one scores its first column only
+    (one gauge) or returns at once, and builds no candidate set."""
+    gauges, full = [0], []
+
+    def counted_gauge(*args):
+        gauges[0] += 1
+        return separating_gauge(*args)
+
+    def counted_class(*args):
+        before = gauges[0]
+        g = class_minimum(*args)
+        full.append(gauges[0] - before > 1)
+        return g
+
+    separating_gauge, class_minimum = metric._separating_gauge, metric._class_minimum
+    rng = Lcg64(4040)
+    pairs = [_slope_apart(rng) for _ in range(30)]
+    monkeypatch.setattr(metric, "_separating_gauge", counted_gauge)
+    monkeypatch.setattr(metric, "_class_minimum", counted_class)
+    for x, y in pairs:
+        full.clear()
+        d = distance(x, y)
+        assert d == whole_window_distance(x, y)
+        assert len(full) > 1 and sum(full) <= 1, (x, y, full)
+
+
+def test_unrelated_sloped_pairs_read_one_first_block(monkeypatch):
+    """Two unrelated sequences of periods 40 and 39, raised by 10^30 and
+    sloped, that differ at the first column `first_difference` reads: each
+    side is read once, one small first block, not a whole lcm window."""
+    rng = Lcg64(3939)
+    word = lambda n: tuple(10**30 + rng.int_between(-6, 6) for _ in range(n))
+    pairs = []
+    while len(pairs) < 20:
+        x = Configuration(-2, word(4), Tail(word(40), 1), Tail(word(39), -2))
+        y = Configuration(-1, word(3), Tail(word(39), 2), Tail(word(40), 1))
+        j = first_difference(x, y)
+        if j == min(x.canonicalize().core_start, y.canonicalize().core_start, 0) - 1560:
+            pairs.append((x.canonicalize(), y.canonicalize(), j))
+    reads = []
+    heights = Configuration.heights
+
+    def spied(self, lo, hi):
+        reads.append((self, hi - lo + 1))
+        return heights(self, lo, hi)
+
+    monkeypatch.setattr(Configuration, "heights", spied)
+    for x, y, j in pairs:
+        reads.clear()
+        assert first_difference(x, y) == j
+        assert sorted(n for _, n in reads) == [64, 64] and {c for c, _ in reads} == {x, y}
+
+
+def test_aligned_blocks_walk_first_to_last_in_bounded_blocks(monkeypatch):
+    x = Configuration(-3, (5, PLUS_INF, 7), Tail((1, 2, MINUS_INF), -1), Tail((4, 0), 3))
+    y = Configuration(0, (9,), Tail((2,), 0), Tail((MINUS_INF, 6, 1), 2))
+    for first, last in ((0, 0), (-7, -7), (-50, 300), (300, -50), (5, 4), (4, 5), (-9000, 1000)):
+        d = 1 if last >= first else -1
+        cols, xs, ys = [], [], []
+        for block in aligned_blocks(x, y, first, last):
+            assert 0 < len(block[0]) <= BLOCK
+            assert list(block[0]) == list(range(block[0][0], block[0][-1] + d, d))
+            for seen, part in zip((cols, xs, ys), block):
+                seen += part
+        assert cols == list(range(first, last + d, d))
+        assert xs == [x.height(j) for j in cols] and ys == [y.height(j) for j in cols]
+    # a walk of 10^7 columns either way reads one block at a time, and
+    # its blocks run on from each other without a gap
+    monkeypatch.setattr(Configuration, "heights", lambda self, lo, hi: ())
+    for first, last in ((0, 10**7 - 1), (5, 5 - 10**7 + 1)):
+        d = 1 if last > first else -1
+        walk = aligned_blocks(x, y, first, last)
+        start = time.perf_counter()
+        sizes = [len(cols) for cols, _, _ in islice(walk, 3)]
+        assert time.perf_counter() - start < 0.1 and sizes == sorted(sizes)
+        nxt = first + d * sum(sizes)
+        for cols, _, _ in walk:
+            assert cols[0] == nxt and len(cols) <= BLOCK
+            nxt = cols[-1] + d
+        assert nxt == last + d
 
 
 def test_a_long_period_pair_compares_in_bounded_memory(tmp_path):

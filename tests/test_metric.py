@@ -1,13 +1,16 @@
 """Tests for the saturating gauge and the exact dyadic distance."""
 
+from math import inf
+
 import pytest
 
 from sandlab.config import Configuration, Tail
+from sandlab.errors import DomainError
 from sandlab.heights import MINUS_INF, PLUS_INF
-from sandlab.metric import Distance, distance
+from sandlab.metric import Distance, _class_minimum, _separating_gauge, distance
 from sandlab.rng import Lcg64, sample_configuration
 
-from naive_scan import beta, diff_vector, naive_distance_exponent
+from naive_scan import beta, diff_vector, naive_class_minimum, naive_distance_exponent, naive_gauge
 
 ZERO = Configuration.finite({})
 
@@ -91,6 +94,61 @@ def test_distance_ordering_and_float():
     assert Distance.zero() < Distance.dyadic(10) < Distance.dyadic(0)
     assert Distance.dyadic(2).as_float() == 0.25
     assert Distance.dyadic(10**6).as_float() == 0.0
+
+
+def test_dyadic_refuses_an_exponent_that_is_not_an_int():
+    for bad in (True, False, 1.5, 2.0, "3", None):
+        with pytest.raises(DomainError, match="distance exponent must be an int"):
+            Distance.dyadic(bad)
+    with pytest.raises(DomainError, match=">= 0"):
+        Distance.dyadic(-1)
+    assert str(Distance.dyadic(0)) == "2^-0" and str(Distance.dyadic(10**40)) == f"2^-{10**40}"
+
+
+def _class_height(rng, m):
+    if rng.below(6) == 0:
+        return (PLUS_INF, MINUS_INF)[rng.below(2)]
+    return m + rng.int_between(-9, 9)
+
+
+def test_class_minimum_matches_a_column_by_column_scan():
+    """The closed-form class minimum against a plain scan of the class's
+    columns, for small heights around the reference, infinities, equal and
+    unequal rises, and column caps unbounded, inside the first step, within
+    the first few, far out and below the class's first column."""
+    rng = Lcg64(2020)
+    decided = inside = below = 0
+    for k in range(6000):
+        m = rng.int_between(-5, 5)
+        a0, L = rng.below(40), 1 + rng.below(12)
+        u0, v0 = _class_height(rng, m), _class_height(rng, m)
+        if k % 7 == 0:
+            v0 = u0
+        su = rng.int_between(-3, 3)
+        sv = su if k % 3 == 0 else rng.int_between(-3, 3)
+        amax = a0 + (inf, rng.below(L), rng.below(4 * L), rng.below(10**4), -1 - rng.below(5))[k % 5]
+        want = naive_class_minimum(a0, L, u0, su, v0, sv, m, amax)
+        if want is None:
+            continue
+        got = _class_minimum(a0, L, u0, su, v0, sv, m, amax)
+        assert got == want, (a0, L, u0, su, v0, sv, m, amax)
+        decided += 1
+        inside += a0 <= amax < a0 + L
+        below += amax < a0
+    assert decided > 5000 and inside > 1000 and below > 1000
+    # no column in range: a finite class that separates from step 1 on
+    assert _class_minimum(3, 5, 10, 0, 10, 1, 0, amax=2) == inf
+    assert naive_class_minimum(3, 5, 10, 0, 10, 1, 0, amax=2) == inf
+
+
+def test_naive_gauge_is_the_least_gauge_whose_readings_differ():
+    rng = Lcg64(2121)
+    for _ in range(3000):
+        m = rng.int_between(-5, 5)
+        u, v = _class_height(rng, m), _class_height(rng, m)
+        least = next((l for l in range(1, 30) if beta(l, m, u) != beta(l, m, v)), inf)
+        assert naive_gauge(u, v, m) == least == _separating_gauge(u, v, m), (u, v, m)
+    assert naive_gauge(10**30, 10**30 + 1, 0) == 10**30
 
 
 def test_distance_agrees_with_naive_scan():
