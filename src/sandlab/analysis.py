@@ -19,27 +19,30 @@ lexicographic) so the structurally smallest witnesses surface first.
 
 The injectivity search walks that order as a prefix tree, one pass per
 weight: a node evaluates only the image column its newest entry completes,
-memoised per check on the code of the column's window. Image heights lie in
-[-h-r, h+r] or are infinite, so they are the digits of one integer key, base
-2(h+r)+4; a P key is the primitive root of the image word read from column
-r. Equal keys mean equal images.
+memoised per check on the code of the column's window, and the node above
+the leaves runs all of them in one loop. Image heights lie in [-h-r, h+r]
+or are infinite, so they are the digits of one integer key, base 2(h+r)+4;
+a P key is the primitive root of the image word read from column r. Equal
+keys mean equal images.
 
 The pre-image search is one iterative depth-first walk for all three
 classes. A node is one value tried at one column; the column that
 completes a window has that window's image checked against the target at
-once. A periodic target's periods are the multiples of its least period,
-the length of its canonical tail word, so one shift test picks them; a
-target that fails it has no periodic pre-image.
+once, memoised per run on the window's code unless the codes number more
+than WINDOW_MEMO_CAP. A periodic target's periods are the multiples of its
+least period, the length of its canonical tail word, so one shift test
+picks them; a target that fails it has no periodic pre-image.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 
 from .automaton import SandAutomaton, _orbit, apply, window_image
-from .config import Configuration, Tail, Value, equals, first_difference
+from .config import Configuration, Tail, Value, _check_int, equals, first_difference
 from .errors import CoreBoundExceeded, DomainError
-from .heights import MINUS_INF, PLUS_INF, is_finite
+from .heights import MINUS_INF, PLUS_INF
 from .rng import Lcg64, sample_configuration
 
 WITNESS_FOUND = "WITNESS_FOUND"
@@ -50,6 +53,10 @@ BOUND_EXCEEDED = "BOUND_EXCEEDED"
 PROOF = "proof"
 #: grade for a bare bounded search
 EVIDENCE = "evidence"
+
+#: the most window codes, count**(2r+1), whose images a pre-image run keeps;
+#: past it every node calls the kernel, so the memo stays a few MB at most
+WINDOW_MEMO_CAP = 2**16
 
 
 class WitnessReport(Value):
@@ -97,19 +104,25 @@ class WitnessReport(Value):
 
 
 def _height_values(h: int, include_infinities: bool):
-    """A function returning a fresh ascending iterator over the heights
-    -h..h (-inf first and +inf last when asked for); builds nothing."""
+    """The heights -h..h, with -inf first and +inf last when asked for, as
+    (how many, a function returning a fresh ascending iterator over them);
+    builds nothing."""
     finite = range(-h, h + 1)
     if include_infinities:
-        return lambda: chain((MINUS_INF,), finite, (PLUS_INF,))
-    return finite.__iter__
+        return 2 * h + 3, lambda: chain((MINUS_INF,), finite, (PLUS_INF,))
+    return 2 * h + 1, finite.__iter__
+
+
+@lru_cache(maxsize=64)
+def _units(q: int, base: int) -> list:
+    """(base**d, the q/d-fold repunit of d digits) per divisor d of q."""
+    return [(base**d, (base**q - 1) // (base**d - 1)) for d in range(1, q + 1) if q % d == 0]
 
 
 def _root(word: int, q: int, base: int) -> int:
     """The primitive root of the q-digit base-`base` word, led by a 1."""
-    for d in range(1, q + 1):
-        unit = base**d
-        if q % d == 0 and word == word % unit * ((base**q - 1) // (unit - 1)):
+    for unit, repunit in _units(q, base):
+        if word == word % unit * repunit:
             return unit + word % unit
 
 
@@ -128,48 +141,64 @@ def _image_keys(automaton: SandAutomaton, widths, pad: int, h: int, values):
     codes, keys, needs = ([0] * (max(widths) + 1) for _ in range(3))
     codes[0] = (half - 1) // (count - 1) * z if pad else 0
     row = [0] * (2 * r + max(widths))  # 2r zeros, then the entries so far
+    # window code -> the digit of its column; in class F also half**2 + the
+    # code of the last 2r entries -> the image of the 2r columns after them
     memo = {}
+    ends = [count ** (2 * r - 1 - j) for j in range(2 * r)]
 
     def image(hs):  # the image of hs[r:-r] as base-`base` digits, all > 0
         out = 0
         for y in window_image(automaton, hs):
-            out = out * base + (y + mid if is_finite(y) else 1 if y < 0 else base - 1)
+            out = out * base + (y + mid if y.__class__ is int else 1 if y < 0 else base - 1)
         return out
 
     for width, weight in [(w, c) for w in widths for c in range(w + 1)]:
         needs[0] = weight
-        stack = [iter(zero if weight == 0 else nonzero if weight == width else every)]
+        first = zero if weight == 0 else nonzero if weight == width else every
+        stack, top = [first if width == 1 else iter(first)], count**width
         while stack:
-            i = next(stack[-1], None)
-            if i is None:
-                stack.pop()
-                continue
-            k = len(stack)
-            code = codes[k] = codes[k - 1] * count + i
-            row[2 * r + k - 1] = values[i]
-            if k > lift:  # the newest entry completes a column
-                w = code % span
-                d = memo.get(w) or memo.setdefault(w, image(row[k - 1 : k + 2 * r]))
-                keys[k] = keys[k - 1] * base + d
+            k = len(stack)  # stack[-1] holds the entries to try at depth k
             if k < width:
+                i = next(stack[-1], None)
+                if i is None:
+                    stack.pop()
+                    continue
+                code = codes[k] = codes[k - 1] * count + i
+                row[2 * r + k - 1] = values[i]
+                if k > lift:  # the newest entry completes a column
+                    w = code % span
+                    d = memo.get(w) or memo.setdefault(w, image(row[k - 1 : k + 2 * r]))
+                    keys[k] = keys[k - 1] * base + d
                 need = needs[k] = needs[k - 1] - (i != z)
                 choice = zero if need == 0 else nonzero if need == width - k else every
-                stack.append(iter(choice))
-            elif pad or _root(code, width, count) == count**width + code:
-                if pad or width >= 2 * r:
-                    # the last 2r entries, then the first 2r (the pad in
-                    # class F), give the 2r columns after the interior; the
-                    # leading 1 keeps these codes above every window code
-                    w = (half + code % half) * half + codes[lift] % half
-                    e = memo.get(w)
-                    if e is None:
-                        cut = row[k : k + 2 * r] + row[lift : lift + 2 * r]
-                        e = memo[w] = image(cut)
-                    img = keys[k] * shift + e
+                stack.append(choice if k + 1 == width else iter(choice))
+                continue
+            # the leaves under one node, in one loop
+            prefix, slot, lead = codes[k - 1] * count, 2 * r + k - 1, keys[k - 1] * base
+            for i in stack.pop():
+                code = codes[k] = prefix + i
+                if not pad and _root(code, k, count) != top + code:
+                    continue  # a repetition of a shorter word
+                row[slot], img = values[i], lead
+                if k > lift:
+                    w = code % span
+                    img += memo.get(w) or memo.setdefault(w, image(row[k - 1 : k + 2 * r]))
+                # the last 2r entries, then the first 2r (the pad in class
+                # F), give the 2r columns after the interior
+                if pad:  # memoised on the last 2r entries, keyed above every window code
+                    end = half * half + code % half
+                    e = memo.get(end) or memo.setdefault(end, image(row[k:] + row[: 2 * r]))
+                    img = img * shift + e
+                elif k >= 2 * r:  # cyclic windows, mostly met inside earlier words
+                    hs = row[k : k + 2 * r] + row[lift : lift + 2 * r]
+                    cut = code % half * half + codes[lift]
+                    for j, p in enumerate(ends):
+                        w = cut // p % span
+                        d = memo.get(w) or memo.setdefault(w, image(hs[j : j + 2 * r + 1]))
+                        img = img * base + d
                 else:
-                    img = image([row[2 * r + t % width] for t in range(width + 2 * r)])
-                word = tuple(row[2 * r : k + 2 * r])
-                yield img if pad else _root(img, width, base), word
+                    img = image([row[2 * r + t % k] for t in range(k + 2 * r)])
+                yield img if pad else _root(img, k, base), tuple(row[2 * r : k + 2 * r])
 
 
 # -- injectivity --------------------------------------------------------------
@@ -196,23 +225,21 @@ def check_injective_bounded(
     """
     if klass not in ("F", "P"):
         raise DomainError(f"class must be 'F' or 'P', got {klass!r}")
-    if n_or_p < 1 or h < 1:
+    bounds = {("window" if klass == "F" else "period"): n_or_p, "height": h}
+    if min(map(_check_int, bounds, bounds.values())) < 1:
         raise DomainError("bounds must be >= 1")
+    if _check_int("max_candidates", max_candidates) < 0:
+        raise DomainError(f"max_candidates must be >= 0, got {max_candidates}")
     widths = [2 * n_or_p + 1] if klass == "F" else range(1, n_or_p + 1)
     # count >= 3, so count**bits alone passes the guard: no huge powers
     bits = max_candidates.bit_length()
-    count = 2 * h + 1 + 2 * include_infinities
+    count, fresh = _height_values(h, include_infinities)
     if sum(count ** min(w, bits) for w in widths[: bits + 1]) > max_candidates:
-        raise DomainError(
-            f"enumeration of more than {max_candidates} candidates exceeds "
-            "the guard"
-        )
-    values = list(_height_values(h, include_infinities)())
-    bounds = {("window" if klass == "F" else "period"): n_or_p, "height": h}
+        guard = f"enumeration of more than {max_candidates} candidates exceeds the guard"
+        raise DomainError(guard)
+    values = list(fresh())
     pad = 2 * automaton.radius if klass == "F" else 0
-    build = Configuration.periodic if pad == 0 else (
-        lambda word: Configuration(-n_or_p, word)
-    )
+    build = (lambda word: Configuration(-n_or_p, word)) if pad else Configuration.periodic
 
     seen = {}
     visited = 0
@@ -223,24 +250,12 @@ def check_injective_bounded(
             pair = (build(first).canonicalize(), build(word).canonicalize())
             if not verify_witness_pair(automaton, *pair):  # pragma: no cover
                 raise AssertionError("image-key collision failed re-verification")
-            return WitnessReport(
-                WITNESS_FOUND,
-                pair,
-                bounds,
-                "distinct inputs share an image, re-verified by direct "
-                "application; the global map is not injective on this class",
-                PROOF,
-                {"candidates": visited},
-            )
-    return WitnessReport(
-        EXHAUSTED_NO_WITNESS,
-        None,
-        bounds,
-        "no two candidates in the bounded class share an image; says "
-        "nothing about configurations outside the bounds",
-        EVIDENCE,
-        {"candidates": visited},
-    )
+            note = ("distinct inputs share an image, re-verified by direct "
+                    "application; the global map is not injective on this class")
+            return WitnessReport(WITNESS_FOUND, pair, bounds, note, PROOF, {"candidates": visited})
+    note = ("no two candidates in the bounded class share an image; says "
+            "nothing about configurations outside the bounds")
+    return WitnessReport(EXHAUSTED_NO_WITNESS, None, bounds, note, details={"candidates": visited})
 
 
 # -- pre-image search ---------------------------------------------------------
@@ -271,10 +286,12 @@ def check_preimage_bounded(
     """
     if klass not in ("F", "P", "EC"):
         raise DomainError(f"class must be 'F', 'P' or 'EC', got {klass!r}")
-    if n < 1 or h < 1:
-        raise DomainError("bounds must be >= 1")
-    values = _height_values(h, include_infinities)
     bounds = {("period" if klass == "P" else "window"): n, "height": h}
+    if min(map(_check_int, bounds, bounds.values())) < 1:
+        raise DomainError("bounds must be >= 1")
+    if _check_int("max_nodes", max_nodes) < 0:
+        raise DomainError(f"max_nodes must be >= 0, got {max_nodes}")
+    values = _height_values(h, include_infinities)
     r = automaton.radius
     if klass == "P":
         # a q-periodic candidate has a q-periodic image, and the periods of
@@ -298,35 +315,17 @@ def check_preimage_bounded(
         found, used = _preimage_dfs(automaton, target, *run, values, max_nodes - nodes)
         nodes += used
         if nodes > max_nodes:
-            return WitnessReport(
-                BOUND_EXCEEDED,
-                None,
-                bounds,
-                "the search used up its node budget before it ended",
-                EVIDENCE,
-                {"nodes": max_nodes},
-            )
+            note = "the search used up its node budget before it ended"
+            return WitnessReport(BOUND_EXCEEDED, None, bounds, note, details={"nodes": max_nodes})
         if found is not None:
             canon = found.canonicalize()
             if not equals(apply(automaton, canon), target):  # pragma: no cover
                 raise AssertionError("pre-image candidate failed re-verification")
-            return WitnessReport(
-                WITNESS_FOUND,
-                canon,
-                bounds,
-                "applying the rule to the witness reproduces the target exactly",
-                PROOF,
-                {"nodes": nodes},
-            )
-    return WitnessReport(
-        EXHAUSTED_NO_WITNESS,
-        None,
-        bounds,
-        "no candidate in the bounded class maps onto the target; larger "
-        "pre-images may exist outside the bounds",
-        EVIDENCE,
-        {"nodes": nodes},
-    )
+            note = "applying the rule to the witness reproduces the target exactly"
+            return WitnessReport(WITNESS_FOUND, canon, bounds, note, PROOF, {"nodes": nodes})
+    note = ("no candidate in the bounded class maps onto the target; larger "
+            "pre-images may exist outside the bounds")
+    return WitnessReport(EXHAUSTED_NO_WITNESS, None, bounds, note, details={"nodes": nodes})
 
 
 def _level_beyond(c: Configuration, lo: int, hi: int) -> bool:
@@ -348,27 +347,38 @@ def _level_beyond(c: Configuration, lo: int, hi: int) -> bool:
 
 def _preimage_dfs(automaton, target, start, width, bgl, bgr, values, budget):
     """Depth-first search, without recursion, over the `width` columns from
-    `start` of a pre-image of `target`, each column in the order of
-    `values()`.
+    `start` of a pre-image of `target`, each column in the order of the
+    lazy `values` (`_height_values`).
 
     The row holds 2r entries `bgl`, the left background (or none when
     `bgl` is None: a periodic candidate of period `width`), then the
     columns so far. Once it holds 2r+1 entries, each new entry fixes the
-    image of the column r to its left, which is checked at once. A full
-    row then fixes the 2r image columns around its far end, which read the
-    right background `bgr` or wrap round to the row's start. Returns
-    (configuration or None, nodes), one node per value tried at one
-    column, or (None, budget + 1) on running out.
+    image of the column r to its left, which is checked at once against
+    the target's heights, read a growing block at a time. A full row then
+    fixes the 2r image columns around its far end, which read the right
+    background `bgr` or wrap round to the row's start. Returns
+    (configuration or None, nodes), or (None, budget + 1) on running out.
+    A node is one value tried at one column, as without the memo: the
+    image of the newest window is memoised on its code, the indices into
+    `values` of its 2r+1 entries (unless there are more than
+    WINDOW_MEMO_CAP codes), which changes what a node costs, not which
+    nodes are visited.
     """
     r = automaton.radius
     w = 2 * r + 1
+    count, fresh = values
+    cube = count**w if count**w <= WINDOW_MEMO_CAP else 1  # 1: one code, nothing kept
     row = [] if bgl is None else [bgl] * (2 * r)
-    goal = target.height
-    untried = [values()]  # per open depth, the entries still to try
+    b = 0 if bgl is None else bgl + count // 2  # the background's index into `values`
+    memo, goals = {}, []  # goals[j]: the target's height at column start - r + j
+    # per open depth, the entries still to try and the code of the row's
+    # last 2r+1 entries (at first the 2r backgrounds, or none)
+    untried = [(enumerate(fresh()), b * (count ** (2 * r) - 1) // (count - 1) % cube)]
     nodes = 0
     while untried:
-        v = next(untried[-1], None)
-        if v is None:
+        entries, parent = untried[-1]
+        entry = next(entries, None)
+        if entry is None:
             untried.pop()
             if untried:
                 row.pop()
@@ -376,23 +386,35 @@ def _preimage_dfs(automaton, target, start, width, bgl, bgr, values, budget):
         nodes += 1
         if nodes > budget:
             return None, nodes
+        i, v = entry
         row.append(v)
-        col = start + len(untried) - 1 - r  # the column r left of the newest
-        ok = len(row) < w or window_image(automaton, row[-w:])[0] == goal(col)
-        if ok and len(untried) < width:
-            untried.append(values())
+        k = len(untried)
+        code = (parent * count + i) % cube
+        if len(row) >= w:  # the newest entry fixes the image of column start + k - 1 - r
+            if k > len(goals):  # read 16 columns or more, doubling
+                lo = start - r + len(goals)
+                goals += target.heights(lo, lo + max(k, len(goals), 15))
+            y = memo.get(code)
+            if y is None:
+                y = window_image(automaton, row[-w:])[0]
+                if cube > 1:
+                    memo[code] = y
+            if y != goals[k - 1]:
+                row.pop()
+                continue
+        if k < width:
+            untried.append((enumerate(fresh()), code))
             continue
-        if ok:
+        col = start + k - 1 - r
+        if bgl is None:
+            around = [row[j % width] for j in range(width - 2 * r, width + 2 * r)]
+        else:
+            around = row[-2 * r :] + [bgr] * (2 * r)
+        if tuple(window_image(automaton, around)) == target.heights(col + 1, col + 2 * r):
             if bgl is None:
-                around = [row[j % width] for j in range(width - 2 * r, width + 2 * r)]
-            else:
-                around = row[-2 * r :] + [bgr] * (2 * r)
-            image = tuple(window_image(automaton, around))
-            if image == target.heights(col + 1, col + 2 * r):
-                if bgl is None:
-                    return Configuration.periodic(tuple(row)), nodes
-                edges = Tail((bgl,), 0), Tail((bgr,), 0)
-                return Configuration(start, tuple(row[2 * r :]), *edges), nodes
+                return Configuration.periodic(tuple(row)), nodes
+            edges = Tail((bgl,), 0), Tail((bgr,), 0)
+            return Configuration(start, tuple(row[2 * r :]), *edges), nodes
         row.pop()
     return None, nodes
 
@@ -414,7 +436,7 @@ def check_nilpotent_bounded(
     BOUND_EXCEEDED. A detected non-zero fixed point is noted, since the
     orbit is then provably stuck, but the verdict stays BOUND_EXCEEDED.
     """
-    if steps < 0:
+    if _check_int("steps", steps) < 0:
         raise DomainError("step bound must be >= 0")
     zero, bounds, last = Configuration(0, ()), {"steps": steps}, None
     try:
@@ -426,14 +448,8 @@ def check_nilpotent_bounded(
                         " at step 0: the input already is 0; counted as a "
                         "(degenerate) success by convention"
                     )
-                return WitnessReport(
-                    WITNESS_FOUND,
-                    current.canonicalize(),
-                    bounds,
-                    note,
-                    PROOF,
-                    {"steps_to_zero": step},
-                )
+                witness, details = current.canonicalize(), {"steps_to_zero": step}
+                return WitnessReport(WITNESS_FOUND, witness, bounds, note, PROOF, details)
             previous, last = last, current
     except CoreBoundExceeded:
         note = "core growth guard tripped before the step bound"
@@ -458,13 +474,9 @@ def check_nilpotent_bounded(
 # -- composition checks -------------------------------------------------------
 
 
-def verify_witness_pair(
-    automaton: SandAutomaton, c1: Configuration, c2: Configuration
-) -> bool:
+def verify_witness_pair(automaton: SandAutomaton, c1: Configuration, c2: Configuration) -> bool:
     """True iff c1, c2 are distinct but share their image."""
-    return not equals(c1, c2) and equals(
-        apply(automaton, c1), apply(automaton, c2)
-    )
+    return not equals(c1, c2) and equals(apply(automaton, c1), apply(automaton, c2))
 
 
 #: the most samples `verify_right_inverse` draws; each one costs two steps
@@ -484,7 +496,8 @@ def verify_right_inverse(
     reports the first counterexample, or exhaustion when the composition
     restored every sample. Refuses more than MAX_SAMPLES samples.
     """
-    if samples < 1:
+    _check_int("seed", seed)
+    if _check_int("samples", samples) < 1:
         raise DomainError("sample count must be >= 1")
     if samples > MAX_SAMPLES:
         raise DomainError(f"sample count {samples} is over the limit of {MAX_SAMPLES}")
@@ -496,21 +509,8 @@ def verify_right_inverse(
         restored = apply(outer, apply(inner, c))
         if not equals(restored, c):
             col = first_difference(restored, c)
-            return WitnessReport(
-                WITNESS_FOUND,
-                c.canonicalize(),
-                bounds,
-                f"composition differs from the identity at column {col} "
-                f"of sample {index}",
-                PROOF,
-                {"sample_index": index, "seed": seed},
-            )
-    return WitnessReport(
-        EXHAUSTED_NO_WITNESS,
-        None,
-        bounds,
-        "composition restored every sampled configuration; random "
-        "evidence only",
-        EVIDENCE,
-        {"seed": seed},
-    )
+            note = f"composition differs from the identity at column {col} of sample {index}"
+            details = {"sample_index": index, "seed": seed}
+            return WitnessReport(WITNESS_FOUND, c.canonicalize(), bounds, note, PROOF, details)
+    note = "composition restored every sampled configuration; random evidence only"
+    return WitnessReport(EXHAUSTED_NO_WITNESS, None, bounds, note, details={"seed": seed})

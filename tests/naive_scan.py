@@ -5,7 +5,9 @@ The saturating reading `beta`, difference vectors and the per-column
 injectivity reference enumerates candidates with the recursive
 (weight, lexicographic) generators and keys each one by its whole image,
 computed from scratch. The pre-image reference tries every candidate of
-the bounded class in turn and checks its image column by column.
+the bounded class in turn and checks its image column by column;
+`naive_preimage_dfs` is the depth-first pre-image walk with one kernel
+call per node and no window memo, the reference for the node counts.
 
 They read configurations only through `height` (or `Tail.at`) and the
 tail period words and slopes, so they share no logic with `Tail.window`,
@@ -40,7 +42,7 @@ from itertools import product
 from math import inf, lcm
 
 from sandlab.analysis import BOUND_EXCEEDED, EVIDENCE, PROOF, WITNESS_FOUND, WitnessReport
-from sandlab.automaton import NEG, POS, WILDCARD, apply, window_image
+from sandlab.automaton import NEG, POS, WILDCARD, apply, validate_rule, window_image
 from sandlab.config import Configuration, Tail, has_infinite_column
 from sandlab.errors import CoreBoundExceeded, DomainError
 from sandlab.heights import Height, Infinity, MINUS_INF, PLUS_INF
@@ -437,6 +439,58 @@ def preimage_reference(automaton, target, klass: str, n: int, h: int, inf=False)
             for word in product(values, repeat=2 * n + 1)
         )
     return next((c for c in candidates if naive_maps_onto(automaton, c, target)), None)
+
+
+def random_rule(rng, r):
+    """A seeded rule table of radius r: up to six lines of random atoms,
+    for the differential tests."""
+    atoms = [WILDCARD, WILDCARD, POS, NEG, MINUS_INF, PLUS_INF, *range(-r, r + 1)]
+    lines = [
+        ([rng.choice(atoms) for _ in range(2 * r)], rng.randint(-r, r))
+        for _ in range(rng.randint(0, 6))
+    ]
+    return validate_rule(r, lines, rng.randint(-r, r))
+
+
+def naive_preimage_dfs(automaton, target, start, width, bgl, bgr, values, budget):
+    """`analysis._preimage_dfs` with one kernel call per node, the target
+    read one `height` at a time and no memo: the same walk, node for node,
+    so its node count is the reference for the memoised walk's. `values`
+    is a function returning a fresh ascending iterator over the heights."""
+    r = automaton.radius
+    w = 2 * r + 1
+    row = [] if bgl is None else [bgl] * (2 * r)
+    untried = [values()]
+    nodes = 0
+    while untried:
+        v = next(untried[-1], None)
+        if v is None:
+            untried.pop()
+            if untried:
+                row.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            return None, nodes
+        row.append(v)
+        col = start + len(untried) - 1 - r
+        ok = len(row) < w or window_image(automaton, row[-w:])[0] == target.height(col)
+        if ok and len(untried) < width:
+            untried.append(values())
+            continue
+        if ok:
+            if bgl is None:
+                around = [row[j % width] for j in range(width - 2 * r, width + 2 * r)]
+            else:
+                around = row[-2 * r :] + [bgr] * (2 * r)
+            ends = tuple(target.height(j) for j in range(col + 1, col + 2 * r + 1))
+            if tuple(window_image(automaton, around)) == ends:
+                if bgl is None:
+                    return Configuration.periodic(tuple(row)), nodes
+                edges = Tail((bgl,), 0), Tail((bgr,), 0)
+                return Configuration(start, tuple(row[2 * r :]), *edges), nodes
+        row.pop()
+    return None, nodes
 
 
 def naive_L_preimage(c: Configuration) -> Configuration:

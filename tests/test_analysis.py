@@ -86,6 +86,32 @@ def test_injective_rejects_bad_class():
         check_injective_bounded(zoo.make("S"), "EC", 1, 1)
 
 
+def test_bounded_checks_refuse_bools_and_non_int_bounds():
+    S, Sr, two = zoo.make("S"), zoo.make("Sr"), Configuration.finite({0: 2})
+    refused = [
+        lambda: check_injective_bounded(S, "F", 1, True),
+        lambda: check_injective_bounded(S, "P", True, 1),
+        lambda: check_injective_bounded(S, "F", 1.5, 1),
+        lambda: check_injective_bounded(S, "F", 1, 1, max_candidates=2.0),
+        lambda: check_injective_bounded(S, "F", 1, 1, max_candidates=-1),
+        lambda: check_preimage_bounded(S, two, "F", 2.0, 1),
+        lambda: check_preimage_bounded(S, two, "EC", 1, True),
+        lambda: check_preimage_bounded(S, two, "F", 1, 1, max_nodes=True),
+        lambda: check_preimage_bounded(S, two, "F", 1, 1, max_nodes=-5),
+        lambda: check_nilpotent_bounded(S, two, True),
+        lambda: check_nilpotent_bounded(S, two, 2.5),
+        lambda: verify_right_inverse(S, Sr, True, 1),
+        lambda: verify_right_inverse(S, Sr, 5.0, 1),
+        lambda: verify_right_inverse(S, Sr, 5, True),
+        lambda: verify_right_inverse(S, Sr, 5, 1.5),
+    ]
+    for call in refused:
+        with pytest.raises(DomainError):
+            call()
+    # a zero budget is a bound, not an error
+    assert check_preimage_bounded(S, two, "F", 1, 1, max_nodes=0).details == {"nodes": 0}
+
+
 def test_injective_guard_on_candidate_count():
     with pytest.raises(DomainError):
         check_injective_bounded(zoo.make("S"), "F", 8, 8, max_candidates=1000)
