@@ -69,10 +69,8 @@ class WitnessReport(Value):
         "verdict", "witness", "bounds", "evidence_note", "grade", "details"
     )
 
-    def __init__(
-        self, verdict, witness=None, bounds=None, evidence_note="", grade=EVIDENCE,
-        details=None,
-    ):
+    def __init__(self, verdict, witness=None, bounds=None, evidence_note="", grade=EVIDENCE,
+                 details=None):
         self.verdict = verdict
         self.witness = witness
         self.bounds = {} if bounds is None else bounds

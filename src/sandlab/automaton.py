@@ -14,8 +14,9 @@ base-(2r+3) reading code (-infinity -> 0, d -> d + r + 1, +infinity ->
 one precomputed bit set of matching lines per digit; the lowest bit left
 is the first match (`_lookup`). `window_image`, the one evaluator, maps a
 flat run of heights to the images of its inner columns with a kernel
-compiled once per radius that reads the 2r neighbours in straight-line
-code (`_kernel`).
+compiled once per radius (`_kernel`): one window is read in straight-line
+code, and a longer run reads each height difference once, as the clipped
+reading of i + t by i is the negation of that of i by i + t.
 
 The global map adds the delta to every finite column; infinite columns
 never change. `apply` realises one synchronous step exactly on the
@@ -28,7 +29,7 @@ cap, which `config` owns, once per orbit.
 
 from __future__ import annotations
 
-from .config import Configuration, Value, _configuration, _core_cap, _tail, equals
+from .config import Configuration, Value, _check_int, _configuration, _core_cap, _tail, equals
 from .errors import CoreBoundExceeded, DomainError, RuleError
 from .heights import Height, Infinity, MINUS_INF, PLUS_INF
 
@@ -170,39 +171,61 @@ def same_local_rule(a: SandAutomaton, b: SandAutomaton) -> bool:
 _KERNELS = {}
 _KERNEL_SOURCE = """def kernel(hs, automaton):
     memo = automaton.memo
-    out = []
-    append = out.append
-    for {columns} in (hs,) if len(hs) == {width} else zip({slices}):
+    if len(hs) == {width}:
+        {columns} = hs
         if c.__class__ is Infinity:
-            append(c)
-            continue
+            return [c]
         code = {reads}
         delta = memo.get(code)
-        append(c + (_lookup(automaton, code) if delta is None else delta))
+        return [c + (_lookup(automaton, code) if delta is None else delta)]
+    out, runs, {carry} = [], zip(hs, {slices}), {zeros}
+    append = out.append
+    for _, (c, {ahead}) in zip(range({r}), runs):
+        {carry} = {lent} if c.__class__ is Infinity else {pad}
+    for c, {ahead} in runs:
+        if c.__class__ is Infinity:
+            append(c)
+            {carry} = {lent}
+        else:
+            code = {forward}
+            {carry} = {rolled}
+            try:
+                append(c + memo[code])
+            except KeyError:
+                append(c + _lookup(automaton, code))
     return out
 """
 
 
 def _kernel(r: int):
-    """The column kernel of radius r, compiled on first use. It walks
-    zip(hs, hs[1:], ..., hs[2r:]), or hs itself when it is one window, and
-    clips each difference to the centre (an infinity minus an int stays
-    put) to a digit less r + 1; one constant adds back the r + 1s."""
+    """The column kernel of radius r, compiled on first use. A reading
+    clips a difference to the centre (an infinity minus an int stays put)
+    to a digit less r + 1; one constant adds back the r + 1s. One window
+    reads its 2r differences in straight-line code. On a longer run column
+    i reads only h[i+t] - h[i], t = 1..r; the clip is odd, so column i + t
+    reads i as the negation, which a_t carries, the partial code of column
+    i + t. An infinite column, never subtracted from, lends (r + 1) * sign
+    to the r after it. The first r columns only fill the carries."""
     if isinstance(r, bool) or not isinstance(r, int) or not 1 <= r <= MAX_RADIUS:
         raise DomainError(f"radius must be an int in 1..{MAX_RADIUS}, got {r!r}")
     if r not in _KERNELS:
-        base, names = 2 * r + 3, [f"h{k}" for k in range(2 * r)]
-        reads = [
-            f"({-r - 1} if (d := {name} - c) < {-r} else d if d <= {r} else {r + 1})"
-            f" * {base ** (2 * r - 1 - k)}"
-            for k, name in enumerate(names)
-        ]
-        reads.append(str((r + 1) * (base ** (2 * r) - 1) // (base - 1)))
+        base, names, ts = 2 * r + 3, ["h%d" % k for k in range(2 * r)], range(1, r + 1)
+        clip = "(%d if (d := %%s - c) < %d else d if d <= %d else %d)" % (-r - 1, -r, r, r + 1)
+        one = (r + 1) * (base ** (2 * r) - 1) // (base - 1)
+        reads = ["%s * %d" % (clip % h, base ** (2 * r - 1 - k)) for k, h in enumerate(names)]
+        lent, pad, rolled, forward = [], [], [], ["a1"]
+        for t in ts:  # a_t takes a_(t+1) (at t = r, the constant) less reading t times w
+            x, w, after = "x%d" % t, base ** (r + t - 1), "a%d" % (t + 1) if t < r else one
+            lent.append("%s + %d * c.sign" % (after, (r + 1) * w))
+            pad.append("%s - %s * %d" % (after, clip % x, w))
+            rolled.append("%s - f%d * %d" % (after, t, w))
+            forward.append("(f%d := %s)" % (t, clip % x) + (" * %d" % base ** (r - t)) * (t < r))
         source = _KERNEL_SOURCE.format(
-            columns=", ".join([*names[:r], "c", *names[r:]]),
-            width=2 * r + 1,
-            slices=", ".join(["hs", *(f"hs[{k}:]" for k in range(1, 2 * r + 1))]),
-            reads=" + ".join(reads),
+            r=r, width=2 * r + 1, columns=", ".join([*names[:r], "c", *names[r:]]),
+            reads=" + ".join([*reads, str(one)]), carry=", ".join("a%d" % t for t in ts),
+            ahead=", ".join("x%d" % t for t in ts), slices=", ".join("hs[%d:]" % t for t in ts),
+            zeros=", ".join("0" * r), lent="(%s)" % ", ".join(lent), pad="(%s)" % ", ".join(pad),
+            rolled=", ".join(rolled), forward=" + ".join(forward),
         )
         scope = {"Infinity": Infinity, "_lookup": _lookup}
         exec(compile(source, f"<sandlab kernel r={r}>", "exec"), scope)
@@ -284,7 +307,7 @@ def iterate(
     Raises CoreBoundExceeded if an intermediate canonical core outgrows
     `max_core` columns (default from SANDLAB_MAX_CORE, else 65536).
     """
-    if steps < 0:
+    if _check_int("step count", steps) < 0:
         raise DomainError("step count must be >= 0")
     for c in _orbit(automaton, c, steps, max_core):
         pass

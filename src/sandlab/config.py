@@ -49,15 +49,14 @@ from .heights import Height, Infinity, ext_add
 DEFAULT_MAX_CORE = 65536
 
 
-def _core_cap(max_core):
-    cap = max_core
+def _core_cap(cap):
     if cap is None:
         env = os.environ.get("SANDLAB_MAX_CORE")
         try:
             cap = DEFAULT_MAX_CORE if env is None else int(env)
         except ValueError:
             raise DomainError(f"SANDLAB_MAX_CORE is not an integer: {env!r}")
-    if cap < 0:
+    if _check_int("core cap", cap) < 0:
         raise DomainError(f"core cap must be >= 0, got {cap}")
     return cap
 
@@ -444,8 +443,9 @@ def has_infinite_column(c: Configuration) -> bool:
 # are trimmed on one flat tuple (left period reversed, core, right period),
 # an edge column going while it equals the column one period further out less
 # that tail's rise, and the new tails are the period-long slices next to the
-# kept core; an empty core is anchored by one rotation scan or one pl + pr
-# column read per side.
+# kept core, save that a level tail trimmed by whole periods (as in every
+# finite-class step) is kept as it is; an empty core is anchored by one
+# rotation scan or one pl + pr column read per side.
 
 
 def _reduce_tail(tail: Tail) -> Tail:
@@ -485,9 +485,9 @@ def _canonicalize(c: Configuration) -> Configuration:
         hi -= 1
     while lo < hi and flat[lo] == (w if (w := flat[lo - pl]).__class__ is Infinity else w - ls):
         lo += 1
-    start = c.core_start + lo - pl
-    left = _tail(flat[lo - pl : lo][::-1], left.slope, ls)
-    right = _tail(flat[hi : hi + pr], right.slope, rs)
+    start, cut = c.core_start + lo - pl, pl + len(c.core) - hi  # cut: columns trimmed right
+    left = left if not ls and lo % pl == 0 else _tail(flat[lo - pl : lo][::-1], left.slope, ls)
+    right = right if not rs and cut % pr == 0 else _tail(flat[hi : hi + pr], right.slope, rs)
     if lo < hi:
         return _configuration(start, flat[lo:hi], left, right)
 

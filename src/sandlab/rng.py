@@ -53,36 +53,17 @@ def sample_configuration(
 ) -> Configuration:
     """One random configuration, cycling through all four constructor
     shapes: finite deviations, periodic, affine, and general two-tailed."""
-    kind = rng.below(4)
-    if kind == 0:
-        count = rng.below(5)
-        devs = {}
-        for _ in range(count):
-            pos = rng.int_between(-6, 6)
-            devs[pos] = _value(rng, height, include_infinities)
-        return Configuration.finite(devs)
+    kind, value = rng.below(4), lambda: _value(rng, height, include_infinities)
+    if kind == 0:  # a dict comprehension draws each key before its value
+        return Configuration.finite({rng.int_between(-6, 6): value() for _ in range(rng.below(5))})
     if kind == 1:
-        p = 1 + rng.below(4)
-        return Configuration.periodic(
-            [_value(rng, height, include_infinities) for _ in range(p)]
-        )
+        return Configuration.periodic([value() for _ in range(1 + rng.below(4))])
     if kind == 2:
-        p = 1 + rng.below(3)
-        slope = rng.int_between(-2, 2)
-        return Configuration.affine(
-            [_value(rng, height, include_infinities) for _ in range(p)], slope
-        )
-    core_len = rng.below(4)
-    start = rng.int_between(-2, 2)
-    core = tuple(_value(rng, height, include_infinities) for _ in range(core_len))
-    tails = []
+        p, slope = 1 + rng.below(3), rng.int_between(-2, 2)
+        return Configuration.affine([value() for _ in range(p)], slope)
+    core_len, start = rng.below(4), rng.int_between(-2, 2)
+    core, tails = tuple(value() for _ in range(core_len)), []
     for _ in range(2):
-        p = 1 + rng.below(3)
-        slope = rng.int_between(-2, 2)
-        tails.append(
-            Tail(
-                tuple(_value(rng, height, include_infinities) for _ in range(p)),
-                slope,
-            )
-        )
-    return Configuration(start, core, tails[0], tails[1])
+        p, slope = 1 + rng.below(3), rng.int_between(-2, 2)
+        tails.append(Tail(tuple(value() for _ in range(p)), slope))
+    return Configuration(start, core, *tails)

@@ -145,10 +145,7 @@ def crown_lift(c1: Configuration, c2: Configuration, automaton: SandAutomaton):
 
 
 def splice_match_indices(
-    automaton: SandAutomaton,
-    c: Configuration,
-    c0: Configuration,
-    period: int,
+    automaton: SandAutomaton, c: Configuration, c0: Configuration, period: int
 ) -> tuple:
     """The cut positions (k1, k2) used by `periodic_splice`: the first two
     multiples of the period at which c shows identical 2r-windows.
@@ -175,16 +172,11 @@ def splice_match_indices(
             return seen[window], k
         seen[window] = k
     raise InternalConsistencyError(
-        "no repeated window within the pigeonhole bound; "
-        "pre-image deltas out of range"
-    )
+        "no repeated window within the pigeonhole bound; pre-image deltas out of range")
 
 
 def periodic_splice(
-    automaton: SandAutomaton,
-    c: Configuration,
-    c0: Configuration,
-    period: int,
+    automaton: SandAutomaton, c: Configuration, c0: Configuration, period: int
 ) -> Configuration:
     """From any pre-image c of a p-periodic c0, cut out a periodic pre-image.
 

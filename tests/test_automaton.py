@@ -39,6 +39,7 @@ from naive_scan import (
     naive_iterate,
     naive_nilpotency,
     code_readings,
+    random_rule,
 )
 
 ZERO = Configuration.finite({})
@@ -192,7 +193,35 @@ def _random_run(rnd, r, length):
     ]
 
 
+#: where `_placed_run` puts infinities: a run past one window carries each
+#: column's negated forward readings r columns on, and an infinite entry
+#: lends a saturated reading in their place
+PLACES = ("first", "centre", "last", "pair", "pad", "scattered")
+
+
+def _placed_run(rnd, r, length, place):
+    """A run of finite heights around a random base, spread past the
+    readable window, with infinities at one kind of place: the first entry,
+    one centre (a column whose image is asked for), the last entry, two
+    adjacent entries, one entry of the left pad of r, or about one entry in
+    six anywhere."""
+    if place == "scattered":
+        return _random_run(rnd, r, length)
+    base = rnd.randint(-10**6, 10**6)
+    hs = [base + rnd.randint(-3 * r - 2, 3 * r + 2) for _ in range(length)]
+    k = {"first": 0, "centre": rnd.randrange(r, length - r), "last": length - 1,
+         "pair": rnd.randrange(length - 1), "pad": rnd.randrange(r)}[place]
+    for j in (k, k + 1) if place == "pair" else (k,):
+        hs[j] = rnd.choice((PLUS_INF, MINUS_INF))
+    return hs
+
+
 def test_window_image_matches_column_by_column_reference():
+    """Short runs under random tables, then runs of 2r + 1 to 2r + 40
+    entries at radii 1, 2, 3 and 6 under the zoo rules and seeded tables,
+    with infinities at every kind of place: each image column, read once
+    per difference with carried readings past one window, is the image the
+    reference reads from all 2r neighbours."""
     rnd = random.Random(77)
     seen = set()
     for r in (1, 2, 3):
@@ -208,6 +237,21 @@ def test_window_image_matches_column_by_column_reference():
                 )
     # infinities sat in both the centre and the neighbour positions
     assert {(True, "Infinity"), (False, "Infinity")} <= seen
+    rnd = random.Random(2003)
+    checked = dict.fromkeys(PLACES, 0)
+    for r in (1, 2, 3, 6):
+        tables = [zoo.make(name) for name in zoo.ZOO if zoo.make(name).radius == r]
+        tables += [random_rule(rnd, r) for _ in range(5 - len(tables))]
+        for a in tables:
+            for length in range(2 * r + 1, 2 * r + 41):
+                for place in PLACES:
+                    hs = _placed_run(rnd, r, length, place)
+                    c = Configuration(-r, tuple(hs))
+                    want = naive_image_heights(a, c, 0, length - 2 * r - 1)
+                    assert tuple(window_image(a, hs)) == want, (r, place, hs)
+                    assert tuple(window_image(a, tuple(hs))) == want
+                    checked[place] += 1
+    assert checked == dict.fromkeys(PLACES, 4 * 5 * 40)
 
 
 def test_window_image_at_the_largest_radius():
@@ -354,6 +398,20 @@ def test_iterate_core_bound():
     # generous cap: runs to the staircase fixed point
     final = iterate(S, big, 200, max_core=1000)
     assert equals(apply(S, final), final)
+
+
+def test_step_counts_and_core_caps_must_be_ints():
+    """A bool is not a count: True is not one step, nor a cap of 1."""
+    S = zoo.make("S")
+    c = Configuration.finite({0: 3})
+    for bad in (True, False, 2.5, "1", None):
+        with pytest.raises(DomainError, match="step count must be an int"):
+            iterate(S, c, bad)
+    for bad in (True, 2.5, "5"):
+        with pytest.raises(DomainError, match="core cap must be an int"):
+            iterate(S, c, 3, max_core=bad)
+        with pytest.raises(DomainError, match="core cap must be an int"):
+            check_nilpotent_bounded(S, c, 3, max_core=bad)
 
 
 def test_orbit_matches_a_plain_apply_loop():

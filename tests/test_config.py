@@ -16,7 +16,7 @@ import time
 import pytest
 
 import sandlab
-from sandlab import zoo
+from sandlab import config, zoo
 from sandlab.automaton import apply, apply_window
 from sandlab.config import (
     ZERO_TAIL,
@@ -255,6 +255,39 @@ def test_canonical_form_matches_column_by_column_reference_on_rebuilds():
             assert _fields(_fresh(w).canonicalize()) == _fields(naive_canonical_form(w)), w
             checked += 1
     assert checked > 5000
+
+
+def test_trims_by_whole_periods_keep_level_tails_and_match_the_reference():
+    """Cores padded on each side by 0, 1, p or p + 1 columns that continue
+    a level or sloped primitive tail of period p, around kept cores whose
+    edges no tail predicts, or around no core. `_canonicalize` gives the
+    reference's fields. Around a kept core it returns the input tail object
+    exactly when that tail is level and was trimmed by whole periods, and
+    whatever the core, a tail object it keeps has rise 0."""
+    words = [(0,), (2, PLUS_INF), (1, 0, 3), (MINUS_INF, 4, 4)]
+    tails = [Tail(w, s) for w in words for s in (0, 2, -1)]
+    kept = 0
+    for left, right in itertools.product(tails, tails[::2]):
+        pl, pr = len(left.values), len(right.values)
+        for core in ((), (90,), (-70, PLUS_INF, 50)):
+            for kl, kr in itertools.product((0, 1, pl, pl + 1), (0, 1, pr, pr + 1)):
+                wide = left.window(0, kl)[::-1] + core + right.window(0, kr)
+                c = Configuration(-kl, wide, _moved(left, kl), _moved(right, kr))
+                got = config._canonicalize(c)
+                assert _fields(got) == _fields(naive_canonical_form(c)), c
+                for t, given, k, p in ((got.left, c.left, kl, pl), (got.right, c.right, kr, pr)):
+                    if t is given:
+                        assert given.rise == 0, c
+                        kept += 1
+                    if core:
+                        assert (t is given) == (given.rise == 0 and k % p == 0), c
+    assert kept > 100
+
+
+def _moved(tail, k):
+    """The tail whose boundary sits k columns further out: a fresh object
+    even when k is a whole number of periods."""
+    return Tail(tail.window(k, len(tail.values)), tail.slope)
 
 
 def _seeded(rng, klass):

@@ -35,7 +35,7 @@ EXPORTS = {
 }
 SUBMODULES = [*EXPORTS, "cli", "witnesses"]
 #: lines in src/sandlab/*.py, the count ROADMAP aim 2 tracks
-SOURCE_BUDGET = 2612
+SOURCE_BUDGET = 2606
 
 
 def test_exported_names_resolve_to_their_submodule_objects():
