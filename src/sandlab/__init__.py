@@ -24,21 +24,19 @@ _SOURCE = {
         "analysis": """BOUND_EXCEEDED EXHAUSTED_NO_WITNESS WITNESS_FOUND
             WitnessReport check_injective_bounded check_nilpotent_bounded
             check_preimage_bounded verify_right_inverse verify_witness_pair""",
-        "automaton": """NEG POS SandAutomaton WILDCARD apply apply_window
-            image_height iterate validate_rule""",
+        "automaton": "NEG POS SandAutomaton WILDCARD apply iterate validate_rule",
         "cli": "",
         "config": """Configuration Tail equals first_difference
             is_finite_class sum_grains support_radius""",
-        "errors": """CoreBoundExceeded DomainError InternalConsistencyError
-            ParseError RuleError SandlabError""",
+        "errors": "CoreBoundExceeded DomainError ParseError RuleError SandlabError",
         "formats": """emit_config_file emit_dump emit_rule_file
             parse_config_file parse_dump parse_rule_file render_ascii""",
-        "heights": "MINUS_INF PLUS_INF Height Infinity is_finite",
+        "heights": "MINUS_INF PLUS_INF Height Infinity",
         "metric": "Distance distance",
         "rng": "Lcg64 sample_configuration",
         "witnesses": "",
-        "zoo": """build_L_preimage crown_lift make make_L make_S make_Sr
-            make_X make_Y periodic_splice splice_match_indices""",
+        "zoo": """build_L_preimage crown_lift make make_S make_Sr periodic_splice
+            splice_match_indices""",
     }.items()
     for name in [module, *names.split()]
 }

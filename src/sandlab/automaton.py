@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .config import Configuration, Value, _check_int, _configuration, _core_cap, _tail, equals
 from .errors import CoreBoundExceeded, DomainError, RuleError
-from .heights import Height, Infinity, MINUS_INF, PLUS_INF
+from .heights import Infinity, MINUS_INF, PLUS_INF
 
 
 class _Marker:
@@ -242,18 +242,6 @@ def window_image(automaton: SandAutomaton, hs) -> list:
     """
     r = automaton.radius
     return (_KERNELS.get(r) or _kernel(r))(hs, automaton)
-
-
-def image_height(automaton: SandAutomaton, c: Configuration, i: int) -> Height:
-    """Height of column i after one step. Infinite columns are fixed."""
-    r = automaton.radius
-    return window_image(automaton, c.heights(i - r, i + r))[0]
-
-
-def apply_window(automaton: SandAutomaton, c: Configuration, lo: int, hi: int):
-    """Image heights of columns lo..hi."""
-    r = automaton.radius
-    return tuple(window_image(automaton, c.heights(lo - r, hi + r)))
 
 
 def apply(automaton: SandAutomaton, c: Configuration) -> Configuration:

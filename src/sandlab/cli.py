@@ -140,7 +140,7 @@ def _cmd_zoo(args):
 
 def _cmd_preimage(args):
     automaton = _load_rule(args.automaton)
-    if not same_local_rule(automaton, zoo.make_L()):
+    if not same_local_rule(automaton, zoo.make("L")):
         raise DomainError(
             "the explicit pre-image construction is specific to the "
             "left-matching rule; pass --automaton L"

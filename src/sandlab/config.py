@@ -43,7 +43,7 @@ import os
 from math import inf, lcm
 
 from .errors import CoreBoundExceeded, DomainError
-from .heights import Height, Infinity, ext_add
+from .heights import Height, Infinity
 
 
 DEFAULT_MAX_CORE = 65536
@@ -132,8 +132,7 @@ class Tail(Value):
     def at(self, j: int) -> Height:
         """Height j columns out from the boundary, j may be negative."""
         k, idx = divmod(j, len(self.values))
-        v = self.values[idx]
-        return v if isinstance(v, Infinity) else v + self.slope * k
+        return self.values[idx] + self.slope * k
 
     def window(self, j: int, n: int) -> tuple:
         """(at(j), ..., at(j + n - 1)), read as a slice of whole period
@@ -267,7 +266,7 @@ class Configuration:
         """Add k grains to every finite column."""
         if _check_int("offset", k) == 0:
             return self
-        lift = lambda vs: tuple(ext_add(v, k) for v in vs)
+        lift = lambda vs: tuple(v + k for v in vs)
         tails = [Tail(lift(t.values), t.slope) for t in (self.left, self.right)]
         return Configuration(self.core_start, lift(self.core), *tails)
 
@@ -466,7 +465,7 @@ def _reduce_tail(tail: Tail) -> Tail:
             n, d = n // f, q // f
             t, frac = divmod(slope * d, p)
             kept = kept and not frac and (
-                all(w == ext_add(v, t) for v, w in zip(vs, vs[d:])) if t
+                all(w == v + t for v, w in zip(vs, vs[d:])) if t
                 else vs[d:] == vs[:-d])
             if kept:
                 q = d

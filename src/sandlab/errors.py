@@ -36,8 +36,3 @@ class ParseError(SandlabError):
 
 class CoreBoundExceeded(SandlabError):
     """Iteration grew a configuration core past the configured cap."""
-
-
-class InternalConsistencyError(SandlabError):
-    """A guaranteed search exhausted its bound; indicates a bug or a
-    violated precondition that slipped past validation."""

@@ -43,7 +43,7 @@ lines, then values (a configuration checks its kind, then each field).
 from __future__ import annotations
 
 from .automaton import NEG, POS, SandAutomaton, WILDCARD, validate_rule
-from .config import ZERO_TAIL, Configuration
+from .config import ZERO_TAIL, Configuration, _check_int
 from .errors import DomainError, ParseError, RuleError
 from .heights import Infinity, MINUS_INF, PLUS_INF
 
@@ -247,7 +247,7 @@ def render_ascii(c: Configuration, lo: int, hi: int) -> str:
     column 0 when it is inside the window. Pictures of more than
     MAX_RENDER_CELLS cells are refused.
     """
-    if lo > hi:
+    if _check_int("window start", lo) > _check_int("window end", hi):
         raise DomainError("empty render window")
     _check_render_size(1, hi - lo + 1)
     heights = c.heights(lo, hi)
@@ -279,7 +279,7 @@ def render_ascii(c: Configuration, lo: int, hi: int) -> str:
 def emit_dump(c: Configuration, lo: int, hi: int) -> str:
     """Lossless companion block for columns lo..hi; hi == lo - 1 gives an
     empty window, a narrower one is refused as `parse_dump` would."""
-    if hi < lo - 1:
+    if _check_int("window end", hi) < _check_int("window start", lo) - 1:
         raise DomainError(f"window {lo}..{hi} has a negative width")
     _check_render_size(1, hi - lo + 1)
     values = " ".join(format_height(h) for h in c.heights(lo, hi))

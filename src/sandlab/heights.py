@@ -25,9 +25,6 @@ class Infinity:
     def __eq__(self, other):
         return self is other
 
-    def __ne__(self, other):
-        return self is not other
-
     def __hash__(self):
         return hash(("sandlab.Infinity", self.sign))
 
@@ -86,14 +83,3 @@ MINUS_INF = Infinity(-1)
 
 #: A column height: an exact int or one of the infinities.
 Height = int | Infinity
-
-
-def is_finite(value: Height) -> bool:
-    return not isinstance(value, Infinity)
-
-
-def ext_add(value: Height, delta: int) -> Height:
-    """value + delta, with the infinities absorbing the offset."""
-    if isinstance(value, Infinity):
-        return value
-    return value + delta

@@ -55,7 +55,7 @@ class Distance(Value):
         return float("-inf") if self.is_zero else -self.exponent
 
     def __lt__(self, other):
-        return self._key() < other._key()
+        return self._key() < other._key() if isinstance(other, Distance) else NotImplemented
 
     def as_float(self) -> float:
         """Approximate float value (0.0 on underflow)."""

@@ -12,7 +12,8 @@ same seed always yields the same stream of configurations.
 
 from __future__ import annotations
 
-from .config import Configuration, Tail
+from .config import Configuration, Tail, _check_int
+from .errors import DomainError
 from .heights import MINUS_INF, PLUS_INF
 
 MULTIPLIER = 6364136223846793005
@@ -53,6 +54,8 @@ def sample_configuration(
 ) -> Configuration:
     """One random configuration, cycling through all four constructor
     shapes: finite deviations, periodic, affine, and general two-tailed."""
+    if _check_int("height", height) < 0:
+        raise DomainError(f"height must be >= 0, got {height}")
     kind, value = rng.below(4), lambda: _value(rng, height, include_infinities)
     if kind == 0:  # a dict comprehension draws each key before its value
         return Configuration.finite({rng.int_between(-6, 6): value() for _ in range(rng.below(5))})

@@ -29,13 +29,14 @@ from .automaton import SandAutomaton, apply
 from .config import (
     Configuration,
     Tail,
+    _check_int,
     _check_span,
     equals,
     has_infinite_column,
     is_finite_class,
     support_radius,
 )
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError
 
 ZOO = ("S", "Sr", "L", "X", "Y")
 
@@ -47,24 +48,13 @@ def make(name: str) -> SandAutomaton:
     return witnesses.load_rule(name)
 
 
+# make("S") and make("Sr") under the names perfbench/workloads.py calls
 def make_S() -> SandAutomaton:
     return make("S")
 
 
 def make_Sr() -> SandAutomaton:
     return make("Sr")
-
-
-def make_L() -> SandAutomaton:
-    return make("L")
-
-
-def make_X() -> SandAutomaton:
-    return make("X")
-
-
-def make_Y() -> SandAutomaton:
-    return make("Y")
 
 
 # -- explicit pre-image for L ------------------------------------------------
@@ -153,7 +143,7 @@ def splice_match_indices(
     A period longer than the core cap raises CoreBoundExceeded before the
     target's periodicity is tested, since that test reads a period of
     columns."""
-    if period < 1:
+    if _check_int("period", period) < 1:
         raise DomainError("period must be >= 1")
     _check_span("splice period", period)
     if has_infinite_column(c.canonicalize()):
@@ -171,8 +161,7 @@ def splice_match_indices(
         if window in seen:
             return seen[window], k
         seen[window] = k
-    raise InternalConsistencyError(
-        "no repeated window within the pigeonhole bound; pre-image deltas out of range")
+    raise AssertionError("no repeated window within the pigeonhole bound")  # pragma: no cover
 
 
 def periodic_splice(

@@ -17,7 +17,7 @@ from sandlab.analysis import (
     verify_right_inverse,
     verify_witness_pair,
 )
-from sandlab.automaton import apply, apply_window, validate_rule
+from sandlab.automaton import apply, validate_rule, window_image
 from sandlab.config import (
     Configuration,
     Tail,
@@ -228,7 +228,7 @@ def test_criterion_08_semantics_invariants(announce):
                 assert equals(apply(a, c.raise_by(3)), img.raise_by(3))
                 lo = cc.core_start - 2 * len(cc.left.values) - r - 2
                 hi = cc.core_end + 2 * len(cc.right.values) + r + 2
-                assert apply_window(a, c, lo, hi) == img.heights(lo, hi)
+                assert tuple(window_image(a, c.heights(lo - r, hi + r))) == img.heights(lo, hi)
                 for i in range(lo, hi + 1):
                     hv = c.height(i)
                     iv = img.height(i)

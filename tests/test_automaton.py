@@ -17,8 +17,6 @@ from sandlab.automaton import (
     _kernel,
     _lookup,
     apply,
-    apply_window,
-    image_height,
     iterate,
     same_local_rule,
     validate_rule,
@@ -43,6 +41,11 @@ from naive_scan import (
 )
 
 ZERO = Configuration.finite({})
+
+
+def images(a, c, lo, hi) -> tuple:
+    """Image heights of columns lo..hi, read through `window_image`."""
+    return tuple(window_image(a, c.heights(lo - a.radius, hi + a.radius)))
 
 
 def test_validate_rule_builds_automaton():
@@ -99,9 +102,9 @@ def test_pattern_markers():
     a = validate_rule(1, [((NEG, WILDCARD), -1), ((POS, WILDCARD), 1)], 0)
     down = Configuration.finite({-1: -3})
     up = Configuration.finite({-1: PLUS_INF})
-    assert image_height(a, down, 0) == -1
-    assert image_height(a, up, 0) == 1
-    assert image_height(a, ZERO, 0) == 0
+    assert images(a, down, 0, 0) == (-1,)
+    assert images(a, up, 0, 0) == (1,)
+    assert images(a, ZERO, 0, 0) == (0,)
 
 
 def test_infinite_columns_are_fixed():
@@ -117,7 +120,7 @@ def test_image_height_matches_apply():
     c = Configuration.finite({0: 3, 2: -2})
     img = apply(S, c)
     for i in range(-4, 6):
-        assert image_height(S, c, i) == img.height(i)
+        assert images(S, c, i, i) == (img.height(i),)
 
 
 def test_apply_window_matches_apply():
@@ -131,7 +134,7 @@ def test_apply_window_matches_apply():
             lo = cc.core_start - 2 * len(cc.left.values) - 3
             hi = cc.core_end + 2 * len(cc.right.values) + 3
             want = naive_image_heights(a, c, lo, hi)
-            assert apply_window(a, c, lo, hi) == want
+            assert images(a, c, lo, hi) == want
             assert img.heights(lo, hi) == want
 
 
@@ -356,7 +359,7 @@ def test_centre_column_depends_only_on_local_window():
             x = sample_configuration(rng, height=2, include_infinities=False)
             patch = {i: x.height(i) for i in range(-2 * r, 2 * r + 1)}
             y = Configuration.finite(patch)
-            assert image_height(a, x, 0) == image_height(a, y, 0)
+            assert images(a, x, 0, 0) == images(a, y, 0, 0)
 
 
 def test_iterate_zero_steps_returns_input():
@@ -508,4 +511,4 @@ def test_sandpile_on_tails():
     d = Configuration.affine((0, 2), 1)
     img = apply(S, d)
     for i in range(-6, 7):
-        assert img.height(i) == image_height(S, d, i)
+        assert images(S, d, i, i) == (img.height(i),)

@@ -16,7 +16,7 @@ import pytest
 
 import sandlab
 from sandlab import cli, witnesses
-from sandlab.automaton import apply_window
+from sandlab.automaton import window_image
 from sandlab.config import Configuration, equals
 from sandlab.formats import parse_config_file
 from sandlab.zoo import make
@@ -527,7 +527,7 @@ def test_long_periods_and_far_cores_end_at_once(tmp_path):
     src = os.path.dirname(os.path.dirname(sandlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-    image = apply_window(make("S"), Configuration.periodic(word), 0, len(word) - 1)
+    image = tuple(window_image(make("S"), Configuration.periodic(word).heights(-1, len(word))))
     for argv, code, check in (
         (["simulate", "--rule", "S", "--config", str(long), "--steps", "1"], 0,
          lambda out: parse_config_file(out).heights(0, len(word) - 1) == image),

@@ -17,7 +17,7 @@ import pytest
 
 import sandlab
 from sandlab import config, zoo
-from sandlab.automaton import apply, apply_window
+from sandlab.automaton import apply, window_image
 from sandlab.config import (
     ZERO_TAIL,
     Configuration,
@@ -314,14 +314,15 @@ def _seeded(rng, klass):
 
 def _raw_image(rule, c):
     """One step's image before canonicalization: the core widened by r and
-    tails of the old periods and slopes, read through `apply_window`."""
+    tails of the old periods and slopes, read through `window_image`."""
     r, a, b = rule.radius, c.core_start, c.core_end
     pl, pr = len(c.left.values), len(c.right.values)
+    image = lambda lo, hi: tuple(window_image(rule, c.heights(lo - r, hi + r)))
     return Configuration(
         a - r,
-        apply_window(rule, c, a - r, b + r),
-        Tail(apply_window(rule, c, a - r - pl, a - r - 1)[::-1], c.left.slope),
-        Tail(apply_window(rule, c, b + r + 1, b + r + pr), c.right.slope),
+        image(a - r, b + r),
+        Tail(image(a - r - pl, a - r - 1)[::-1], c.left.slope),
+        Tail(image(b + r + 1, b + r + pr), c.right.slope),
     )
 
 

@@ -264,6 +264,17 @@ def test_emit_dump_writes_only_windows_parse_dump_reads():
             emit_dump(c, lo, hi)
 
 
+def test_render_and_dump_windows_must_be_ints():
+    c = Configuration.finite({0: 2})
+    for lo, hi, what in ((0.5, 3, "start"), (0, 2.5, "end"), (True, 3, "start"),
+                         ("0", 2, "start"), (0, None, "end"), (0, 2.0, "end")):
+        with pytest.raises(DomainError, match=f"window {what} must be an int"):
+            render_ascii(c, lo, hi)
+        with pytest.raises(DomainError, match=f"window {what} must be an int"):
+            emit_dump(c, lo, hi)
+    assert parse_dump(emit_dump(c, -1, 1)) == (-1, 1, (0, 2, 0))
+
+
 def test_dump_length_validation():
     with pytest.raises(ParseError):
         parse_dump("dump v1\nwindow: 0 3\nheights: 1 2\n")

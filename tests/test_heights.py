@@ -2,12 +2,7 @@
 
 import pytest
 
-from sandlab.heights import (
-    MINUS_INF,
-    PLUS_INF,
-    ext_add,
-    is_finite,
-)
+from sandlab.heights import MINUS_INF, PLUS_INF
 
 
 def test_infinities_are_singletons():
@@ -38,19 +33,6 @@ def test_arithmetic_absorbs_integers():
 def test_opposite_infinities_do_not_add():
     with pytest.raises(ArithmeticError):
         PLUS_INF + MINUS_INF
-
-
-def test_is_finite():
-    assert is_finite(0)
-    assert is_finite(-42)
-    assert not is_finite(PLUS_INF)
-    assert not is_finite(MINUS_INF)
-
-
-def test_ext_add():
-    assert ext_add(3, 4) == 7
-    assert ext_add(PLUS_INF, -100) is PLUS_INF
-    assert ext_add(MINUS_INF, 100) is MINUS_INF
 
 
 def test_sort_key_orders_all_values():

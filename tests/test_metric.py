@@ -96,6 +96,16 @@ def test_distance_ordering_and_float():
     assert Distance.dyadic(10**6).as_float() == 0.0
 
 
+def test_distances_do_not_order_against_other_types():
+    d = Distance.dyadic(3)
+    for other in (0.5, 0, None, "2^-3"):
+        for compare in (lambda: d < other, lambda: d <= other, lambda: d > other,
+                        lambda: d >= other, lambda: other < d, lambda: other > d):
+            with pytest.raises(TypeError):
+                compare()
+    assert d != 0.125 and not d == 0.125
+
+
 def test_dyadic_refuses_an_exponent_that_is_not_an_int():
     for bad in (True, False, 1.5, 2.0, "3", None):
         with pytest.raises(DomainError, match="distance exponent must be an int"):

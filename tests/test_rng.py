@@ -1,6 +1,9 @@
 """Tests for the deterministic generator behind the sampled corpora."""
 
+import pytest
+
 from sandlab.config import Configuration, equals, has_infinite_column
+from sandlab.errors import DomainError
 from sandlab.rng import INCREMENT, MASK, MULTIPLIER, Lcg64, sample_configuration
 
 
@@ -68,6 +71,19 @@ def test_sampler_infinity_flag():
         for _ in range(60)
     )
     assert not without
+
+
+def test_sample_height_must_be_a_non_negative_int():
+    rng = Lcg64(5)
+    for bad in (-1, -10**20):
+        with pytest.raises(DomainError, match="height must be >= 0"):
+            sample_configuration(rng, height=bad)
+    for bad in (1.5, 2.0, True, "2", None):
+        with pytest.raises(DomainError, match="height must be an int"):
+            sample_configuration(rng, height=bad)
+    for _ in range(40):
+        c = sample_configuration(rng, height=0)  # core and right tail as drawn
+        assert set(c.core + c.right.values) == {0}
 
 
 def test_sampled_heights_respect_bound():

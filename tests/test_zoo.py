@@ -180,6 +180,19 @@ def test_splice_preconditions():
         zoo.periodic_splice(S, ZERO, Configuration.finite({0: 1}), 1)
 
 
+def test_splice_period_must_be_an_int():
+    S = zoo.make("S")
+    pre = Configuration.finite({0: 1, 1: -1})
+    for bad in ("2", 1.5, 2.0, True, None):
+        with pytest.raises(DomainError, match="period must be an int"):
+            zoo.splice_match_indices(S, pre, ZERO, bad)
+        with pytest.raises(DomainError, match="period must be an int"):
+            zoo.periodic_splice(S, pre, ZERO, bad)
+    for bad in (0, -3):
+        with pytest.raises(DomainError, match="period must be >= 1"):
+            zoo.splice_match_indices(S, pre, ZERO, bad)
+
+
 def test_splice_refuses_periods_and_blocks_over_the_core_cap(monkeypatch):
     S = zoo.make("S")
     pre = Configuration.finite({1: 1, 2: -1})  # windows first repeat 4 apart
