@@ -29,9 +29,10 @@ The pre-image search is one iterative depth-first walk for all three
 classes. A node is one value tried at one column; the column that
 completes a window has that window's image checked against the target at
 once, memoised per run on the window's code unless the codes number more
-than WINDOW_MEMO_CAP. A periodic target's periods are the multiples of its
-least period, the length of its canonical tail word, so one shift test
-picks them; a target that fails it has no periodic pre-image.
+than WINDOW_MEMO_CAP. Which runs a target gets is read off its canonical
+form alone: a periodic target's periods are the multiples of its least
+period, the length of its canonical tail word, and a target that is not
+periodic has no periodic pre-image.
 """
 
 from __future__ import annotations
@@ -291,22 +292,27 @@ def check_preimage_bounded(
         raise DomainError(f"max_nodes must be >= 0, got {max_nodes}")
     values = _height_values(h, include_infinities)
     r = automaton.radius
+    t = target.canonicalize()
     if klass == "P":
-        # a q-periodic candidate has a q-periodic image, and the periods of
-        # a periodic target are the multiples of its least one, the length
-        # of its canonical tail word
-        p = len(target.canonicalize().right.values)
-        periods = range(p, n + 1, p) if equals(target.shift(p), target) else ()
-        runs = ((0, q, None, None) for q in periods)
+        # a q-periodic candidate has a q-periodic image; a target is
+        # periodic when its canonical form is one level word both ways, and
+        # its periods are the multiples of that word's length
+        p = len(t.right.values)
+        periodic = not t.core and not t.right.slope and t.left == t.right.mirror()
+        runs = ((0, q, None, None) for q in (range(p, n + 1, p) if periodic else ()))
     else:
         # a constant background b has the image b + delta(0, ..., 0), so at
-        # most one background per side matches the target beyond the window
+        # most one background per side matches the target beyond the window.
+        # The target is level there when both canonical tails are one value
+        # of slope 0 and the core, which starts and ends off its tails (a
+        # constant target's empty one at column 0), lies inside -n-r..n+r
         drift = window_image(automaton, [0] * (2 * r + 1))[0]
-        bgs = [target.height(col) - drift for col in (-n - r - 1, n + r + 1)]
+        bgs = [u.values[0] - drift for u in (t.left, t.right)]
         allowed = range(0, 1) if klass == "F" else range(-h, h + 1)
-        fits = all(type(b) is int and b in allowed for b in bgs)
-        level = fits and _level_beyond(target, -n - r, n + r)
-        runs = [(-n, 2 * n + 1, *bgs)] if level else []
+        level = all(len(u.values) == 1 and not u.slope for u in (t.left, t.right))
+        level = level and -n - r <= t.core_start and t.core_end <= n + r
+        fits = level and all(type(b) is int and b in allowed for b in bgs)
+        runs = [(-n, 2 * n + 1, *bgs)] if fits else []
 
     nodes = 0
     for run in runs:  # (start, width, bgl, bgr)
@@ -324,23 +330,6 @@ def check_preimage_bounded(
     note = ("no candidate in the bounded class maps onto the target; larger "
             "pre-images may exist outside the bounds")
     return WitnessReport(EXHAUSTED_NO_WITNESS, None, bounds, note, details={"nodes": nodes})
-
-
-def _level_beyond(c: Configuration, lo: int, hi: int) -> bool:
-    """True iff c is constant left of column lo and right of column hi.
-
-    Canonical tails are primitive and a canonical core starts and ends off
-    its tails, so past a constant tail only the columns up to lo (hi), and
-    at most one period of the other tail past an empty core, need a look.
-    """
-    c = c.canonicalize()
-    a, b = c.core_start, c.core_end
-    left = c.heights(a, min(lo - 1, a + len(c.right.values)))
-    right = c.heights(max(hi + 1, b - len(c.left.values)), b)
-    return all(
-        len(t.values) == 1 and not t.slope and all(v == t.values[0] for v in vs)
-        for t, vs in ((c.left, left), (c.right, right))
-    )
 
 
 def _preimage_dfs(automaton, target, start, width, bgl, bgr, values, budget):

@@ -93,7 +93,8 @@ def validate_rule(radius: int, lines, default_delta: int = 0) -> SandAutomaton:
         raise RuleError(f"radius must be an integer >= 1, got {radius!r}", "radius")
     if radius > MAX_RADIUS:
         raise RuleError(f"radius {radius} is over the limit of {MAX_RADIUS}", "radius")
-    if not isinstance(default_delta, int) or abs(default_delta) > radius:
+    bad = isinstance(default_delta, bool) or not isinstance(default_delta, int)
+    if bad or abs(default_delta) > radius:
         raise RuleError(
             f"default delta must lie in [-{radius}, {radius}], got {default_delta!r}",
             "default",

@@ -236,6 +236,8 @@ class Configuration:
         return self.core_start + len(self.core) - 1
 
     def height(self, i: int) -> Height:
+        if type(i) is not int:
+            _check_int("column", i)
         a = self.core_start
         off = i - a
         if 0 <= off < len(self.core):
@@ -247,6 +249,8 @@ class Configuration:
     def heights(self, lo: int, hi: int) -> tuple:
         """Heights of columns lo..hi inclusive: the left tail's columns, a
         slice of the core, then the right tail's columns."""
+        if type(lo) is not int or type(hi) is not int:
+            _check_int("column", lo), _check_int("column", hi)
         a, b = self.core_start, self.core_end
         m, k = min(hi, a - 1), max(lo, b + 1)
         return (
@@ -399,7 +403,7 @@ def sum_grains(c: Configuration) -> int:
     and no core column may be infinite.
     """
     cc = c.canonicalize()
-    if cc.left != ZERO_TAIL or cc.right != ZERO_TAIL:
+    if not is_finite_class(cc):
         raise DomainError("sum_grains needs a zero background on both sides")
     if any(isinstance(v, Infinity) for v in cc.core):
         raise DomainError("sum_grains is undefined with infinite columns")

@@ -43,7 +43,7 @@ lines, then values (a configuration checks its kind, then each field).
 from __future__ import annotations
 
 from .automaton import NEG, POS, SandAutomaton, WILDCARD, validate_rule
-from .config import ZERO_TAIL, Configuration, _check_int
+from .config import Configuration, _check_int, is_finite_class
 from .errors import DomainError, ParseError, RuleError
 from .heights import Infinity, MINUS_INF, PLUS_INF
 
@@ -204,7 +204,7 @@ def emit_config_file(c: Configuration) -> str:
     """Canonical text form: the simplest kind that reproduces the sequence."""
     cc = c.canonicalize()
     out = [CONFIG_HEADER]
-    if cc.left == ZERO_TAIL and cc.right == ZERO_TAIL:
+    if is_finite_class(cc):
         out.append("kind: finite")
         out += (f"at {cc.core_start + off} {format_height(v)}"
                 for off, v in enumerate(cc.core) if v != 0)

@@ -87,12 +87,13 @@ def build_L_preimage(c: Configuration) -> Configuration:
         pre.append(h + sign)
     n = A - lo  # pre[n] is column A
     core = pre[n : n + B - A + 1]
-    if len(set(hs[a - 2 * pl - lo : a - pl - lo + 1])) > 1:  # varies in a-2pl..a-pl-1
+    # a canonical tail varies unless it is one value of slope 0
+    if len(cc.left.values) > 1 or cc.left.slope:
         left = Tail(pre[n - pl : n][::-1], cc.left.slope)
     else:
         left = cc.left  # everything below the first variation is copied
     n += len(core)  # pre[n] is column B + 1
-    if len(set(hs[b + 2 + pr - lo : b + 3 + 2 * pr - lo])) > 1:  # in b+2+pr..b+1+2pr
+    if len(cc.right.values) > 1 or cc.right.slope:
         right = Tail(pre[n : n + pr], cc.right.slope)
     else:
         # beyond the last variation the pre-image alternates forever

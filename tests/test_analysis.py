@@ -86,6 +86,14 @@ def test_injective_rejects_bad_class():
         check_injective_bounded(zoo.make("S"), "EC", 1, 1)
 
 
+def test_preimage_and_nilpotency_refuse_a_bad_class_and_negative_steps():
+    S, two = zoo.make("S"), Configuration.finite({0: 2})
+    with pytest.raises(DomainError, match="class must be 'F', 'P' or 'EC', got 'Q'"):
+        check_preimage_bounded(S, two, "Q", 1, 1)
+    with pytest.raises(DomainError, match="step bound must be >= 0"):
+        check_nilpotent_bounded(S, two, -1)
+
+
 def test_bounded_checks_refuse_bools_and_non_int_bounds():
     S, Sr, two = zoo.make("S"), zoo.make("Sr"), Configuration.finite({0: 2})
     refused = [
@@ -214,36 +222,82 @@ def test_preimage_ec_tries_only_the_matching_backgrounds():
 
 
 def test_level_beyond_matches_a_column_scan():
-    rng = Lcg64(17)
+    # F and EC try their one run exactly when a 40-column scan a side finds
+    # the target level beyond -n-r..n+r, on backgrounds that are ints in
+    # range; with max_nodes=1 a tried run reports 1 node, none reports 0
+    rules = [zoo.make(name) for name in zoo.ZOO] + [validate_rule(1, [], 1)]
+    rng, tried = Lcg64(17), 0
     for _ in range(3000):
-        c = sample_configuration(rng, 1, rng.below(4) == 0)
-        lo = rng.int_between(-8, 8)
-        hi = lo + rng.below(8) - 1
-        scan = all(c.height(j) == c.height(lo - 1) for j in range(lo - 40, lo)) and all(
-            c.height(j) == c.height(hi + 1) for j in range(hi + 1, hi + 41)
+        automaton = rules[rng.below(len(rules))]
+        target = sample_configuration(rng, 1, rng.below(4) == 0).shift(rng.int_between(-3, 3))
+        klass, n, h = ("F", "EC")[rng.below(2)], 1 + rng.below(3), 1 + rng.below(2)
+        r = automaton.radius
+        lo, hi = -n - r - 1, n + r + 1
+        level = all(target.height(j) == target.height(lo) for j in range(lo - 39, lo)) and all(
+            target.height(j) == target.height(hi) for j in range(hi + 1, hi + 40)
         )
-        assert analysis._level_beyond(c, lo, hi) == scan, (c, lo, hi)
+        drift = window_image(automaton, [0] * (2 * r + 1))[0]
+        allowed = range(0, 1) if klass == "F" else range(-h, h + 1)
+        fits = all(type(b) is int and b in allowed
+                   for b in (target.height(lo) - drift, target.height(hi) - drift))
+        report = check_preimage_bounded(automaton, target, klass, n, h, max_nodes=1)
+        assert (report.details["nodes"] == 0) == (not level or not fits), (target, klass, n)
+        tried += level and fits
+    assert 200 < tried < 2800
+
+
+def test_periodic_gate_agrees_with_a_shift_test():
+    # with max_nodes=0 a tried period stops the search at its first node
+    S, rng, periodic = zoo.make("S"), Lcg64(23), 0
+    for _ in range(3000):
+        target = sample_configuration(rng, 2, rng.below(4) == 0).shift(rng.int_between(-3, 3))
+        p = len(target.canonicalize().right.values)
+        shifted = equals(target.shift(p), target)
+        report = check_preimage_bounded(S, target, "P", 10**6, 1, max_nodes=0)
+        assert (report.verdict == BOUND_EXCEEDED) == shifted, target
+        periodic += shifted
+    assert 500 < periodic < 2500
+
+
+def test_preimage_gates_read_no_column(monkeypatch):
+    # which runs a target gets is read off its canonical form alone
+    S, X = zoo.make("S"), zoo.make("X")
+    targets = [
+        Configuration.finite({0: 2}), Configuration.finite({}), Configuration.periodic((0, 3)),
+        Configuration.affine((1, 2), 1),
+        Configuration(-9, (1, PLUS_INF), zoo.Tail((0,)), zoo.Tail((1,))),
+        Configuration(40, (), zoo.Tail((2,)), zoo.Tail((1, 2), 1)),
+    ]
+    calls = []
+    for name in ("height", "heights", "shift"):
+        def spy(self, *args, real=getattr(Configuration, name), name=name):
+            calls.append(name)
+            return real(self, *args)
+        monkeypatch.setattr(Configuration, name, spy)
+    for automaton, target, klass in product((S, X), targets, ("F", "EC", "P")):
+        check_preimage_bounded(automaton, target, klass, 3, 1, max_nodes=0)
+    assert calls == []
+    check_preimage_bounded(S, Configuration.finite({}), "F", 3, 1, max_nodes=5)
+    assert "heights" in calls  # the walk itself reads the target
 
 
 def test_preimage_periodic_tries_one_period_test(monkeypatch):
-    # the periods come from the target's least period, not from one
-    # equals test per q <= n
+    # the periods come from the target's canonical form: no equals test
+    # runs before the walk
     calls = []
 
     def counted(x, y):
         calls.append(1)
-        assert len(calls) <= 10, "one equals call per candidate period"
         return equals(x, y)
 
     monkeypatch.setattr(analysis, "equals", counted)
     S = zoo.make("S")
     two = Configuration.finite({0: 2})
     r = check_preimage_bounded(S, two, "P", 10**12, 1)
-    assert (r.verdict, r.details, len(calls)) == (EXHAUSTED_NO_WITNESS, {"nodes": 0}, 1)
-    calls.clear()
+    assert (r.verdict, r.details, len(calls)) == (EXHAUSTED_NO_WITNESS, {"nodes": 0}, 0)
     comb = Configuration.periodic((0, 3))
     r = check_preimage_bounded(S, comb, "P", 10**9, 1, max_nodes=10**5)
-    assert (r.verdict, r.details, len(calls)) == (BOUND_EXCEEDED, {"nodes": 10**5}, 1)
+    assert (r.verdict, r.details, len(calls)) == (BOUND_EXCEEDED, {"nodes": 10**5}, 0)
 
 
 @pytest.mark.parametrize("klass", ["F", "EC", "P"])

@@ -83,6 +83,11 @@ def test_validate_rule_rejects_out_of_range_delta():
 def test_validate_rule_rejects_booleans():
     with pytest.raises(RuleError):
         validate_rule(1, [((True, WILDCARD), 0)], 0)
+    # emit_rule_file would write `default: True`, which no parser reads back
+    for default in (True, False):
+        with pytest.raises(RuleError, match=f"default delta must lie in .*got {default}") as info:
+            validate_rule(1, [], default)
+        assert info.value.part == "default"
 
 
 def test_local_delta_first_match_wins():

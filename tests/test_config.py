@@ -98,6 +98,8 @@ def test_booleans_rejected_as_heights():
 def test_empty_period_rejected():
     with pytest.raises(DomainError):
         Tail((), 0)
+    with pytest.raises(DomainError, match="period must be non-empty"):
+        Configuration.affine(())
 
 
 def test_shift():
@@ -575,6 +577,15 @@ def test_finite_refuses_a_column_that_is_not_an_int(column):
             Configuration.finite({0: 2, column: height})
 
 
+@pytest.mark.parametrize("column", [0.5, True, "1", None])
+def test_height_reads_refuse_a_column_that_is_not_an_int(column):
+    c = Configuration.finite({0: 2, 1: 3})
+    for read in (lambda: c.height(column), lambda: c.heights(column, 3),
+                 lambda: c.heights(0, column)):
+        with pytest.raises(DomainError, match="column must be an int"):
+            read()
+
+
 @pytest.mark.parametrize("k", [True, False, 1.5, "1", None])
 def test_shift_and_raise_refuse_an_offset_that_is_not_an_int(k):
     c = Configuration(0, (2, PLUS_INF), Tail((1,), 1))
@@ -784,6 +795,8 @@ def test_support_radius():
     assert support_radius(Configuration(-9, (0, 0, 3, 0, PLUS_INF, 0))) == 7
     assert support_radius(Configuration(4, (0, MINUS_INF, 0, 0, 2, 0))) == 8
     assert support_radius(Configuration(5, (0, 0))) == 0
+    with pytest.raises(DomainError, match="support_radius needs a finite-class configuration"):
+        support_radius(Configuration.periodic((0, 1)))
 
 
 def test_heights_window():

@@ -1,6 +1,8 @@
 """Tests for the text formats: rule files, configuration files, dumps,
 and the ASCII renderer."""
 
+import sys
+
 import pytest
 
 from sandlab.automaton import MAX_RADIUS, validate_rule
@@ -55,6 +57,21 @@ def test_rule_file_arity_error_carries_line_number():
         parse_rule_file("sand-rule v1\nradius: 1\nrule: () -> 0\n")
     assert "pattern has 0 atoms, expected 2" in str(info.value)
     assert info.value.line == 3
+
+
+def test_rule_file_refuses_a_rule_line_without_an_arrow():
+    with pytest.raises(ParseError, match=r"rule needs '\(pattern\) -> delta'") as info:
+        parse_rule_file("sand-rule v1\nradius: 1\nrule: (0, 0) 1\n")
+    assert info.value.line == 3
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", int)() < 5000,
+                    reason="this interpreter reads a 5,000-digit integer")
+def test_rule_file_refuses_a_radius_over_the_integer_digit_limit():
+    digits = "9" * 5000  # past the interpreter's limit, so `int` itself refuses it
+    with pytest.raises(ParseError, match="bad integer '999") as info:
+        parse_rule_file(f"sand-rule v1\nradius: {digits}\n")
+    assert info.value.line == 2
 
 
 def test_rule_file_bad_delta():

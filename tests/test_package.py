@@ -43,7 +43,7 @@ REMOVED = {
 }
 SUBMODULES = [*EXPORTS, "cli", "witnesses"]
 #: lines in src/sandlab/*.py, the count ROADMAP aim 2 tracks
-SOURCE_BUDGET = 2564
+SOURCE_BUDGET = 2559
 
 
 def test_exported_names_resolve_to_their_submodule_objects():
@@ -177,8 +177,8 @@ def test_canonical_form_is_cached_once():
 def test_source_stays_within_budget():
     package = pathlib.Path(sandlab.__file__).parent
     lines = sum(path.read_text(encoding="utf-8").count("\n") for path in package.glob("*.py"))
-    assert lines <= SOURCE_BUDGET, (
-        f"src/sandlab/*.py has {lines} lines, over the budget of {SOURCE_BUDGET}. "
-        "Only a change that adds a capability may raise the budget, and it must "
-        "say why in CHANGES.md (ROADMAP aim 2)."
+    assert lines == SOURCE_BUDGET, (
+        f"src/sandlab/*.py has {lines} lines, not the recorded {SOURCE_BUDGET}. "
+        "A cut records its new count here; only a change that adds a capability "
+        "may raise it, and it must say why in CHANGES.md (ROADMAP aim 2)."
     )

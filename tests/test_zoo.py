@@ -133,6 +133,14 @@ def test_L_preimage_rejects_infinite_columns():
         zoo.build_L_preimage(Configuration.finite({0: PLUS_INF}))
 
 
+def test_splice_refuses_infinite_heights_and_a_non_pre_image():
+    S = zoo.make("S")
+    with pytest.raises(DomainError, match="splice needs finite heights"):
+        zoo.splice_match_indices(S, Configuration.finite({0: PLUS_INF}), ZERO, 1)
+    with pytest.raises(DomainError, match="c is not a pre-image of the target"):
+        zoo.splice_match_indices(S, Configuration.finite({0: 1}), ZERO, 1)
+
+
 def test_crown_lift_of_sandpile_pair():
     S = zoo.make("S")
     b = Configuration.finite({0: 1, 1: -1})
