@@ -251,7 +251,7 @@ def apply(automaton: SandAutomaton, c: Configuration) -> Configuration:
     Tail columns further than r from the core see a window that is a rigid
     copy of the one a full period earlier (shifted by the slope, which the
     readings cancel), so their deltas repeat with the tail period and the
-    image tail keeps the same length, slope and rise (infinities stay put).
+    image tail keeps the same length and slope (infinities stay put).
     One flat read covers the core image, r columns either side of it, and
     one period of each tail image beyond that. The raw image is built
     unchecked from the kernel's values, and `canonicalize` reduces it
@@ -262,8 +262,8 @@ def apply(automaton: SandAutomaton, c: Configuration) -> Configuration:
     # img[k] is the image of column core_start - r - pl + k
     hs = left.window(0, 2 * r + pl)[::-1] + c.core + right.window(0, 2 * r + pr)
     img = window_image(automaton, hs)
-    left = _tail(tuple(img[pl - 1 :: -1]), left.slope, left.rise)
-    right = _tail(tuple(img[-pr:]), right.slope, right.rise)
+    left = _tail(tuple(img[pl - 1 :: -1]), left.slope)
+    right = _tail(tuple(img[-pr:]), right.slope)
     return _configuration(c.core_start - r, tuple(img[pl:-pr]), left, right).canonicalize()
 
 

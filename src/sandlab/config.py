@@ -19,11 +19,11 @@ Equality (`equals`, also wired to ==) of the underlying bi-infinite
 sequences, whatever representation built them, is one comparison of
 canonical keys; hashes are taken from the same key.
 
-A `Tail` records its effective slope once, when built; `Tail.window` reads
-a run of tail columns as whole period copies. The public constructors check
-every value; `_tail` and `_configuration` build from checked values (kernel
-outputs, slices of checked cores and tails), so a global step builds each
-object once. Canonicalization works on slices, never on single columns.
+`Tail.window` reads a run of tail columns as whole period copies. The
+public constructors check every value; `_tail` and `_configuration` build
+from checked values (kernel outputs, slices of checked cores and tails), so
+a global step builds each object once. Canonicalization works on slices,
+never on single columns.
 
 `Configuration.finite` builds a dense core from sparse input, so this
 module owns the core cap (`SANDLAB_MAX_CORE`, else `DEFAULT_MAX_CORE`):
@@ -109,25 +109,19 @@ class Tail(Value):
 
     values[j] is the height j columns past the core boundary within the
     first period copy; every later copy of a finite entry gains `slope`.
-    Infinite entries repeat unchanged. `rise` is the effective slope,
-    found once when built: `slope`, or 0 when no entry is finite.
-    Equality, hashing and repr ignore it.
+    Infinite entries repeat unchanged, so a tail with no finite entry
+    stores slope 0 whatever it is given.
     """
 
-    _fields = ("values", "slope")
-    __slots__ = (*_fields, "rise")
+    __slots__ = _fields = ("values", "slope")
 
     def __init__(self, values: tuple, slope: int = 0):
         values = tuple(values)
         if not values:
             raise DomainError("tail period must be non-empty")
-        infinite = 0
-        for v in values:
-            if type(v) is not int:
-                infinite += isinstance(_check_height(v), Infinity)
+        finite = [type(v) is int or not isinstance(_check_height(v), Infinity) for v in values]
         _check_int("tail slope", slope)
-        self.values, self.slope = values, slope
-        self.rise = slope if infinite < len(values) else 0
+        self.values, self.slope = values, slope if any(finite) else 0
 
     def at(self, j: int) -> Height:
         """Height j columns out from the boundary, j may be negative."""
@@ -140,11 +134,11 @@ class Tail(Value):
         and copy q of a sloped tail is each value plus slope * q, which
         infinities absorb. A negative n reads as 0, however large."""
         p = len(self.values)
-        if p == 1 and not self.rise:
+        if p == 1 and not self.slope:
             return self.values * max(n, 0)
         q, s = divmod(j, p)
         copies = range(q, q + (s + n) // p + 1)
-        if slope := self.rise:
+        if slope := self.slope:
             return tuple([v + slope * k for k in copies for v in self.values][s : s + n])
         return (self.values * len(copies))[s : s + n]
 
@@ -152,21 +146,21 @@ class Tail(Value):
         """The same progression with its boundary moved k columns outward:
         rebased(k).at(j) == at(j + k)."""
         p = len(self.values)
-        if not k or (k % p == 0 and not self.rise):
+        if not k or (k % p == 0 and not self.slope):
             return self  # whole periods of a level tail change nothing
-        return _tail(self.window(k, p), self.slope, self.rise)
+        return _tail(self.window(k, p), self.slope)
 
     def mirror(self) -> "Tail":
         """The left tail that continues this right tail backwards from the
         same boundary: mirror().at(j) == at(-1 - j)."""
         p = len(self.values)
-        return _tail(self.window(-p, p)[::-1], -self.slope, -self.rise)
+        return _tail(self.window(-p, p)[::-1], -self.slope)
 
 
-def _tail(values: tuple, slope: int, rise: int) -> Tail:
-    """A Tail from a checked non-empty tuple, its slope and its rise."""
+def _tail(values: tuple, slope: int) -> Tail:
+    """A Tail from a checked non-empty tuple and its slope, 0 if no entry is finite."""
     t = object.__new__(Tail)
-    t.values, t.slope, t.rise = values, slope, rise
+    t.values, t.slope = values, slope
     return t
 
 
@@ -224,8 +218,14 @@ class Configuration:
 
     @classmethod
     def general(cls, core_start: int, core, left, right) -> "Configuration":
-        """Explicit core plus (values, slope) tails on each side."""
-        tails = [t if isinstance(t, Tail) else Tail(t[0], t[1]) for t in (left, right)]
+        """Explicit core plus a Tail or a (values, slope) pair on each side."""
+        tails = []
+        for t in (left, right):
+            try:
+                values, slope = (t.values, t.slope) if isinstance(t, Tail) else t
+                tails.append(Tail(values, slope))
+            except (TypeError, ValueError):
+                raise DomainError(f"a tail must be a Tail or a (values, slope) pair: {t!r}") from None
         return cls(core_start, core, *tails)
 
     # -- basic access ------------------------------------------------------
@@ -329,8 +329,8 @@ def first_difference(x: Configuration, y: Configuration):
     these reads: lo-Ll..lo-1; each run of `_runs` from lo on, a class run
     cut to its first 2L columns (progressions that agree twice agree
     everywhere); then lo-Ll-1 down to lo-2Ll. That is the least differing
-    column in lo-Ll..hi+Lr if any; else, if the right tails rise apart, the
-    first finite column right of hi plus Lr; else the first finite column
+    column in lo-Ll..hi+Lr if any; else, if the right tails part in slope,
+    the first finite column right of hi plus Lr; else the first finite column
     left of lo minus Ll.
     """
     if equals(x, y):
@@ -338,9 +338,9 @@ def first_difference(x: Configuration, y: Configuration):
     (_, end, Ll, _, _), *runs = _runs(x, y)
     reads, first = [], end - Ll + 1
     for a, b, L, _, _ in runs:
-        if b - a >= L:  # a class run ends the read at its first L columns;
-            # its next L are read on their own, the rest agree if those do
-            reads += [(first, a + L - 1), (a + L, min(b, a + 2 * L - 1))]
+        if b - a >= L:  # a class run ends the read at its first 2L columns;
+            # the rest agree if those do
+            reads.append((first, min(b, a + 2 * L - 1)))
             first = b + 1
     reads.append((end - Ll, end - 2 * Ll + 1))
     for first, last in reads:
@@ -361,14 +361,14 @@ def _runs(x: Configuration, y: Configuration) -> list:
     with both sequences in a tail, each residue class of columns mod L is,
     in x (y), an affine progression rising by dx (dy) per L columns
     rightwards, or a constant infinity. The other runs are column runs: L
-    is their length and they rise by 0, so each class is one column.
+    is their length and dx = dy = 0, so each class is one column.
     """
     cuts = sorted({0, x.core_start, x.core_end + 1, y.core_start, y.core_end + 1})
     runs = []
     for a, b in zip([-inf, *cuts], [c - 1 for c in cuts] + [inf]):
         tails = b - a >= BLOCK and [
-            (len(c.left.values), -c.left.rise) if b < c.core_start
-            else (len(c.right.values), c.right.rise) if a > c.core_end else None
+            (len(c.left.values), -c.left.slope) if b < c.core_start
+            else (len(c.right.values), c.right.slope) if a > c.core_end else None
             for c in (x, y)]
         if not tails or None in tails:
             runs.append((a, b, b - a + 1, 0, 0))
@@ -445,7 +445,7 @@ def has_infinite_column(c: Configuration) -> bool:
 # its first p - q (raised by the slope share when sloped); both core edges
 # are trimmed on one flat tuple (left period reversed, core, right period),
 # an edge column going while it equals the column one period further out less
-# that tail's rise, and the new tails are the period-long slices next to the
+# that tail's slope, and the new tails are the period-long slices next to the
 # kept core, save that a level tail trimmed by whole periods (as in every
 # finite-class step) is kept as it is; an empty core is anchored by one
 # rotation scan or one pl + pr column read per side.
@@ -458,7 +458,7 @@ def _reduce_tail(tail: Tail) -> Tail:
     The periods of the word that divide p = len(values) are the multiples
     of the least one, so stripping each prime factor f of p while the word
     keeps period q // f ends at the least period after O(log p) compares."""
-    vs, slope = tail.values, tail.rise
+    vs, slope = tail.values, tail.slope
     p = q = n = len(vs)
     f = 2
     while n > 1:
@@ -474,13 +474,13 @@ def _reduce_tail(tail: Tail) -> Tail:
             if kept:
                 q = d
         f += 1
-    return tail if q == p and slope == tail.slope else _tail(vs[:q], s := slope * q // p, s)
+    return tail if q == p else _tail(vs[:q], slope * q // p)
 
 
 def _canonicalize(c: Configuration) -> Configuration:
     left = _reduce_tail(c.left)
     right = _reduce_tail(c.right)
-    pl, pr, ls, rs = len(left.values), len(right.values), left.rise, right.rise
+    pl, pr, ls, rs = len(left.values), len(right.values), left.slope, right.slope
     flat = left.values[::-1] + c.core + right.values
     lo, hi = pl, pl + len(c.core)  # the kept core is flat[lo:hi]
     while hi > lo and flat[hi - 1] == (
@@ -489,8 +489,8 @@ def _canonicalize(c: Configuration) -> Configuration:
     while lo < hi and flat[lo] == (w if (w := flat[lo - pl]).__class__ is Infinity else w - ls):
         lo += 1
     start, cut = c.core_start + lo - pl, pl + len(c.core) - hi  # cut: columns trimmed right
-    left = left if not ls and lo % pl == 0 else _tail(flat[lo - pl : lo][::-1], left.slope, ls)
-    right = right if not rs and cut % pr == 0 else _tail(flat[hi : hi + pr], right.slope, rs)
+    left = left if not ls and lo % pl == 0 else _tail(flat[lo - pl : lo][::-1], ls)
+    right = right if not rs and cut % pr == 0 else _tail(flat[hi : hi + pr], rs)
     if lo < hi:
         return _configuration(start, flat[lo:hi], left, right)
 

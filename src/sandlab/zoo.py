@@ -123,10 +123,9 @@ def crown_lift(c1: Configuration, c2: Configuration, automaton: SandAutomaton):
     k = max(support_radius(c1), support_radius(c2))
     r = automaton.radius
     _check_span("crown period", 2 * (k + r) + 1)
-    window = range(-(k + r), k + r + 1)
 
-    def lift(c):
-        values = tuple(c.height(i) if abs(i) <= k else 0 for i in window)
+    def lift(c):  # c is 0 past its support radius, so past k
+        values = c.heights(-(k + r), k + r)
         return Configuration.periodic(values).shift(-(k + r)).canonicalize()
 
     return lift(c1), lift(c2)

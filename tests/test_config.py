@@ -95,6 +95,21 @@ def test_booleans_rejected_as_heights():
             build()
 
 
+def test_general_refuses_tails_that_are_not_pairs():
+    ok = ((0,), 0)
+    for bad in (((1,),), 5, None, (5, 0), ((0,), 0, 1), [(0,)]):
+        for left, right in ((bad, ok), (ok, bad)):
+            with pytest.raises(DomainError) as caught:
+                Configuration.general(0, (), left, right)
+            assert str(caught.value) == (
+                f"a tail must be a Tail or a (values, slope) pair: {bad!r}")
+    # a pair is checked as Tail checks it
+    with pytest.raises(DomainError, match="tail slope must be an int"):
+        Configuration.general(0, (), ((0,), "1"), ok)
+    c = Configuration.general(0, (), [(1, 2), 1], Tail((0,)))
+    assert c.left == Tail((1, 2), 1) and c.right == Tail((0,))
+
+
 def test_empty_period_rejected():
     with pytest.raises(DomainError):
         Tail((), 0)
@@ -265,7 +280,7 @@ def test_trims_by_whole_periods_keep_level_tails_and_match_the_reference():
     edges no tail predicts, or around no core. `_canonicalize` gives the
     reference's fields. Around a kept core it returns the input tail object
     exactly when that tail is level and was trimmed by whole periods, and
-    whatever the core, a tail object it keeps has rise 0."""
+    whatever the core, a tail object it keeps has slope 0."""
     words = [(0,), (2, PLUS_INF), (1, 0, 3), (MINUS_INF, 4, 4)]
     tails = [Tail(w, s) for w in words for s in (0, 2, -1)]
     kept = 0
@@ -279,10 +294,10 @@ def test_trims_by_whole_periods_keep_level_tails_and_match_the_reference():
                 assert _fields(got) == _fields(naive_canonical_form(c)), c
                 for t, given, k, p in ((got.left, c.left, kl, pl), (got.right, c.right, kr, pr)):
                     if t is given:
-                        assert given.rise == 0, c
+                        assert given.slope == 0, c
                         kept += 1
                     if core:
-                        assert (t is given) == (given.rise == 0 and k % p == 0), c
+                        assert (t is given) == (given.slope == 0 and k % p == 0), c
     assert kept > 100
 
 
@@ -352,19 +367,21 @@ def test_apply_builds_hashable_self_canonical_images_on_orbits():
     """12-step orbits of every zoo rule from six seeded starts of each class
     and a few built ones. `apply` builds its image without the public
     checks, so each result must still hold tuples (and hash), keep each
-    tail's rise as `Tail` finds it, be its own canonical form and match the
-    column-by-column reference. The counts show that the orbits reach empty
+    tail's slope as `Tail` finds it, be its own canonical form and match the
+    column-by-column reference. The built all-infinite tails are given a
+    slope and read slope 0. The counts show that the orbits reach empty
     cores on both anchor branches, image tails whose primitive period
-    shrinks, all-infinite tails with a slope, and radius-2 rules."""
+    shrinks, and radius-2 rules."""
     rng = Lcg64(1919)
     built = [
         Configuration(0, (1, 2), Tail((PLUS_INF,), 3), Tail((MINUS_INF, PLUS_INF), -2)),
         Configuration(2, (), Tail((0, 0)), Tail((5, 5, 5), 0)),
         Configuration(-1, (3,), Tail((1, 2, 1, 2), 2), Tail((MINUS_INF,) * 2, -1)),
     ]
-    seen = dict.fromkeys(
-        ["periodic anchor", "parting anchor", "shrunk period", "infinite sloped tail",
-         "radius 2"], 0)
+    infinite = [t for c in built for t in (c.left, c.right)
+                if all(v in (PLUS_INF, MINUS_INF) for v in t.values)]
+    assert [t.slope for t in infinite] == [0, 0, 0]
+    seen = dict.fromkeys(["periodic anchor", "parting anchor", "shrunk period", "radius 2"], 0)
     for name in sorted(zoo.ZOO):
         rule = zoo.make(name)
         starts = [_seeded(rng, k) for k in ("finite", "periodic", "affine", "general") * 6]
@@ -377,10 +394,8 @@ def test_apply_builds_hashable_self_canonical_images_on_orbits():
                 assert hash(d) == hash(d.canonical_key())
                 assert d._canon is d
                 for t, before in ((d.left, c.left), (d.right, c.right)):
-                    assert t.rise == Tail(t.values, t.slope).rise
+                    assert t.slope == Tail(t.values, t.slope).slope
                     seen["shrunk period"] += len(t.values) < len(before.values)
-                    seen["infinite sloped tail"] += bool(before.slope) and all(
-                        v in (PLUS_INF, MINUS_INF) for v in before.values)
                 seen["radius 2"] += rule.radius == 2
                 if not d.core:
                     periodic = d.left == d.right.mirror()
@@ -537,16 +552,19 @@ def test_canonicalizing_an_apply_image_reads_no_single_column(monkeypatch):
     assert cores > 50
 
 
-def test_tail_equality_hash_and_repr_ignore_the_rise():
-    t, u = Tail((2, PLUS_INF), 3), Tail((2, PLUS_INF), 3)
-    assert t.rise == 3
-    u.rise = 0
-    assert t == u and hash(t) == hash(u) and repr(t) == repr(u)
-    assert repr(t) == "Tail(values=(2, PLUS_INF), slope=3)"
-    # no finite entry: the rise is 0, but the slope still tells tails apart
-    steep, level = Tail((PLUS_INF,), 3), Tail((PLUS_INF,), 0)
-    assert steep.rise == level.rise == 0
-    assert steep != level and hash(steep) != hash(level)
+def test_tails_with_no_finite_entry_read_slope_0():
+    assert Tail.__slots__ == ("values", "slope")
+    # a finite entry keeps the slope, and it tells tails apart
+    t = Tail((2, PLUS_INF), 3)
+    assert t.slope == 3 and repr(t) == "Tail(values=(2, PLUS_INF), slope=3)"
+    assert t != Tail((2, PLUS_INF), 0) and hash(t) != hash(Tail((2, PLUS_INF), 0))
+    # no finite entry: every slope reads 0, so the tails are one progression
+    for values in ((PLUS_INF,), (PLUS_INF, MINUS_INF)):
+        steep, level = Tail(values, 5), Tail(values, 0)
+        assert steep.slope == 0 and steep == level and hash(steep) == hash(level)
+        assert repr(steep) == f"Tail(values={values!r}, slope=0)"
+        assert steep.mirror().slope == steep.rebased(1).slope == 0
+        assert steep.window(0, 3) == level.window(0, 3)
 
 
 def test_constructors_store_tuples():

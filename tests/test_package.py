@@ -42,8 +42,8 @@ REMOVED = {
     "InternalConsistencyError": "errors",
 }
 SUBMODULES = [*EXPORTS, "cli", "witnesses"]
-#: lines in src/sandlab/*.py, the count ROADMAP aim 2 tracks
-SOURCE_BUDGET = 2559
+#: lines in src/sandlab/**/*.py, the count ROADMAP aim 2 tracks
+SOURCE_BUDGET = 2610
 
 
 def test_exported_names_resolve_to_their_submodule_objects():
@@ -176,9 +176,9 @@ def test_canonical_form_is_cached_once():
 
 def test_source_stays_within_budget():
     package = pathlib.Path(sandlab.__file__).parent
-    lines = sum(path.read_text(encoding="utf-8").count("\n") for path in package.glob("*.py"))
+    lines = sum(path.read_text(encoding="utf-8").count("\n") for path in package.rglob("*.py"))
     assert lines == SOURCE_BUDGET, (
-        f"src/sandlab/*.py has {lines} lines, not the recorded {SOURCE_BUDGET}. "
+        f"src/sandlab/**/*.py has {lines} lines, not the recorded {SOURCE_BUDGET}. "
         "A cut records its new count here; only a change that adds a capability "
         "may raise it, and it must say why in CHANGES.md (ROADMAP aim 2)."
     )
