@@ -11,6 +11,21 @@ witnesses.
 The package surface loads lazily (PEP 562): `sandlab.X` and
 `from sandlab import X` import the submodule that defines X on first use,
 so a program pays only for the submodules it touches.
+
+Arguments and errors, one rule for every public callable:
+(a) Scalars and entries are checked: an int or height argument of the wrong
+    type or out of range is refused at the public entry with the matching
+    `SandlabError` (`config._check_int` checks every int), and so is every
+    entry of a container: core and period heights, deviation columns, rule
+    atoms and deltas, and tail and rule-line pairs.
+(b) An automaton, configuration, `Lcg64`, text, sequence or mapping of the
+    wrong kind gets Python's own TypeError, AttributeError or ValueError; no
+    check is written for it, but `Configuration` refuses tails it would store.
+(c) Unchecked code: underscored internals, `Tail.at`, `window`, `rebased`
+    and `mirror`, the result classes `Distance` and `WitnessReport`, and
+    `Infinity` (the module constants are its two instances) check nothing;
+    their callers or builders do. `SandAutomaton` checks its radius and
+    takes the table `validate_rule` checked.
 """
 
 from importlib import import_module

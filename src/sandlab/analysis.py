@@ -41,7 +41,7 @@ from functools import lru_cache
 from itertools import chain
 
 from .automaton import SandAutomaton, _orbit, apply, window_image
-from .config import Configuration, Tail, Value, _check_int, equals, first_difference
+from .config import BLOCK, Configuration, Tail, Value, _check_int, equals, first_difference
 from .errors import CoreBoundExceeded, DomainError
 from .heights import MINUS_INF, PLUS_INF
 from .rng import Lcg64, sample_configuration
@@ -224,11 +224,9 @@ def check_injective_bounded(
     """
     if klass not in ("F", "P"):
         raise DomainError(f"class must be 'F' or 'P', got {klass!r}")
-    bounds = {("window" if klass == "F" else "period"): n_or_p, "height": h}
-    if min(map(_check_int, bounds, bounds.values())) < 1:
-        raise DomainError("bounds must be >= 1")
-    if _check_int("max_candidates", max_candidates) < 0:
-        raise DomainError(f"max_candidates must be >= 0, got {max_candidates}")
+    name = "window" if klass == "F" else "period"
+    bounds = {name: _check_int(name, n_or_p, 1), "height": _check_int("height", h, 1)}
+    _check_int("max_candidates", max_candidates, 0)
     widths = [2 * n_or_p + 1] if klass == "F" else range(1, n_or_p + 1)
     # count >= 3, so count**bits alone passes the guard: no huge powers
     bits = max_candidates.bit_length()
@@ -285,11 +283,9 @@ def check_preimage_bounded(
     """
     if klass not in ("F", "P", "EC"):
         raise DomainError(f"class must be 'F', 'P' or 'EC', got {klass!r}")
-    bounds = {("period" if klass == "P" else "window"): n, "height": h}
-    if min(map(_check_int, bounds, bounds.values())) < 1:
-        raise DomainError("bounds must be >= 1")
-    if _check_int("max_nodes", max_nodes) < 0:
-        raise DomainError(f"max_nodes must be >= 0, got {max_nodes}")
+    name = "period" if klass == "P" else "window"
+    bounds = {name: _check_int(name, n, 1), "height": _check_int("height", h, 1)}
+    _check_int("max_nodes", max_nodes, 0)
     values = _height_values(h, include_infinities)
     r = automaton.radius
     t = target.canonicalize()
@@ -341,10 +337,11 @@ def _preimage_dfs(automaton, target, start, width, bgl, bgr, values, budget):
     `bgl` is None: a periodic candidate of period `width`), then the
     columns so far. Once it holds 2r+1 entries, each new entry fixes the
     image of the column r to its left, which is checked at once against
-    the target's heights, read a growing block at a time. A full row then
-    fixes the 2r image columns around its far end, which read the right
-    background `bgr` or wrap round to the row's start. Returns
-    (configuration or None, nodes), or (None, budget + 1) on running out.
+    the target's heights, read a block at a time, growing up to BLOCK
+    columns. A full row then fixes the 2r image columns around its far
+    end, which read the right background `bgr` or wrap round to the row's
+    start. Returns (configuration or None, nodes), or (None, budget + 1)
+    on running out.
     A node is one value tried at one column, as without the memo: the
     image of the newest window is memoised on its code, the indices into
     `values` of its 2r+1 entries (unless there are more than
@@ -378,9 +375,9 @@ def _preimage_dfs(automaton, target, start, width, bgl, bgr, values, budget):
         k = len(untried)
         code = (parent * count + i) % cube
         if len(row) >= w:  # the newest entry fixes the image of column start + k - 1 - r
-            if k > len(goals):  # read 16 columns or more, doubling
+            if k > len(goals):  # read 16 columns or more, doubling up to BLOCK
                 lo = start - r + len(goals)
-                goals += target.heights(lo, lo + max(k, len(goals), 15))
+                goals += target.heights(lo, lo + min(max(k, len(goals), 15), BLOCK))
             y = memo.get(code)
             if y is None:
                 y = window_image(automaton, row[-w:])[0]
@@ -423,8 +420,7 @@ def check_nilpotent_bounded(
     BOUND_EXCEEDED. A detected non-zero fixed point is noted, since the
     orbit is then provably stuck, but the verdict stays BOUND_EXCEEDED.
     """
-    if _check_int("steps", steps) < 0:
-        raise DomainError("step bound must be >= 0")
+    _check_int("step bound", steps, 0)
     zero, bounds, last = Configuration(0, ()), {"steps": steps}, None
     try:
         for step, current in enumerate(_orbit(automaton, c, steps, max_core)):
@@ -483,11 +479,7 @@ def verify_right_inverse(
     reports the first counterexample, or exhaustion when the composition
     restored every sample. Refuses more than MAX_SAMPLES samples.
     """
-    _check_int("seed", seed)
-    if _check_int("samples", samples) < 1:
-        raise DomainError("sample count must be >= 1")
-    if samples > MAX_SAMPLES:
-        raise DomainError(f"sample count {samples} is over the limit of {MAX_SAMPLES}")
+    _check_int("sample count", samples, 1, MAX_SAMPLES)
     rng = Lcg64(seed)
     height = 4
     bounds = {"samples": samples, "height": height}

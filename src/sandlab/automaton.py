@@ -48,7 +48,7 @@ WILDCARD = _Marker("*")
 POS = _Marker("pos")  # matches every height > 0, including +infinity
 NEG = _Marker("neg")  # matches every height < 0, including -infinity
 
-#: the largest radius `validate_rule` accepts; steps and searches read
+#: the largest radius `SandAutomaton` accepts; steps and searches read
 #: 2r + 1 columns around each column, so a huge radius costs time and
 #: memory before any rule line is looked at
 MAX_RADIUS = 64
@@ -67,6 +67,8 @@ class Rule(Value):
 class SandAutomaton(Value):
     """A radius, an ordered rule table and a default delta.
 
+    The radius is checked here, once per automaton; the table and default
+    are taken as given (`validate_rule` checks them).
     `memo` maps reading codes to deltas, filled on first use, from the
     match bit sets `masks`, built on the first miss (see `_lookup`);
     equality, hashing and repr ignore both.
@@ -76,7 +78,7 @@ class SandAutomaton(Value):
     __slots__ = (*_fields, "memo", "masks")
 
     def __init__(self, radius: int, rules: tuple = (), default_delta: int = 0):
-        self.radius = radius
+        self.radius = _check_int("radius", radius, 1, MAX_RADIUS)
         self.rules = rules
         self.default_delta = default_delta
         self.memo = {}
@@ -88,43 +90,31 @@ def validate_rule(radius: int, lines, default_delta: int = 0) -> SandAutomaton:
 
     `lines` is a sequence of (pattern, delta) pairs; patterns bind the
     beta-readings of columns (i-r, ..., i-1, i+1, ..., i+r) in that order.
+    A refusal is a RuleError whose `part` names the radius, the default or
+    the index of the line at fault.
     """
-    if isinstance(radius, bool) or not isinstance(radius, int) or radius < 1:
-        raise RuleError(f"radius must be an integer >= 1, got {radius!r}", "radius")
-    if radius > MAX_RADIUS:
-        raise RuleError(f"radius {radius} is over the limit of {MAX_RADIUS}", "radius")
-    bad = isinstance(default_delta, bool) or not isinstance(default_delta, int)
-    if bad or abs(default_delta) > radius:
-        raise RuleError(
-            f"default delta must lie in [-{radius}, {radius}], got {default_delta!r}",
-            "default",
-        )
-    checked = []
-    for idx, (pattern, delta) in enumerate(lines):
-        pattern = tuple(pattern)
-        if len(pattern) != 2 * radius:
-            raise RuleError(
-                f"rule {idx}: pattern has {len(pattern)} atoms, expected {2 * radius}",
-                idx,
-            )
-        for atom in pattern:
-            if isinstance(atom, (_Marker, Infinity)):
-                continue
-            if isinstance(atom, bool) or not isinstance(atom, int):
-                raise RuleError(f"rule {idx}: bad atom {atom!r}", idx)
-            if abs(atom) > radius:
-                raise RuleError(
-                    f"rule {idx}: atom {atom} outside the readable window "
-                    f"[-{radius}, {radius}]",
-                    idx,
-                )
-        if isinstance(delta, bool) or not isinstance(delta, int) or abs(delta) > radius:
-            raise RuleError(
-                f"rule {idx}: delta must lie in [-{radius}, {radius}], got {delta!r}",
-                idx,
-            )
-        checked.append(Rule(pattern, delta))
-    return SandAutomaton(radius, tuple(checked), default_delta)
+    part = "radius"
+    try:
+        automaton = SandAutomaton(radius, (), default_delta)
+        part = "default"
+        _check_int("default delta", default_delta, -radius, radius)
+        rules = []
+        for part, line in enumerate(lines):
+            try:
+                pattern, delta = line
+                pattern = tuple(pattern)
+            except (TypeError, ValueError):
+                raise DomainError(f"a rule line must be a (pattern, delta) pair: {line!r}") from None
+            if len(pattern) != 2 * radius:
+                raise DomainError(f"pattern has {len(pattern)} atoms, expected {2 * radius}")
+            for atom in pattern:
+                if not isinstance(atom, (_Marker, Infinity)):
+                    _check_int("atom", atom, -radius, radius)
+            rules.append(Rule(pattern, _check_int("delta", delta, -radius, radius)))
+    except DomainError as exc:
+        raise RuleError(f"rule {part}: {exc}" if type(part) is int else str(exc), part) from None
+    automaton.rules = tuple(rules)
+    return automaton
 
 
 def _build_masks(automaton: SandAutomaton) -> tuple:
@@ -207,8 +197,6 @@ def _kernel(r: int):
     reads i as the negation, which a_t carries, the partial code of column
     i + t. An infinite column, never subtracted from, lends (r + 1) * sign
     to the r after it. The first r columns only fill the carries."""
-    if isinstance(r, bool) or not isinstance(r, int) or not 1 <= r <= MAX_RADIUS:
-        raise DomainError(f"radius must be an int in 1..{MAX_RADIUS}, got {r!r}")
     if r not in _KERNELS:
         base, names, ts = 2 * r + 3, ["h%d" % k for k in range(2 * r)], range(1, r + 1)
         clip = "(%d if (d := %%s - c) < %d else d if d <= %d else %d)" % (-r - 1, -r, r, r + 1)
@@ -296,8 +284,7 @@ def iterate(
     Raises CoreBoundExceeded if an intermediate canonical core outgrows
     `max_core` columns (default from SANDLAB_MAX_CORE, else 65536).
     """
-    if _check_int("step count", steps) < 0:
-        raise DomainError("step count must be >= 0")
+    _check_int("step count", steps, 0)
     for c in _orbit(automaton, c, steps, max_core):
         pass
     return c

@@ -86,7 +86,7 @@ def _report(args, report, clean_verdicts, unused=None) -> tuple:
         for flag, kwargs in COMMANDS[args.subcommand][2]
         if flag not in ("--json", "--max-core", unused)
     }
-    if isinstance(report, bool):
+    if type(report) is bool:
         verdict, body, lines = report, {"valid_pair": report}, [f"valid pair: {report}"]
     else:
         verdict = report.verdict

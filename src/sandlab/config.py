@@ -19,11 +19,10 @@ Equality (`equals`, also wired to ==) of the underlying bi-infinite
 sequences, whatever representation built them, is one comparison of
 canonical keys; hashes are taken from the same key.
 
-`Tail.window` reads a run of tail columns as whole period copies. The
-public constructors check every value; `_tail` and `_configuration` build
-from checked values (kernel outputs, slices of checked cores and tails), so
-a global step builds each object once. Canonicalization works on slices,
-never on single columns.
+`Tail.window` reads tail columns as whole period copies, and
+canonicalization works on slices, never on single columns. `_tail` and
+`_configuration` build unchecked from checked values (kernel outputs,
+slices of checked cores and tails), so a global step builds each once.
 
 `Configuration.finite` builds a dense core from sparse input, so this
 module owns the core cap (`SANDLAB_MAX_CORE`, else `DEFAULT_MAX_CORE`):
@@ -47,18 +46,17 @@ from .heights import Height, Infinity
 
 
 DEFAULT_MAX_CORE = 65536
+#: the most columns one `heights` read returns
+MAX_READ = 10**6
 
 
 def _core_cap(cap):
     if cap is None:
         env = os.environ.get("SANDLAB_MAX_CORE")
-        try:
-            cap = DEFAULT_MAX_CORE if env is None else int(env)
-        except ValueError:
+        cap = DEFAULT_MAX_CORE if env is None else _decimal(env)
+        if cap is None:
             raise DomainError(f"SANDLAB_MAX_CORE is not an integer: {env!r}")
-    if _check_int("core cap", cap) < 0:
-        raise DomainError(f"core cap must be >= 0, got {cap}")
-    return cap
+    return _check_int("core cap", cap, 0)
 
 
 def _check_span(what: str, n: int) -> None:
@@ -68,18 +66,30 @@ def _check_span(what: str, n: int) -> None:
         raise CoreBoundExceeded(f"{what} spans {n} columns (cap {cap})")
 
 
-def _check_int(what: str, v) -> int:
+def _check_int(what: str, v, lo=None, hi=None) -> int:
+    """v when it is an int (a bool is not) in lo..hi, else a DomainError
+    naming `what`: the package's one check of a scalar argument."""
     if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
         raise DomainError(f"{what} must be an int, got {v!r}")
+    if lo is not None and v < lo:
+        raise DomainError(f"{what} must be >= {lo}, got {v}")
+    if hi is not None and v > hi:
+        raise DomainError(f"{what} {v} is over the limit of {hi}")
     return v
 
 
 def _check_height(v) -> Height:
-    if isinstance(v, Infinity):
-        return v
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise DomainError(f"height must be an int or an infinity, got {v!r}")
-    return v
+    return v if isinstance(v, Infinity) else _check_int("height", v)
+
+
+def _decimal(token: str):
+    """The int an ASCII decimal token [+-]?[0-9]+ spells, else None; `int`
+    alone would also take `_` separators and non-ASCII digits."""
+    digits = token.strip().lstrip("+-")
+    try:
+        return int(token) if digits.isascii() and digits.isdigit() else None
+    except ValueError:  # two signs, or over the interpreter's integer digit limit
+        return None
 
 
 class Value:
@@ -177,8 +187,7 @@ class Configuration:
     __slots__ = ("core_start", "core", "left", "right", "_canon")
 
     def __init__(self, core_start: int, core: tuple, left=ZERO_TAIL, right=ZERO_TAIL):
-        if type(core_start) is not int:
-            _check_int("core start", core_start)
+        _check_int("core start", core_start)
         if type(left) is not Tail or type(right) is not Tail:
             raise DomainError(f"tails must be Tail objects, got {left!r} and {right!r}")
         core = tuple(core)
@@ -210,9 +219,6 @@ class Configuration:
     def affine(cls, values, slope: int = 0) -> "Configuration":
         """Self-similar configuration: c_{i+p} = c_i + slope, anchored so
         that columns 0..p-1 carry `values`."""
-        values = tuple(_check_height(v) for v in values)
-        if not values:
-            raise DomainError("period must be non-empty")
         right = Tail(values, slope)
         return cls(0, (), right.mirror(), right)
 
@@ -248,9 +254,11 @@ class Configuration:
 
     def heights(self, lo: int, hi: int) -> tuple:
         """Heights of columns lo..hi inclusive: the left tail's columns, a
-        slice of the core, then the right tail's columns."""
-        if type(lo) is not int or type(hi) is not int:
-            _check_int("column", lo), _check_int("column", hi)
+        slice of the core, then the right tail's columns. A read of more than
+        MAX_READ columns is refused."""
+        if type(lo) is not int or type(hi) is not int or hi - lo >= MAX_READ:
+            _check_int("read width", 1 - _check_int("column", lo) + _check_int("column", hi),
+                       hi=MAX_READ)
         a, b = self.core_start, self.core_end
         m, k = min(hi, a - 1), max(lo, b + 1)
         return (

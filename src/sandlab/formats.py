@@ -43,7 +43,7 @@ lines, then values (a configuration checks its kind, then each field).
 from __future__ import annotations
 
 from .automaton import NEG, POS, SandAutomaton, WILDCARD, validate_rule
-from .config import Configuration, _check_int, is_finite_class
+from .config import Configuration, _check_int, _decimal, is_finite_class
 from .errors import DomainError, ParseError, RuleError
 from .heights import Infinity, MINUS_INF, PLUS_INF
 
@@ -125,16 +125,12 @@ def parse_rule_file(text: str) -> SandAutomaton:
 
 
 def _parse_int(token, line, what="integer"):
-    """An ASCII decimal token [+-]?[0-9]+; `int` alone would also take
-    `_` separators and non-ASCII digits, which do not round-trip."""
-    token = token.strip()
-    digits = token[1:] if token[:1] in ("+", "-") else token
-    try:
-        if digits.isascii() and digits.isdigit():
-            return int(token)
-    except ValueError:  # over the interpreter's integer digit limit
-        pass
-    raise ParseError(f"bad {what} {token!r}", line)
+    """An ASCII decimal token (`config._decimal`), the one spelling that
+    round-trips."""
+    value = _decimal(token)
+    if value is None:
+        raise ParseError(f"bad {what} {token.strip()!r}", line)
+    return value
 
 
 def emit_rule_file(automaton: SandAutomaton) -> str:
@@ -247,7 +243,8 @@ def render_ascii(c: Configuration, lo: int, hi: int) -> str:
     column 0 when it is inside the window. Pictures of more than
     MAX_RENDER_CELLS cells are refused.
     """
-    if _check_int("window start", lo) > _check_int("window end", hi):
+    lo, hi = _check_int("window start", lo), _check_int("window end", hi)
+    if lo > hi:
         raise DomainError("empty render window")
     _check_render_size(1, hi - lo + 1)
     heights = c.heights(lo, hi)
@@ -279,7 +276,8 @@ def render_ascii(c: Configuration, lo: int, hi: int) -> str:
 def emit_dump(c: Configuration, lo: int, hi: int) -> str:
     """Lossless companion block for columns lo..hi; hi == lo - 1 gives an
     empty window, a narrower one is refused as `parse_dump` would."""
-    if _check_int("window end", hi) < _check_int("window start", lo) - 1:
+    lo, hi = _check_int("window start", lo), _check_int("window end", hi)
+    if hi < lo - 1:
         raise DomainError(f"window {lo}..{hi} has a negative width")
     _check_render_size(1, hi - lo + 1)
     values = " ".join(format_height(h) for h in c.heights(lo, hi))

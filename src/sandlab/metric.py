@@ -26,7 +26,6 @@ from functools import total_ordering
 from math import inf
 
 from .config import Configuration, Value, _check_int, _runs, aligned_blocks, equals
-from .errors import DomainError
 from .heights import Height, Infinity, PLUS_INF
 
 
@@ -46,9 +45,7 @@ class Distance(Value):
 
     @classmethod
     def dyadic(cls, exponent: int) -> "Distance":
-        if _check_int("distance exponent", exponent) < 0:
-            raise DomainError("distance exponent must be >= 0")
-        return cls(False, exponent)
+        return cls(False, _check_int("distance exponent", exponent, 0))
 
     def _key(self):
         # larger exponent = smaller value; zero smallest of all

@@ -13,7 +13,6 @@ same seed always yields the same stream of configurations.
 from __future__ import annotations
 
 from .config import Configuration, Tail, _check_int
-from .errors import DomainError
 from .heights import MINUS_INF, PLUS_INF
 
 MULTIPLIER = 6364136223846793005
@@ -25,7 +24,7 @@ class Lcg64:
     """The package's only randomness source. Seeded, portable, tiny."""
 
     def __init__(self, seed: int):
-        self.state = seed & MASK
+        self.state = _check_int("seed", seed) & MASK
 
     def next_u64(self) -> int:
         self.state = (self.state * MULTIPLIER + INCREMENT) & MASK
@@ -35,9 +34,13 @@ class Lcg64:
         """Uniform-ish integer in [0, n), reduced from the high bits of
         the state; the low bits of a power-of-two LCG cycle with tiny
         periods and must not be used directly."""
+        if type(n) is not int or n < 1:
+            _check_int("bound", n, 1)
         return (self.next_u64() >> 33) % n
 
     def int_between(self, lo: int, hi: int) -> int:
+        if type(lo) is not int or type(hi) is not int or hi < lo:
+            _check_int("upper end", hi, _check_int("lower end", lo))
         return lo + self.below(hi - lo + 1)
 
 
@@ -54,8 +57,7 @@ def sample_configuration(
 ) -> Configuration:
     """One random configuration, cycling through all four constructor
     shapes: finite deviations, periodic, affine, and general two-tailed."""
-    if _check_int("height", height) < 0:
-        raise DomainError(f"height must be >= 0, got {height}")
+    _check_int("height", height, 0)
     kind, value = rng.below(4), lambda: _value(rng, height, include_infinities)
     if kind == 0:  # a dict comprehension draws each key before its value
         return Configuration.finite({rng.int_between(-6, 6): value() for _ in range(rng.below(5))})

@@ -143,8 +143,7 @@ def splice_match_indices(
     A period longer than the core cap raises CoreBoundExceeded before the
     target's periodicity is tested, since that test reads a period of
     columns."""
-    if _check_int("period", period) < 1:
-        raise DomainError("period must be >= 1")
+    _check_int("period", period, 1)
     _check_span("splice period", period)
     if has_infinite_column(c.canonicalize()):
         raise DomainError("splice needs finite heights")

@@ -14,6 +14,7 @@ from sandlab.automaton import (
     POS,
     WILDCARD,
     SandAutomaton,
+    _KERNELS,
     _kernel,
     _lookup,
     apply,
@@ -85,9 +86,28 @@ def test_validate_rule_rejects_booleans():
         validate_rule(1, [((True, WILDCARD), 0)], 0)
     # emit_rule_file would write `default: True`, which no parser reads back
     for default in (True, False):
-        with pytest.raises(RuleError, match=f"default delta must lie in .*got {default}") as info:
+        with pytest.raises(RuleError, match=f"default delta must be an int, got {default}") as info:
             validate_rule(1, [], default)
         assert info.value.part == "default"
+
+
+def test_validate_rule_names_the_part_of_each_refusal():
+    good, pair = ((PLUS_INF, WILDCARD), 1), "a rule line must be a (pattern, delta) pair"
+    for args, part, message in (
+        ((1, "x"), 0, f"rule 0: {pair}: 'x'"),
+        ((1, [(None, 0)]), 0, f"rule 0: {pair}: (None, 0)"),
+        ((1, [good, (1, 2, 3)]), 1, f"rule 1: {pair}: (1, 2, 3)"),
+        ((1, [good, 5]), 1, f"rule 1: {pair}: 5"),
+        ((0, []), "radius", "radius must be >= 1, got 0"),
+        ((1, [], -2), "default", "default delta must be >= -1, got -2"),
+        ((1, [good, ((2, 0), 0)]), 1, "rule 1: atom 2 is over the limit of 1"),
+        ((1, [((1.5, 0), 0)]), 0, "rule 0: atom must be an int, got 1.5"),
+        ((1, [good, good, ((0, 0), -2)]), 2, "rule 2: delta must be >= -1, got -2"),
+        ((1, [((0,), 0)]), 0, "rule 0: pattern has 1 atoms, expected 2"),
+    ):
+        with pytest.raises(RuleError) as info:
+            validate_rule(*args)
+        assert (info.value.part, str(info.value)) == (part, message)
 
 
 def test_local_delta_first_match_wins():
@@ -290,13 +310,17 @@ def test_window_image_at_the_largest_radius():
     assert window_image(a, hs) == list(naive_image_heights(a, c, 0, 0)) == [PLUS_INF]
 
 
-def test_kernel_takes_only_a_checked_radius():
-    for bad in (0, -1, MAX_RADIUS + 1, True, 1.0, "1", None):
-        with pytest.raises(DomainError):
-            _kernel(bad)
+def test_kernels_run_only_for_a_checked_radius():
+    """The radius is refused when the automaton is built, so no kernel is
+    ever compiled, or window read, for a bad one."""
+    for bad in (0, -1, MAX_RADIUS + 1, 10**40, True, 1.0, "1", None):
+        with pytest.raises(DomainError, match="radius"):
+            SandAutomaton(bad)
+        with pytest.raises(RuleError, match="radius") as info:
+            validate_rule(bad, [])
+        assert info.value.part == "radius"
     assert _kernel(1) is _kernel(1)
-    with pytest.raises(DomainError):
-        window_image(SandAutomaton(MAX_RADIUS + 1), [0] * (2 * MAX_RADIUS + 3))
+    assert set(_KERNELS) <= set(range(1, MAX_RADIUS + 1))
 
 
 def test_same_local_rule_compares_the_function():
@@ -488,7 +512,7 @@ def test_core_bound_env_variable(monkeypatch):
     monkeypatch.setenv("SANDLAB_MAX_CORE", "5")
     with pytest.raises(CoreBoundExceeded):
         iterate(S, big, 60)
-    for bad in ("not-a-number", "-1"):
+    for bad in ("not-a-number", "-1", "1_000", "\u0663", "+-5"):
         monkeypatch.setenv("SANDLAB_MAX_CORE", bad)
         with pytest.raises(DomainError):
             iterate(S, big, 1)

@@ -379,6 +379,13 @@ def test_core_bound_exit_code(capsys):
     assert "core cap must be >= 0" in err
 
 
+def test_core_cap_variable_in_another_spelling_exits_1(monkeypatch, capsys):
+    monkeypatch.setenv("SANDLAB_MAX_CORE", "1_000")
+    argv = ["simulate", "--rule", "S", "--config", cfg("two-grain-column"), "--steps", "1"]
+    assert run_cli(argv, capsys) == (
+        1, "", "error: SANDLAB_MAX_CORE is not an integer: '1_000'\n")
+
+
 def test_oversized_renders_are_refused(tmp_path):
     # run as a child process under a 1 GB address-space limit, so a build
     # that tries to draw the picture fails here instead of filling memory

@@ -12,6 +12,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -19,6 +20,7 @@ import sandlab
 from sandlab import config, zoo
 from sandlab.automaton import apply, window_image
 from sandlab.config import (
+    MAX_READ,
     ZERO_TAIL,
     Configuration,
     Tail,
@@ -855,3 +857,23 @@ def test_finite_refuses_a_span_over_the_core_cap_before_building_it():
     assert (done.returncode, done.stderr) == (0, "")
     span = 2 * 10**30 + 1
     assert done.stdout == f"finite core spans {span} columns (cap 65536)\n"
+
+
+def test_heights_refuses_a_read_over_the_limit_before_building_it():
+    """Spans of 10^9 and 10^40 columns are refused with no tuple built (an
+    OverflowError before), and the widest read allowed still reads."""
+    c = Configuration(0, (1, 2), Tail((1, 2), 1), Tail((3,), 0))
+    tracemalloc.start()
+    try:
+        for hi in (10**9, 10**40):
+            with pytest.raises(DomainError,
+                               match=f"read width {hi + 1} is over the limit of {MAX_READ}$"):
+                c.heights(0, hi)
+            with pytest.raises(DomainError, match="read width"):
+                c.heights(-hi, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
+    assert len(c.heights(1, MAX_READ)) == MAX_READ
+    assert c.heights(5, -10**40) == ()

@@ -34,6 +34,27 @@ def test_below_and_int_between_ranges():
         assert -4 <= rng.int_between(-4, 9) <= 9
 
 
+def test_generator_refuses_bad_seeds_bounds_and_ranges():
+    for seed in (1.5, True, "1", None):
+        with pytest.raises(DomainError, match="seed must be an int"):
+            Lcg64(seed)
+    rng = Lcg64(3)
+    for n in (0, -1):
+        with pytest.raises(DomainError, match=f"bound must be >= 1, got {n}"):
+            rng.below(n)
+    for n in (1.5, True, None):
+        with pytest.raises(DomainError, match="bound must be an int"):
+            rng.below(n)
+    with pytest.raises(DomainError, match="upper end must be >= 0, got -5"):
+        rng.int_between(0, -5)
+    for lo, hi, what in ((0.5, 3, "lower"), (0, 2.5, "upper"), (False, 3, "lower")):
+        with pytest.raises(DomainError, match=f"{what} end must be an int"):
+            rng.int_between(lo, hi)
+    # a refusal draws nothing: the stream goes on as a fresh one starts
+    assert rng.next_u64() == Lcg64(3).next_u64()
+    assert rng.int_between(4, 4) == 4 and rng.below(1) == 0
+
+
 def test_sampled_configurations_are_reproducible():
     a = Lcg64(11)
     b = Lcg64(11)
