@@ -27,7 +27,7 @@ import sys
 
 from . import formats, zoo
 from .automaton import apply, iterate, same_local_rule
-from .config import Configuration, equals
+from .config import Configuration, _decimal, equals
 from .errors import CoreBoundExceeded, DomainError, ParseError, SandlabError
 from .zoo import ZOO
 
@@ -219,11 +219,19 @@ def _cmd_verify_inverse(args):
 
 # -- the command table ---------------------------------------------------------
 
+
+def _int(token: str) -> int:
+    """An integer option: an ASCII decimal, as `config._decimal` reads one."""
+    if (value := _decimal(token)) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}")
+    return value
+
+
 # An option is (flag, argparse keyword arguments). The options several
 # subcommands share are declared once, here.
 _REQUIRED = {"required": True}
 _FLAG = {"action": "store_true"}
-_INT = {"type": int, "required": True}
+_INT = {"type": _int, "required": True}
 _CLASS = {"dest": "klass", "required": True}
 
 RULE = ("--rule", _REQUIRED)
@@ -232,8 +240,8 @@ TARGET = ("--target", _REQUIRED)
 CONFIG_PAIR = (("--config-a", _REQUIRED), ("--config-b", _REQUIRED))
 STEPS = ("--steps", _INT)
 HEIGHT = ("--height", _INT)
-MAX_CORE = ("--max-core", {"type": int})
-WINDOW = ("--window", {"nargs": 2, "type": int, "metavar": ("LO", "HI")})
+MAX_CORE = ("--max-core", {"type": _int})
+WINDOW = ("--window", {"nargs": 2, "type": _int, "metavar": ("LO", "HI")})
 DUMP = ("--dump", _FLAG)
 WITH_INFINITIES = ("--with-infinities", _FLAG)
 JSON = ("--json", _FLAG)
@@ -258,7 +266,7 @@ COMMANDS = {
                (RULE, CONFIG, TARGET, ("--period", _INT))),
     "check-injective": ("bounded injectivity search", _cmd_check_injective,
                         (RULE, ("--class", {**_CLASS, "choices": ["F", "P"]}),
-                         ("--window", {"type": int}), ("--period", {"type": int}),
+                         ("--window", {"type": _int}), ("--period", {"type": _int}),
                          HEIGHT, WITH_INFINITIES, JSON)),
     "check-surjective": ("bounded pre-image search", _cmd_check_surjective,
                          (RULE, TARGET,
@@ -270,8 +278,8 @@ COMMANDS = {
                        (RULE, *CONFIG_PAIR, JSON)),
     "verify-inverse": ("test outer(inner(c)) == c on samples", _cmd_verify_inverse,
                        (("--rule-outer", _REQUIRED), ("--rule-inner", _REQUIRED),
-                        ("--samples", {"type": int, "default": 500}),
-                        ("--seed", {"type": int, "default": 1}), JSON)),
+                        ("--samples", {"type": _int, "default": 500}),
+                        ("--seed", {"type": _int, "default": 1}), JSON)),
 }
 
 

@@ -33,7 +33,8 @@ wider than it before anything is built. The one orbit loop,
 `first_difference` and `metric.distance` read a pair through one list of
 runs (`_runs`): column runs column by column, and class runs, whose residue
 classes mod an lcm period are affine progressions, one or two periods at a
-time, so the columns between two far cores are never read one by one.
+time, so the columns between two far cores are never read one by one; a
+shared run, in same-side tails alike in boundary, values and slope, not at all.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import os
 from math import inf, lcm
 
 from .errors import CoreBoundExceeded, DomainError
-from .heights import Height, Infinity
+from .heights import Height, Infinity, MINUS_INF, PLUS_INF
 
 
 DEFAULT_MAX_CORE = 65536
@@ -79,7 +80,7 @@ def _check_int(what: str, v, lo=None, hi=None) -> int:
 
 
 def _check_height(v) -> Height:
-    return v if isinstance(v, Infinity) else _check_int("height", v)
+    return v if v is PLUS_INF or v is MINUS_INF else _check_int("height", v)
 
 
 def _decimal(token: str):
@@ -142,9 +143,9 @@ class Tail(Value):
         """(at(j), ..., at(j + n - 1)), read as a slice of whole period
         copies with no per-column `at`: a level tail repeats its values,
         and copy q of a sloped tail is each value plus slope * q, which
-        infinities absorb. A negative n reads as 0, however large."""
+        infinities absorb. An n <= 0 reads as () at once, however large."""
         p = len(self.values)
-        if p == 1 and not self.slope:
+        if n <= 0 or p == 1 and not self.slope:
             return self.values * max(n, 0)
         q, s = divmod(j, p)
         copies = range(q, q + (s + n) // p + 1)
@@ -339,20 +340,20 @@ def first_difference(x: Configuration, y: Configuration):
     everywhere); then lo-Ll-1 down to lo-2Ll. That is the least differing
     column in lo-Ll..hi+Lr if any; else, if the right tails part in slope,
     the first finite column right of hi plus Lr; else the first finite column
-    left of lo minus Ll.
+    left of lo minus Ll. No read enters a shared run, which never differs.
     """
     if equals(x, y):
         return None
     (_, end, Ll, _, _), *runs = _runs(x, y)
     reads, first = [], end - Ll + 1
     for a, b, L, _, _ in runs:
-        if b - a >= L:  # a class run ends the read at its first 2L columns;
-            # the rest agree if those do
-            reads.append((first, min(b, a + 2 * L - 1)))
+        if b - a >= L:  # a class run ends the read after its first 2L columns
+            # (the rest agree if those do), and a shared run (L = 0) before it
+            reads.append(range(first, min(b, a + 2 * L - 1) + 1))
             first = b + 1
-    reads.append((end - Ll, end - 2 * Ll + 1))
-    for first, last in reads:
-        for cols, xs, ys in aligned_blocks(x, y, first, last):
+    reads.append(range(end - Ll, end - 2 * Ll, -1))
+    for cols in filter(None, reads):
+        for cols, xs, ys in aligned_blocks(x, y, cols[0], cols[-1]):
             if xs != ys:
                 return next(j for j, u, v in zip(cols, xs, ys) if u != v)
 
@@ -365,12 +366,17 @@ def _runs(x: Configuration, y: Configuration) -> list:
     cut at column 0 and where a core starts or ends; the outer runs end at
     -inf and inf.
 
-    In a class run, an outer run or a stretch of more than BLOCK columns
-    with both sequences in a tail, each residue class of columns mod L is,
-    in x (y), an affine progression rising by dx (dy) per L columns
-    rightwards, or a constant infinity. The other runs are column runs: L
-    is their length and dx = dy = 0, so each class is one column.
+    A shared run lies in same-side tails of x and y alike in boundary, values
+    and slope, so it never differs: L = dx = dy = 0. In a class run, an outer
+    run or a stretch of more than BLOCK columns with both sequences in a tail,
+    each residue class mod L is, in x (y), an affine progression rising by dx
+    (dy) per L columns rightwards, or a constant infinity. In a column run, L
+    is its length and dx = dy = 0, so each class is one column.
     """
+    below = x.core_start if (x.core_start, x.left.values, x.left.slope) == (
+        y.core_start, y.left.values, y.left.slope) else -inf
+    above = x.core_end if (x.core_end, x.right.values, x.right.slope) == (
+        y.core_end, y.right.values, y.right.slope) else inf
     cuts = sorted({0, x.core_start, x.core_end + 1, y.core_start, y.core_end + 1})
     runs = []
     for a, b in zip([-inf, *cuts], [c - 1 for c in cuts] + [inf]):
@@ -378,7 +384,9 @@ def _runs(x: Configuration, y: Configuration) -> list:
             (len(c.left.values), -c.left.slope) if b < c.core_start
             else (len(c.right.values), c.right.slope) if a > c.core_end else None
             for c in (x, y)]
-        if not tails or None in tails:
+        if b < below or a > above:
+            runs.append((a, b, 0, 0, 0))
+        elif not tails or None in tails:
             runs.append((a, b, b - a + 1, 0, 0))
         else:
             (px, sx), (py, sy) = tails

@@ -200,6 +200,7 @@ def emit_config_file(c: Configuration) -> str:
     """Canonical text form: the simplest kind that reproduces the sequence."""
     cc = c.canonicalize()
     out = [CONFIG_HEADER]
+    words = lambda hs: " ".join(map(format_height, hs))
     if is_finite_class(cc):
         out.append("kind: finite")
         out += (f"at {cc.core_start + off} {format_height(v)}"
@@ -208,19 +209,15 @@ def emit_config_file(c: Configuration) -> str:
         # globally affine-periodic sequences can be anchored anywhere, so
         # read one period off columns 0..q-1 and emit the friendly kind
         slope = cc.right.slope
-        period = cc.right.rebased(-cc.core_start).values
         out.append("kind: affine" if slope else "kind: periodic")
-        out.append("period: " + " ".join(map(format_height, period)))
+        out.append("period: " + words(cc.right.rebased(-cc.core_start).values))
         if slope:
             out.append(f"slope: {slope}")
     else:
-        out.append("kind: general")
-        out.append(f"core-start: {cc.core_start}")
-        out.append(("core: " + " ".join(map(format_height, cc.core))).rstrip())
-        out.append("left-period: " + " ".join(map(format_height, cc.left.values)))
-        out.append(f"left-slope: {cc.left.slope}")
-        out.append("right-period: " + " ".join(map(format_height, cc.right.values)))
-        out.append(f"right-slope: {cc.right.slope}")
+        out += ["kind: general", f"core-start: {cc.core_start}"]
+        out.append(f"core: {words(cc.core)}".rstrip())
+        for side, tail in (("left", cc.left), ("right", cc.right)):
+            out += [f"{side}-period: {words(tail.values)}", f"{side}-slope: {tail.slope}"]
     return "\n".join(out) + "\n"
 
 
@@ -253,21 +250,13 @@ def render_ascii(c: Configuration, lo: int, hi: int) -> str:
     bottom = min([-1] + [h for h in finite if h < 0])
     _check_render_size(top - bottom + 1 + (lo <= 0 <= hi), len(heights))
 
-    def cell(h, level):
+    def cell(h, level):  # a row above the ground line (level > 0) or below it
         if isinstance(h, Infinity):
-            if h is PLUS_INF:
-                return "^" if level > 0 else " "
-            return "v" if level < 0 else " "
-        if level > 0:
-            return "#" if h >= level else " "
-        return "#" if h <= level else " "
+            return ("^" if level > 0 else "v") if (h is PLUS_INF) == (level > 0) else " "
+        return "#" if (h >= level if level > 0 else h <= level) else " "
 
-    rows = []
-    for level in range(top, 0, -1):
-        rows.append("".join(cell(h, level) for h in heights))
-    rows.append("-" * len(heights))
-    for level in range(-1, bottom - 1, -1):
-        rows.append("".join(cell(h, level) for h in heights))
+    rows = ["".join(cell(h, level) for h in heights) if level else "-" * len(heights)
+            for level in range(top, bottom - 1, -1)]
     if lo <= 0 <= hi:
         rows.append(" " * (0 - lo) + "0")
     return "\n".join(rows) + "\n"

@@ -19,7 +19,7 @@ class Infinity:
         self.sign = sign
 
     def __repr__(self):
-        return "PLUS_INF" if self.sign > 0 else "MINUS_INF"
+        return {PLUS_INF: "PLUS_INF", MINUS_INF: "MINUS_INF"}.get(self, f"Infinity({self.sign!r})")
 
     # Identity semantics: there are exactly two instances.
     def __eq__(self, other):

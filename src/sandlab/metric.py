@@ -15,9 +15,9 @@ the heights: a column j gives max(|j|, least gauge separating its heights).
 It walks the runs of `config._runs` outward from column 0, nearest first: a
 column run column by column, a class run by each residue class, minimised in
 closed form from its first column up to the run's far end or the best
-candidate so far. A class starting at column j never goes below |j|, so the
-walk stops once |j| reaches the best candidate, and cores far apart cost no
-more than near ones.
+candidate so far, and a shared run, which never differs, not at all. A class
+starting at column j never goes below |j|, so the walk stops once |j|
+reaches the best candidate, and cores far apart cost no more than near ones.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def distance(x: Configuration, y: Configuration) -> Distance:
     m = 0 if isinstance(x0, Infinity) else x0
     # (|near end|, near end, direction, far end, L, rises outward)
     walks = sorted((-b, b, -1, a, L, -dx, -dy) if b < 0 else (a, a, 1, b, L, dx, dy)
-                   for a, b, L, dx, dy in _runs(x, y))
+                   for a, b, L, dx, dy in _runs(x, y) if L)  # no shared run
     best = inf
     for near, start, d, far, L, su, sv in walks:
         if near >= best:
@@ -128,8 +128,8 @@ def _class_minimum(a0, L, u0, su, v0, sv, m, amax=inf):
     clipped minimum is exact when the true one is below b, and >= b else.
     """
     u_inf, v_inf = isinstance(u0, Infinity), isinstance(v0, Infinity)
-    if amax < a0 or u0 == v0 and (su == sv or u_inf):
-        return inf  # no column in range, or no column ever separates
+    if amax < a0 or u0 == v0 and (su == sv or u_inf or amax - a0 < L):
+        return inf  # no column in range, or none in range ever separates
     if amax - a0 < L or u_inf and v_inf:
         return max(a0, _separating_gauge(u0, v0, m))  # one column decides
 

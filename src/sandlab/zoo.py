@@ -87,17 +87,12 @@ def build_L_preimage(c: Configuration) -> Configuration:
         pre.append(h + sign)
     n = A - lo  # pre[n] is column A
     core = pre[n : n + B - A + 1]
-    # a canonical tail varies unless it is one value of slope 0
-    if len(cc.left.values) > 1 or cc.left.slope:
-        left = Tail(pre[n - pl : n][::-1], cc.left.slope)
-    else:
-        left = cc.left  # everything below the first variation is copied
+    # a level left tail is copied below the first variation (the sign stays
+    # 0); past the last one the pre-image alternates, so q >= 2 columns
+    left = Tail(pre[n - pl : n][::-1], cc.left.slope)
     n += len(core)  # pre[n] is column B + 1
-    if len(cc.right.values) > 1 or cc.right.slope:
-        right = Tail(pre[n : n + pr], cc.right.slope)
-    else:
-        # beyond the last variation the pre-image alternates forever
-        right = Tail(pre[n : n + 2], 0)
+    q = max(pr, 2)
+    right = Tail(pre[n : n + q], cc.right.slope * q // pr)
     return Configuration(A, core, left, right).canonicalize()
 
 

@@ -9,16 +9,18 @@ import sys
 import time
 
 from itertools import islice
+from math import inf
 
 import naive_scan
 import sandlab
-from sandlab import metric
+from sandlab import config, metric
 from sandlab.config import BLOCK, Configuration, Tail, aligned_blocks, equals, first_difference
 from sandlab.heights import MINUS_INF, PLUS_INF
 from sandlab.metric import distance
 from sandlab.rng import Lcg64, sample_configuration
 
 from naive_scan import (
+    naive_class_minimum,
     naive_equals,
     naive_first_difference,
     naive_window,
@@ -439,3 +441,121 @@ def test_a_long_period_pair_compares_in_bounded_memory(tmp_path):
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == out
+
+
+def _shared_tail_pairs():
+    """Pairs whose tails on one or both sides are the same at the same
+    boundary, as in a compare pair apart only in its core or in one tail's
+    slope: one core column moved by 1 or by 10^3..10^30, or one tail
+    climbing one step faster, with infinities, periods up to 40, and both
+    sides raised alike, so each side's tails are equal but distinct objects.
+    A pair with an infinite column 0 stays low: raised, its classes would
+    each take the per-column reference `CLASS_SCAN_STEPS` steps."""
+    rng = Lcg64(2727)
+    for k in range(320):
+        infs = k % 3 == 0
+        left = Tail(_word(rng, 1 + rng.below(40), infs), rng.int_between(-2, 2))
+        right = Tail(_word(rng, 1 + rng.below(40), infs), rng.int_between(-2, 2))
+        core = list(_word(rng, 1 + rng.below(10), infs))
+        start = rng.int_between(-60, 50)
+        x = Configuration(start, tuple(core), left, right)
+        kind = k % 4
+        if kind < 2:  # one core column moved by 1, or by a lot
+            j = rng.below(len(core))
+            lift = 1 if kind == 0 else 10 ** (3 + rng.below(28))
+            core[j] = rng.int_between(-3, 3) if core[j] in (PLUS_INF, MINUS_INF) else core[j] + lift
+            y = Configuration(start, tuple(core), left, right)
+        elif kind == 2:  # the right tail climbs one step faster
+            y = Configuration(start, tuple(core), left, Tail(right.values, right.slope + 1))
+        else:  # and the left one
+            y = Configuration(start, tuple(core), Tail(left.values, left.slope - 1), right)
+        lift = 10 ** rng.below(31) + rng.below(10**6)
+        if x.height(0) in (PLUS_INF, MINUS_INF):
+            lift = rng.below(3)
+        yield x.raise_by(lift), y.raise_by(lift)
+
+
+def _shared_sides(x, y):
+    """How many of the two outer runs of a pair are shared."""
+    runs = config._runs(x, y)
+    return (runs[0][2] == 0) + (runs[-1][2] == 0)
+
+
+def test_shared_tails_match_the_per_column_references():
+    count, shared = 0, [0, 0, 0]
+    for x, y in _shared_tail_pairs():
+        for u, v in ((x, y), (y, x)):
+            assert first_difference(u, v) == naive_first_difference(u, v), (u, v)
+            assert distance(u, v) == whole_window_distance(u, v), (u, v)
+        shared[_shared_sides(x.canonicalize(), y.canonicalize())] += 1
+        count += 1
+    # most pairs keep one or both tails shared in canonical form, which
+    # is what `distance` reads
+    assert count == 320 and shared[2] > 100 and shared[1] > 100, shared
+
+
+def test_a_pair_sharing_both_tails_reads_only_its_cores(monkeypatch):
+    """`first_difference` and `distance` read no tail column of a pair
+    whose tails are shared on both sides: every `heights` read lies in the
+    cores, no tail window is read, and only `distance`'s column 0 is read
+    on its own."""
+    pairs = []
+    for x, y in _shared_tail_pairs():
+        xc, yc = x.canonicalize(), y.canonicalize()
+        if _shared_sides(x, y) == 2 == _shared_sides(xc, yc) and not equals(x, y):
+            pairs.append((x, y))
+    assert len(pairs) > 60
+    spans, columns, windows = [], [], []
+    heights, height, window = Configuration.heights, Configuration.height, Tail.window
+
+    def spied_heights(self, lo, hi):
+        spans.append((lo, hi))
+        return heights(self, lo, hi)
+
+    def spied_height(self, i):
+        columns.append(i)
+        return height(self, i)
+
+    def spied_window(self, j, n):
+        if n > 0:
+            windows.append(n)
+        return window(self, j, n)
+
+    monkeypatch.setattr(Configuration, "heights", spied_heights)
+    monkeypatch.setattr(Configuration, "height", spied_height)
+    monkeypatch.setattr(Tail, "window", spied_window)
+    for x, y in pairs:
+        a, b = x.core_start, x.core_end
+        for u, v in ((x, y), (y, x)):
+            for seen in (spans, columns, windows):
+                seen.clear()
+            first_difference(u, v)
+            distance(u, v)
+            assert spans and all(a <= lo <= hi <= b for lo, hi in spans), (u, v, spans)
+            assert set(columns) <= {0} and windows == [], (u, v, columns, windows)
+
+
+def test_class_minimum_of_a_class_equal_at_its_one_column(monkeypatch):
+    """A class whose heights agree at its first column and that has no
+    second column in range cannot separate, whatever its two rises:
+    `_class_minimum` says so without a gauge, and a class one step longer
+    still matches the column scan."""
+    gauges = []
+    separating_gauge = metric._separating_gauge
+    monkeypatch.setattr(metric, "_separating_gauge",
+                        lambda *args: gauges.append(args) or separating_gauge(*args))
+    rng = Lcg64(1313)
+    for _ in range(600):
+        L, a0, m = 1 + rng.below(40), rng.below(200), rng.int_between(-9, 9)
+        u0 = _value(rng, 10 ** rng.below(31))
+        su = rng.int_between(-3, 3)
+        sv = su + (-1) ** rng.below(2) * (1 + rng.below(3))
+        amax = a0 + rng.below(L)
+        gauges.clear()
+        assert metric._class_minimum(a0, L, u0, su, u0, sv, m, amax) == inf
+        assert gauges == []
+        assert naive_class_minimum(a0, L, u0, su, u0, sv, m, amax) == inf
+        amax = a0 + L + rng.below(3 * L)
+        got = metric._class_minimum(a0, L, u0, su, u0, sv, m, amax)
+        assert got == naive_class_minimum(a0, L, u0, su, u0, sv, m, amax), (a0, L, u0, su, sv, m)
+        assert got == inf or a0 + L <= got

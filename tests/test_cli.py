@@ -386,6 +386,36 @@ def test_core_cap_variable_in_another_spelling_exits_1(monkeypatch, capsys):
         1, "", "error: SANDLAB_MAX_CORE is not an integer: '1_000'\n")
 
 
+def test_integer_options_take_only_ascii_decimals(capsys):
+    """Every integer option reads its value as the file parsers do: `_`
+    separators and other scripts' digits are refused with argparse's own
+    `invalid int value` error (exit 2), and plain decimals still parse."""
+    two = cfg("two-grain-column")
+    argvs = {
+        "--steps": ["simulate", "--rule", "S", "--config", two, "--steps"],
+        "--max-core": ["simulate", "--rule", "S", "--config", two, "--steps", "1", "--max-core"],
+        "--window": ["check-injective", "--rule", "S", "--class", "F", "--height", "1", "--window"],
+        "--period": ["check-injective", "--rule", "S", "--class", "P", "--height", "1", "--period"],
+        "--height": ["check-injective", "--rule", "S", "--class", "F", "--window", "1", "--height"],
+        "--samples": ["verify-inverse", "--rule-outer", "S", "--rule-inner", "Sr", "--samples"],
+        "--seed": ["verify-inverse", "--rule-outer", "S", "--rule-inner", "Sr", "--seed"],
+    }
+    for flag, argv in argvs.items():
+        for token in ("1_0", "\u0663", "+\u0661", "1\u0660", "x"):
+            with pytest.raises(SystemExit) as stop:
+                cli.main(argv + [token])
+            assert stop.value.code == 2
+            err = capsys.readouterr().err
+            assert err.endswith(f"error: argument {flag}: invalid int value: {token!r}\n"), err
+        assert cli.main(argv + ["2"]) in (0, 3, 4)
+        capsys.readouterr()
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["render", "--config", two, "--window", "-1", "1_0"])
+    assert stop.value.code == 2
+    assert capsys.readouterr().err.endswith("--window: invalid int value: '1_0'\n")
+    assert run_cli(["render", "--config", two, "--window", "-1", " +2"], capsys)[0] == 0
+
+
 def test_oversized_renders_are_refused(tmp_path):
     # run as a child process under a 1 GB address-space limit, so a build
     # that tries to draw the picture fails here instead of filling memory

@@ -33,7 +33,8 @@ from sandlab.config import (
     support_radius,
 )
 from sandlab.errors import DomainError
-from sandlab.heights import MINUS_INF, PLUS_INF
+from sandlab.formats import emit_config_file
+from sandlab.heights import MINUS_INF, PLUS_INF, Infinity
 from sandlab.rng import Lcg64, sample_configuration
 
 from naive_scan import naive_canonical_form, naive_equals, naive_reduced_tail
@@ -95,6 +96,26 @@ def test_booleans_rejected_as_heights():
     for build in rejected:
         with pytest.raises(DomainError):
             build()
+
+
+def test_only_the_two_infinities_are_heights():
+    """A third Infinity instance is refused wherever a height is checked,
+    so no configuration holds a column that `emit_config_file` cannot spell."""
+    for third in (Infinity(1), Infinity(-1), Infinity(5)):
+        message = rf"height must be an int, got Infinity\({third.sign}\)"
+        rejected = (
+            lambda: Configuration.finite({0: third}),
+            lambda: Configuration(0, (1, third)),
+            lambda: Configuration.general(0, (), ((0, third), 0), ((0,), 0)),
+            lambda: Tail((third,)),
+            lambda: Tail((0, third), 1),
+        )
+        for build in rejected:
+            with pytest.raises(DomainError, match=message):
+                build()
+    c = Configuration.finite({0: PLUS_INF, 1: MINUS_INF})
+    assert emit_config_file(c) == "sand-config v1\nkind: finite\nat 0 +inf\nat 1 -inf\n"
+    assert Tail((PLUS_INF, MINUS_INF), 3).slope == 0
 
 
 def test_general_refuses_tails_that_are_not_pairs():
