@@ -108,7 +108,8 @@ def validate_rule(radius: int, lines, default_delta: int = 0) -> SandAutomaton:
             if len(pattern) != 2 * radius:
                 raise DomainError(f"pattern has {len(pattern)} atoms, expected {2 * radius}")
             for atom in pattern:
-                if not isinstance(atom, (_Marker, Infinity)):
+                if not (atom is WILDCARD or atom is POS or atom is NEG
+                        or atom is PLUS_INF or atom is MINUS_INF):
                     _check_int("atom", atom, -radius, radius)
             rules.append(Rule(pattern, _check_int("delta", delta, -radius, radius)))
     except DomainError as exc:

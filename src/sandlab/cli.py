@@ -2,7 +2,10 @@
 
 One table, COMMANDS, declares each subcommand once: its help line, its
 handler and its options, which build the parser and name the inputs of
-its report. Every verdict report is written by one helper: a header with
+its report. `run` loads each rule and configuration option a subcommand
+declares (LOADERS) once, in declared order, before its handler runs, and
+passes them by dest; files must be UTF-8 and at most MAX_INPUT bytes
+long. Every verdict report is written by one helper: a header with
 the subcommand and the sorted inputs that fully determine the report, so
 identical invocations produce byte-identical output, then the report as
 text or JSON. Exit codes:
@@ -36,15 +39,19 @@ EXIT_DOMAIN = 1
 EXIT_PARSE = 2
 EXIT_VERDICT = 3
 EXIT_BOUND = 4
+MAX_INPUT = 2**24  # bytes in one rule or configuration file
 
 
 def _read(path: str) -> str:
-    """The text of a rule or configuration file, which must be UTF-8."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path!r} is not UTF-8 text (byte {exc.start})")
+    """The text of a rule or configuration file, reading one byte past the cap."""
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_INPUT + 1)
+    if len(data) > MAX_INPUT:
+        raise ParseError(f"{path!r} is over the input cap of {MAX_INPUT} bytes")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path!r} is not UTF-8 text (byte {exc.start})")
 
 
 def _load_rule(name_or_path: str):
@@ -58,6 +65,16 @@ def _load_rule(name_or_path: str):
 
 def _load_config(path: str) -> Configuration:
     return formats.parse_config_file(_read(path))
+
+
+#: option dest -> the loader `run` reads that option with
+LOADERS = dict.fromkeys(("rule", "rule_outer", "rule_inner", "automaton"), _load_rule)
+LOADERS.update(dict.fromkeys(("config", "config_a", "config_b", "target"), _load_config))
+
+
+def _dest(flag: str, kwargs: dict) -> str:
+    """The attribute of the parsed arguments that holds an option."""
+    return kwargs.get("dest", flag.lstrip("-").replace("-", "_"))
 
 
 def _render(args, c: Configuration) -> str:
@@ -82,7 +99,7 @@ def _report(args, report, clean_verdicts, unused=None) -> tuple:
     """
     from .analysis import BOUND_EXCEEDED
     inputs = {
-        flag[2:]: getattr(args, kwargs.get("dest", flag[2:].replace("-", "_")))
+        flag[2:]: getattr(args, _dest(flag, kwargs))
         for flag, kwargs in COMMANDS[args.subcommand][2]
         if flag not in ("--json", "--max-core", unused)
     }
@@ -117,103 +134,82 @@ def _report(args, report, clean_verdicts, unused=None) -> tuple:
 # -- subcommand handlers -------------------------------------------------------
 
 
-def _cmd_simulate(args):
-    automaton = _load_rule(args.rule)
-    c = iterate(automaton, _load_config(args.config), args.steps, args.max_core)
+def _cmd_simulate(args, rule, config):
+    c = iterate(rule, config, args.steps, args.max_core)
     return EXIT_OK, _render(args, c) if args.render else formats.emit_config_file(c)
 
 
-def _cmd_render(args):
-    return EXIT_OK, _render(args, _load_config(args.config))
+def _cmd_render(args, config):
+    return EXIT_OK, _render(args, config)
 
 
-def _cmd_distance(args):
+def _cmd_distance(args, config_a, config_b):
     from .metric import distance
-    a = _load_config(args.config_a)
-    b = _load_config(args.config_b)
-    return EXIT_OK, str(distance(a, b)) + "\n"
+    return EXIT_OK, str(distance(config_a, config_b)) + "\n"
 
 
 def _cmd_zoo(args):
     return EXIT_OK, formats.emit_rule_file(zoo.make(args.name))
 
 
-def _cmd_preimage(args):
-    automaton = _load_rule(args.automaton)
+def _cmd_preimage(args, automaton, config):
     if not same_local_rule(automaton, zoo.make("L")):
         raise DomainError(
             "the explicit pre-image construction is specific to the "
             "left-matching rule; pass --automaton L"
         )
-    c = _load_config(args.config)
-    pre = zoo.build_L_preimage(c)
-    if not equals(apply(automaton, pre), c):  # pragma: no cover
+    pre = zoo.build_L_preimage(config)
+    if not equals(apply(automaton, pre), config):  # pragma: no cover
         raise AssertionError("constructed pre-image failed re-verification")
     return EXIT_OK, formats.emit_config_file(pre)
 
 
-def _cmd_crown(args):
-    automaton = _load_rule(args.rule)
-    c1 = _load_config(args.config_a)
-    c2 = _load_config(args.config_b)
-    d1, d2 = zoo.crown_lift(c1, c2, automaton)
+def _cmd_crown(args, rule, config_a, config_b):
+    d1, d2 = zoo.crown_lift(config_a, config_b, rule)
     emit = formats.emit_config_file
     return EXIT_OK, "# crown a\n" + emit(d1) + "# crown b\n" + emit(d2)
 
 
-def _cmd_splice(args):
-    automaton = _load_rule(args.rule)
-    c = _load_config(args.config)
-    target = _load_config(args.target)
-    spliced = zoo.periodic_splice(automaton, c, target, args.period)
+def _cmd_splice(args, rule, config, target):
+    spliced = zoo.periodic_splice(rule, config, target, args.period)
     return EXIT_OK, formats.emit_config_file(spliced)
 
 
-def _cmd_check_injective(args):
+def _cmd_check_injective(args, rule):
     from . import analysis
     # argparse allows F and P; the header lists only the bound the class uses
     name, unused = ("window", "period") if args.klass == "F" else ("period", "window")
     bound = getattr(args, name)
     if bound is None:
         raise DomainError(f"--class {args.klass} needs --{name}")
-    automaton = _load_rule(args.rule)
     report = analysis.check_injective_bounded(
-        automaton, args.klass, bound, args.height, args.with_infinities
+        rule, args.klass, bound, args.height, args.with_infinities
     )
     return _report(args, report, {analysis.EXHAUSTED_NO_WITNESS}, "--" + unused)
 
 
-def _cmd_check_surjective(args):
+def _cmd_check_surjective(args, rule, target):
     from . import analysis
-    automaton = _load_rule(args.rule)
-    target = _load_config(args.target)
     report = analysis.check_preimage_bounded(
-        automaton, target, args.klass, args.window, args.height, args.with_infinities
+        rule, target, args.klass, args.window, args.height, args.with_infinities
     )
     return _report(args, report, {analysis.WITNESS_FOUND})
 
 
-def _cmd_check_nilpotent(args):
+def _cmd_check_nilpotent(args, rule, config):
     from . import analysis
-    automaton = _load_rule(args.rule)
-    c = _load_config(args.config)
-    report = analysis.check_nilpotent_bounded(automaton, c, args.steps, args.max_core)
+    report = analysis.check_nilpotent_bounded(rule, config, args.steps, args.max_core)
     return _report(args, report, {analysis.WITNESS_FOUND})
 
 
-def _cmd_verify_witness(args):
+def _cmd_verify_witness(args, rule, config_a, config_b):
     from . import analysis
-    automaton = _load_rule(args.rule)
-    c1 = _load_config(args.config_a)
-    c2 = _load_config(args.config_b)
-    return _report(args, analysis.verify_witness_pair(automaton, c1, c2), {True})
+    return _report(args, analysis.verify_witness_pair(rule, config_a, config_b), {True})
 
 
-def _cmd_verify_inverse(args):
+def _cmd_verify_inverse(args, rule_outer, rule_inner):
     from . import analysis
-    outer = _load_rule(args.rule_outer)
-    inner = _load_rule(args.rule_inner)
-    report = analysis.verify_right_inverse(outer, inner, args.samples, args.seed)
+    report = analysis.verify_right_inverse(rule_outer, rule_inner, args.samples, args.seed)
     return _report(args, report, {analysis.EXHAUSTED_NO_WITNESS})
 
 
@@ -303,9 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> tuple:
-    """Dispatch parsed arguments; returns (exit_code, output text)."""
+    """Load the inputs, then dispatch; returns (exit_code, output text)."""
     try:
-        return args.handler(args)
+        dests = [_dest(*option) for option in COMMANDS[args.subcommand][2]]
+        inputs = {d: LOADERS[d](getattr(args, d)) for d in dests if d in LOADERS}
+        return args.handler(args, **inputs)
     except OSError as exc:
         return EXIT_PARSE, f"error: {exc}\n"
     except SandlabError as exc:

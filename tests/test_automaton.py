@@ -14,6 +14,7 @@ from sandlab.automaton import (
     POS,
     WILDCARD,
     SandAutomaton,
+    _Marker,
     _KERNELS,
     _kernel,
     _lookup,
@@ -25,7 +26,7 @@ from sandlab.automaton import (
 )
 from sandlab.config import Configuration, Tail, equals, has_infinite_column
 from sandlab.errors import CoreBoundExceeded, DomainError, RuleError
-from sandlab.heights import MINUS_INF, PLUS_INF
+from sandlab.heights import MINUS_INF, PLUS_INF, Infinity
 from sandlab.rng import Lcg64, sample_configuration
 from sandlab import zoo
 
@@ -108,6 +109,17 @@ def test_validate_rule_names_the_part_of_each_refusal():
         with pytest.raises(RuleError) as info:
             validate_rule(*args)
         assert (info.value.part, str(info.value)) == (part, message)
+
+
+def test_validate_rule_takes_only_the_five_token_atoms():
+    # a third infinity or a foreign marker would match no reading, and
+    # emit_rule_file has no spelling for it
+    for atom, shown in ((Infinity(1), "Infinity(1)"), (_Marker("zz"), "zz"), (_Marker("*"), "*")):
+        with pytest.raises(RuleError) as info:
+            validate_rule(1, [((atom, 0), 1)])
+        assert (info.value.part, str(info.value)) == (0, f"rule 0: atom must be an int, got {shown}")
+    tokens = (WILDCARD, POS, NEG, PLUS_INF, MINUS_INF)
+    assert len(validate_rule(1, [((t, t), 0) for t in tokens]).rules) == 5
 
 
 def test_local_delta_first_match_wins():

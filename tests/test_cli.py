@@ -5,6 +5,7 @@ against golden strings where the format is load-bearing, and reports must
 be byte-identical across repeated runs.
 """
 
+import inspect
 import json
 import os
 import resource
@@ -203,6 +204,26 @@ def test_check_injective_periodic_needs_period(capsys):
         capsys,
     )
     assert code == 1
+
+
+def test_handlers_take_the_loaded_inputs_in_declared_order():
+    # run loads every rule and configuration option a subcommand declares
+    # and passes each, by dest, to a handler that reads no file itself
+    for name, (_, handler, options) in cli.COMMANDS.items():
+        dests = [cli._dest(*option) for option in options]
+        params = list(inspect.signature(handler).parameters)
+        assert params == ["args"] + [d for d in dests if d in cli.LOADERS], name
+
+
+def test_inputs_load_before_the_handler_checks_anything(capsys):
+    # two faults at once: the input file is reported, not the handler's check
+    code, out, err = run_cli(
+        ["check-injective", "--rule", "nosuch", "--class", "F", "--height", "1"], capsys
+    )
+    assert (code, out, err) == (2, "", "error: no rule file 'nosuch' and no such zoo automaton\n")
+    code, out, err = run_cli(["preimage", "--automaton", "S", "--config", "nosuch.cfg"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 2] No such file or directory: 'nosuch.cfg'\n"
 
 
 def test_check_surjective_exit_codes(capsys):
@@ -479,6 +500,34 @@ def test_non_utf8_files_exit_2_naming_the_file(tmp_path, capsys):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")
         assert err == f"error: {str(bad)!r} is not UTF-8 text (byte 0)\n"
+
+
+def test_files_over_the_input_cap_exit_2(tmp_path, monkeypatch, capsys):
+    with open(cfg("two-grain-column"), "rb") as fh:
+        text = fh.read()
+    path = tmp_path / "c.cfg"
+    path.write_bytes(text)
+    monkeypatch.setattr(cli, "MAX_INPUT", len(text))
+    assert run_cli(["render", "--config", str(path)], capsys)[0] == 0
+    path.write_bytes(text + b"\n")
+    code, out, err = run_cli(["render", "--config", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {str(path)!r} is over the input cap of {len(text)} bytes\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_input_files_are_refused_at_the_cap():
+    # a child process under a 400 MB address-space limit: the reader stops
+    # one byte past the cap instead of reading until memory runs out
+    src = os.path.dirname(os.path.dirname(sandlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+    done = subprocess.run(
+        [sys.executable, "-m", "sandlab.cli", "render", "--config", "/dev/zero"], env=env,
+        capture_output=True, text=True, timeout=5, preexec_fn=limit,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: '/dev/zero' is over the input cap of {cli.MAX_INPUT} bytes\n"
 
 
 def test_splice_refuses_periods_over_the_core_cap():
