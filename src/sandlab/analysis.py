@@ -19,11 +19,11 @@ lexicographic) so the structurally smallest witnesses surface first.
 
 The injectivity search walks that order as a prefix tree, one pass per
 weight: a node evaluates only the image column its newest entry completes,
-memoised per check on the code of the column's window, and the node above
-the leaves runs all of them in one loop. Image heights lie in [-h-r, h+r]
-or are infinite, so they are the digits of one integer key, base 2(h+r)+4;
-a P key is the primitive root of the image word read from column r. Equal
-keys mean equal images.
+memoised per check on the code of the column's window. Each open depth runs
+one loop over its entries; an inner entry descends and a leaf yields its
+key. Image heights lie in [-h-r, h+r] or are infinite, so they are the
+digits of one integer key, base 2(h+r)+4; a P key is the primitive root of
+the image word read from column r. Equal keys mean equal images.
 
 The pre-image search is one iterative depth-first walk for all three
 classes. A node is one value tried at one column; the column that
@@ -154,36 +154,26 @@ def _image_keys(automaton: SandAutomaton, widths, pad: int, h: int, values):
     for width, weight in [(w, c) for w in widths for c in range(w + 1)]:
         needs[0] = weight
         first = zero if weight == 0 else nonzero if weight == width else every
-        stack, top = [first if width == 1 else iter(first)], count**width
+        stack, top = [iter(first)], count**width
         while stack:
-            k = len(stack)  # stack[-1] holds the entries to try at depth k
-            if k < width:
-                i = next(stack[-1], None)
-                if i is None:
-                    stack.pop()
-                    continue
-                code = codes[k] = codes[k - 1] * count + i
-                row[2 * r + k - 1] = values[i]
-                if k > lift:  # the newest entry completes a column
-                    w = code % span
-                    d = memo.get(w) or memo.setdefault(w, image(row[k - 1 : k + 2 * r]))
-                    keys[k] = keys[k - 1] * base + d
-                need = needs[k] = needs[k - 1] - (i != z)
-                choice = zero if need == 0 else nonzero if need == width - k else every
-                stack.append(choice if k + 1 == width else iter(choice))
-                continue
-            # the leaves under one node, in one loop
+            k = len(stack)  # stack[-1] holds the entries still to try at depth k
             prefix, slot, lead = codes[k - 1] * count, 2 * r + k - 1, keys[k - 1] * base
-            for i in stack.pop():
+            for i in stack[-1]:
                 code = codes[k] = prefix + i
-                if not pad and _root(code, k, count) != top + code:
+                if not pad and k == width and _root(code, k, count) != top + code:
                     continue  # a repetition of a shorter word
                 row[slot], img = values[i], lead
-                if k > lift:
+                if k > lift:  # the newest entry completes a column
                     w = code % span
                     img += memo.get(w) or memo.setdefault(w, image(row[k - 1 : k + 2 * r]))
-                # the last 2r entries, then the first 2r (the pad in class
-                # F), give the 2r columns after the interior
+                if k < width:
+                    keys[k] = img
+                    need = needs[k] = needs[k - 1] - (i != z)
+                    choice = zero if need == 0 else nonzero if need == width - k else every
+                    stack.append(iter(choice))
+                    break
+                # a leaf: the last 2r entries, then the first 2r (the pad in
+                # class F), give the 2r columns after the interior
                 if pad:  # memoised on the last 2r entries, keyed above every window code
                     end = half * half + code % half
                     e = memo.get(end) or memo.setdefault(end, image(row[k:] + row[: 2 * r]))
@@ -198,6 +188,8 @@ def _image_keys(automaton: SandAutomaton, widths, pad: int, h: int, values):
                 else:
                     img = image([row[2 * r + t % k] for t in range(k + 2 * r)])
                 yield img if pad else _root(img, k, base), tuple(row[2 * r : k + 2 * r])
+            else:
+                stack.pop()
 
 
 # -- injectivity --------------------------------------------------------------
@@ -337,11 +329,12 @@ def _preimage_dfs(automaton, target, start, width, bgl, bgr, values, budget):
     `bgl` is None: a periodic candidate of period `width`), then the
     columns so far. Once it holds 2r+1 entries, each new entry fixes the
     image of the column r to its left, which is checked at once against
-    the target's heights, read a block at a time, growing up to BLOCK
-    columns. A full row then fixes the 2r image columns around its far
-    end, which read the right background `bgr` or wrap round to the row's
-    start. Returns (configuration or None, nodes), or (None, budget + 1)
-    on running out.
+    the target's heights. A full row then fixes the 2r image columns
+    around its far end, which read the right background `bgr` or wrap
+    round to the row's start. The target is read only in blocks, 16
+    columns first and growing up to BLOCK, that reach 2r columns past the
+    newest entry, so they also supply those last 2r heights. Returns
+    (configuration or None, nodes), or (None, budget + 1) on running out.
     A node is one value tried at one column, as without the memo: the
     image of the newest window is memoised on its code, the indices into
     `values` of its 2r+1 entries (unless there are more than
@@ -361,45 +354,42 @@ def _preimage_dfs(automaton, target, start, width, bgl, bgr, values, budget):
     nodes = 0
     while untried:
         entries, parent = untried[-1]
-        entry = next(entries, None)
-        if entry is None:
+        k = len(untried)  # entries go to column start + k - 1
+        for i, v in entries:
+            nodes += 1
+            if nodes > budget:
+                return None, nodes
+            if k + 2 * r > len(goals):  # read 16 columns or more, doubling up to BLOCK
+                lo = start - r + len(goals)
+                goals += target.heights(lo, lo + min(max(k + 2 * r, len(goals), 15), BLOCK))
+            row.append(v)
+            code = (parent * count + i) % cube
+            if len(row) >= w:  # the newest entry fixes the image of column start + k - 1 - r
+                y = memo.get(code)
+                if y is None:
+                    y = window_image(automaton, row[-w:])[0]
+                    if cube > 1:
+                        memo[code] = y
+                if y != goals[k - 1]:
+                    row.pop()
+                    continue
+            if k < width:
+                untried.append((enumerate(fresh()), code))
+                break
+            if bgl is None:
+                around = [row[j % width] for j in range(width - 2 * r, width + 2 * r)]
+            else:
+                around = row[-2 * r :] + [bgr] * (2 * r)
+            if window_image(automaton, around) == goals[width : width + 2 * r]:
+                if bgl is None:
+                    return Configuration.periodic(tuple(row)), nodes
+                edges = Tail((bgl,), 0), Tail((bgr,), 0)
+                return Configuration(start, tuple(row[2 * r :]), *edges), nodes
+            row.pop()
+        else:  # the depth and the row entry that opened it
             untried.pop()
             if untried:
                 row.pop()
-            continue
-        nodes += 1
-        if nodes > budget:
-            return None, nodes
-        i, v = entry
-        row.append(v)
-        k = len(untried)
-        code = (parent * count + i) % cube
-        if len(row) >= w:  # the newest entry fixes the image of column start + k - 1 - r
-            if k > len(goals):  # read 16 columns or more, doubling up to BLOCK
-                lo = start - r + len(goals)
-                goals += target.heights(lo, lo + min(max(k, len(goals), 15), BLOCK))
-            y = memo.get(code)
-            if y is None:
-                y = window_image(automaton, row[-w:])[0]
-                if cube > 1:
-                    memo[code] = y
-            if y != goals[k - 1]:
-                row.pop()
-                continue
-        if k < width:
-            untried.append((enumerate(fresh()), code))
-            continue
-        col = start + k - 1 - r
-        if bgl is None:
-            around = [row[j % width] for j in range(width - 2 * r, width + 2 * r)]
-        else:
-            around = row[-2 * r :] + [bgr] * (2 * r)
-        if tuple(window_image(automaton, around)) == target.heights(col + 1, col + 2 * r):
-            if bgl is None:
-                return Configuration.periodic(tuple(row)), nodes
-            edges = Tail((bgl,), 0), Tail((bgr,), 0)
-            return Configuration(start, tuple(row[2 * r :]), *edges), nodes
-        row.pop()
     return None, nodes
 
 

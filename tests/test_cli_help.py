@@ -2,17 +2,23 @@
 
 Argparse prints every help string, metavar and option in the order the
 parser declares them, so a change in how the parser is built shows here
-as a changed transcript. The width is fixed with COLUMNS=80. To re-pin
-after an intended change, write `_transcript()` to `cli_help.txt`.
+as a changed transcript. The width is fixed with COLUMNS=80. Python 3.13
+wraps usage lines differently (an option stays on the line of its
+metavar), so it has a transcript of its own. To re-pin after an intended
+change, write `_transcript()` to `cli_help.txt` under Python 3.12 or
+older, and to `cli_help_313.txt` under 3.13 or newer.
 """
 
 import contextlib
 import io
+import sys
 from pathlib import Path
 
 from sandlab import cli
 
-PINNED = Path(__file__).resolve().parent / "cli_help.txt"
+PINNED = Path(__file__).resolve().parent / (
+    "cli_help_313.txt" if sys.version_info >= (3, 13) else "cli_help.txt"
+)
 
 SUBCOMMANDS = (
     "simulate", "render", "distance", "zoo", "preimage", "crown", "splice",

@@ -119,3 +119,44 @@ def test_a_huge_height_keeps_no_memo():
         tracemalloc.stop()
     assert report.verdict == BOUND_EXCEEDED and report.details == {"nodes": 10**5}
     assert peak < 10**6
+
+
+#: rules of radius 1 and 2, and the classes whose budgets are cut
+CUT_RULES = [zoo.make(name) for name in ("S", "X")] + RULES[-3:]
+CUTS = (("F", 2, 1, False), ("EC", 1, 1, True), ("P", 3, 1, True))
+
+
+@pytest.mark.parametrize("index", range(len(CUT_RULES)))
+def test_every_budget_cut_matches_the_walk_without_a_memo(index, monkeypatch):
+    automaton = CUT_RULES[index]
+    rng = random.Random(100 + index)
+    for klass, n, h, inf in CUTS:
+        for target in targets(rng, automaton, klass, n, h, inf):
+            nodes = check_preimage_bounded(automaton, target, klass, n, h, inf).details["nodes"]
+            for budget in range(nodes + 2):
+                args = (automaton, target, klass, n, h, inf, budget)
+                got = outcome(check_preimage_bounded(*args))
+                assert got == outcome(reference(monkeypatch, *args)), (klass, budget)
+
+
+def test_a_run_that_fits_one_block_reads_its_target_once(monkeypatch):
+    # the first block is 16 columns; every run here needs at most 5 + 2r
+    reads, per_run = [], []
+    heights, walk = Configuration.heights, analysis._preimage_dfs
+
+    def counted(*args):
+        reads.clear()
+        found = walk(*args)
+        per_run.append(len(reads))
+        return found
+
+    spy = lambda c, lo, hi: reads.append(lo) or heights(c, lo, hi)
+    monkeypatch.setattr(Configuration, "heights", spy)
+    monkeypatch.setattr(analysis, "_preimage_dfs", counted)
+    for name in ("S", "Sr", "X"):
+        automaton = zoo.make(name)
+        rng = random.Random(name)
+        for klass, n, h, inf in PLANS:
+            for target in targets(rng, automaton, klass, n, h, inf):
+                check_preimage_bounded(automaton, target, klass, n, h, inf)
+    assert per_run and max(per_run) == 1
