@@ -130,36 +130,32 @@ def _class_minimum(a0, L, u0, su, v0, sv, m, amax=inf):
     u_inf, v_inf = isinstance(u0, Infinity), isinstance(v0, Infinity)
     if amax < a0 or u0 == v0 and (su == sv or u_inf or amax - a0 < L):
         return inf  # no column in range, or none in range ever separates
-    if amax - a0 < L or u_inf and v_inf:
-        return max(a0, _separating_gauge(u0, v0, m))  # one column decides
+    kmax = inf if amax == inf else (amax - a0) // L
 
-    # Candidate steps: small k, plus integer neighbourhoods of every
-    # breakpoint of the piecewise-affine gauge term and of its crossings
-    # with the |column| term, clipped to amax. Evaluating the true function
-    # at all of them and taking the least value is exact.
-    cands = {0, 1, 2}
+    def least(steps):  # the least value over the steps, clipped to amax
+        best = inf
+        for k in {min(k, kmax) for k in steps}:
+            u = u0 if u_inf else u0 + su * k
+            v = v0 if v_inf else v0 + sv * k
+            g = max(a0 + k * L, _separating_gauge(u, v, m))
+            if g < best:
+                best = g
+        return best
 
-    def add_root(num, den):
-        if den:  # the steps k >= 0 among q - 1..q + 2, q = num // den
-            q = num // den
-            cands.update(range(max(q - 1, 0), q + 3))
-
-    forms = []  # affine expressions c + d*k whose sign/clamp changes matter
+    # Steps 0..2 first: a step k >= 3 gives at least a0 + 3L, so a best at
+    # or below that is final, as is the best when no step past 2 is in range.
+    best = least(range(3))
+    if best <= a0 + 3 * L or kmax < 3:
+        return best
+    # Else the integer neighbourhoods of every breakpoint of the piecewise-
+    # affine gauge term and of its crossings with the |column| term: the
+    # true function's least value over them and steps 0..2 is exact.
+    roots = [] if u_inf or v_inf else [(v0 - u0, su - sv)]  # where u and v coincide
     for w0, sw, w_inf in ((u0, su, u_inf), (v0, sv, v_inf)):
-        if not w_inf:
-            forms += [(w0 - m, sw), (m - w0, -sw)]
-    if not u_inf and not v_inf:
-        add_root(v0 - u0, su - sv)  # where u and v coincide
-    for c0, d in forms:
-        add_root(-c0, d)  # sign change of the form
-        add_root(1 - c0, d)  # clamp boundary max(1, form)
-        add_root(c0 - a0, L - d)  # crossing with the |column| arm
-
-    best = inf
-    for k in cands if amax == inf else {min(k, (amax - a0) // L) for k in cands}:
-        u = u0 if u_inf else u0 + su * k
-        v = v0 if v_inf else v0 + sv * k
-        g = max(a0 + k * L, _separating_gauge(u, v, m))
-        if g < best:
-            best = g
-    return best
+        for c0, d in () if w_inf else ((w0 - m, sw), (m - w0, -sw)):
+            # the form c0 + d*k changes sign, meets the clamp max(1, form)
+            # and crosses the |column| arm
+            roots += [(-c0, d), (1 - c0, d), (c0 - a0, L - d)]
+    # the steps k >= 0 among q - 1..q + 2, q = num // den
+    return min(best, least(k for num, den in roots if den
+                           for k in range(max(num // den - 1, 0), num // den + 3)))

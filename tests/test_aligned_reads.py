@@ -356,6 +356,22 @@ def test_a_tail_slope_pair_minimises_at_most_one_class_in_full(monkeypatch):
         assert len(full) > 1 and sum(full) <= 1, (x, y, full)
 
 
+def test_a_tail_slope_pair_scores_three_steps_of_one_class(monkeypatch):
+    """In a slope-apart pair the first class's best over steps 0..2 is
+    within a0 + 3L, which no later step can beat, so it returns before it
+    builds a candidate set, and every later class is cut off by that best."""
+    calls = []
+    separating_gauge = metric._separating_gauge
+    monkeypatch.setattr(metric, "_separating_gauge",
+                        lambda *args: calls.append(args) or separating_gauge(*args))
+    rng = Lcg64(4040)
+    for x, y in [_slope_apart(rng) for _ in range(30)]:
+        calls.clear()
+        d = distance(x, y)
+        assert len(calls) <= 3, (x, y, len(calls))
+        assert d == whole_window_distance(x, y)
+
+
 def test_unrelated_sloped_pairs_read_one_first_block(monkeypatch):
     """Two unrelated sequences of periods 40 and 39, raised by 10^30 and
     sloped, that differ at the first column `first_difference` reads: each

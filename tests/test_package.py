@@ -43,7 +43,7 @@ REMOVED = {
 }
 SUBMODULES = [*EXPORTS, "cli", "witnesses"]
 #: lines in src/sandlab/**/*.py, the count ROADMAP aim 2 tracks
-SOURCE_BUDGET = 2597
+SOURCE_BUDGET = 2609
 
 
 def test_exported_names_resolve_to_their_submodule_objects():
@@ -144,9 +144,10 @@ def test_value_class_equality_and_hashing():
 
 
 def test_automaton_equality_ignores_the_memo():
-    warm, cold = make("S"), make("S")
+    warm = make("S")
+    cold = SandAutomaton(1, warm.rules, 0)
     apply(warm, Configuration.finite({0: 3}))
-    assert warm.memo and not cold.memo
+    assert warm.memo and warm.masks and not cold.memo and cold.masks is None
     assert warm == cold and hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
 
