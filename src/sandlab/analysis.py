@@ -26,13 +26,14 @@ digits of one integer key, base 2(h+r)+4; a P key is the primitive root of
 the image word read from column r. Equal keys mean equal images.
 
 The pre-image search is one iterative depth-first walk for all three
-classes. A node is one value tried at one column; the column that
-completes a window has that window's image checked against the target at
-once, memoised per run on the window's code unless the codes number more
-than WINDOW_MEMO_CAP. Which runs a target gets is read off its canonical
-form alone: a periodic target's periods are the multiples of its least
-period, the length of its canonical tail word, and a target that is not
-periodic has no periodic pre-image.
+classes over each column's candidates: every height, or at the 2r columns
+a side that F and EC fix, the background. A node is one height tried at a
+column the class enumerates; a window's image is checked against the
+target once its last column is set, memoised per run on the window's code
+unless the codes number more than WINDOW_MEMO_CAP. Which runs a target
+gets is read off its canonical form alone: a periodic target's periods
+are the multiples of its least period, the length of its canonical tail
+word, and a target that is not periodic has no periodic pre-image.
 """
 
 from __future__ import annotations
@@ -270,8 +271,9 @@ def check_preimage_bounded(
     candidate column fixes one image column, which is checked
     immediately), so the first hit is the lexicographically least
     pre-image in the class; every hit is re-verified by apply. One node is
-    one value tried at one column; past `max_nodes` nodes the search stops
-    with BOUND_EXCEEDED.
+    one height tried at a column the class enumerates; the 2r background
+    columns a side are fixed and cost no node. Past `max_nodes` nodes the
+    search stops with BOUND_EXCEEDED.
     """
     if klass not in ("F", "P", "EC"):
         raise DomainError(f"class must be 'F', 'P' or 'EC', got {klass!r}")
@@ -287,7 +289,7 @@ def check_preimage_bounded(
         # its periods are the multiples of that word's length
         p = len(t.right.values)
         periodic = not t.core and not t.right.slope and t.left == t.right.mirror()
-        runs = ((0, q, None, None) for q in (range(p, n + 1, p) if periodic else ()))
+        runs = ((0, q, {}, True) for q in (range(p, n + 1, p) if periodic else ()))
     else:
         # a constant background b has the image b + delta(0, ..., 0), so at
         # most one background per side matches the target beyond the window.
@@ -300,10 +302,12 @@ def check_preimage_bounded(
         level = all(len(u.values) == 1 and not u.slope for u in (t.left, t.right))
         level = level and -n - r <= t.core_start and t.core_end <= n + r
         fits = level and all(type(b) is int and b in allowed for b in bgs)
-        runs = [(-n, 2 * n + 1, *bgs)] if fits else []
+        width, half = 2 * n + 1 + 4 * r, values[0] // 2  # 2r background columns a side
+        pins = {c: ((b + half, b),) for j in range(2 * r) for c, b in zip((j, width - 1 - j), bgs)}
+        runs = [(-n - 2 * r, width, pins, False)] if fits else []
 
     nodes = 0
-    for run in runs:  # (start, width, bgl, bgr)
+    for run in runs:  # (start, width, table, periodic)
         found, used = _preimage_dfs(automaton, target, *run, values, max_nodes - nodes)
         nodes += used
         if nodes > max_nodes:
@@ -320,71 +324,65 @@ def check_preimage_bounded(
     return WitnessReport(EXHAUSTED_NO_WITNESS, None, bounds, note, details={"nodes": nodes})
 
 
-def _preimage_dfs(automaton, target, start, width, bgl, bgr, values, budget):
+def _preimage_dfs(automaton, target, start, width, table, periodic, values, budget):
     """Depth-first search, without recursion, over the `width` columns from
-    `start` of a pre-image of `target`, each column in the order of the
-    lazy `values` (`_height_values`).
+    `start` of a pre-image of `target`. Column start + j tries the (index
+    into `values`, height) pairs of `table[j]` in order, or with no entry
+    every height of the lazy `values` (`_height_values`).
 
-    The row holds 2r entries `bgl`, the left background (or none when
-    `bgl` is None: a periodic candidate of period `width`), then the
-    columns so far. Once it holds 2r+1 entries, each new entry fixes the
-    image of the column r to its left, which is checked at once against
-    the target's heights. A full row then fixes the 2r image columns
-    around its far end, which read the right background `bgr` or wrap
-    round to the row's start. The target is read only in blocks, 16
-    columns first and growing up to BLOCK, that reach 2r columns past the
-    newest entry, so they also supply those last 2r heights. Returns
-    (configuration or None, nodes), or (None, budget + 1) on running out.
-    A node is one value tried at one column, as without the memo: the
-    image of the newest window is memoised on its code, the indices into
-    `values` of its 2r+1 entries (unless there are more than
-    WINDOW_MEMO_CAP codes), which changes what a node costs, not which
-    nodes are visited.
+    From the row's (2r+1)-th entry on, each entry fixes the image of the
+    column r to its left, checked at once against the target, which is read
+    in blocks of 16 columns or more, up to BLOCK, as checks first need them.
+    A full row is a pre-image with its ends as backgrounds or, in a periodic
+    run (period `width`), once the 2r image columns around its end match
+    too. Returns (configuration or None, nodes), or (None, budget + 1) on
+    running out. A node is one height tried at a column with more than one
+    candidate, as without the memo: the image of the newest window is
+    memoised on its code, the indices into `values` of its 2r+1 entries
+    (unless there are more than WINDOW_MEMO_CAP codes).
     """
     r = automaton.radius
     w = 2 * r + 1
     count, fresh = values
     cube = count**w if count**w <= WINDOW_MEMO_CAP else 1  # 1: one code, nothing kept
-    row = [] if bgl is None else [bgl] * (2 * r)
-    b = 0 if bgl is None else bgl + count // 2  # the background's index into `values`
-    memo, goals = {}, []  # goals[j]: the target's height at column start - r + j
-    # per open depth, the entries still to try and the code of the row's
-    # last 2r+1 entries (at first the 2r backgrounds, or none)
-    untried = [(enumerate(fresh()), b * (count ** (2 * r) - 1) // (count - 1) % cube)]
-    nodes = 0
+    lag = 0 if periodic else 2 * r  # how far the reads may trail the newest entry
+    row, memo, goals, nodes = [], {}, [], 0  # goals[j]: the target at column start + r + j
+    # per open depth: the entries still to try, the code before them, nodes per entry
+    pairs = table.get(0)
+    untried = [(enumerate(fresh()), 0, 1) if pairs is None else (iter(pairs), 0, len(pairs) > 1)]
     while untried:
-        entries, parent = untried[-1]
+        entries, parent, step = untried[-1]
         k = len(untried)  # entries go to column start + k - 1
         for i, v in entries:
-            nodes += 1
+            nodes += step
             if nodes > budget:
                 return None, nodes
-            if k + 2 * r > len(goals):  # read 16 columns or more, doubling up to BLOCK
-                lo = start - r + len(goals)
-                goals += target.heights(lo, lo + min(max(k + 2 * r, len(goals), 15), BLOCK))
+            if k > len(goals) + lag:  # read 16 columns or more, doubling up to BLOCK
+                lo = start + r + len(goals)
+                goals += target.heights(lo, lo + min(max(k, len(goals), 15), BLOCK))
             row.append(v)
             code = (parent * count + i) % cube
-            if len(row) >= w:  # the newest entry fixes the image of column start + k - 1 - r
+            if k >= w:  # the newest entry fixes the image of column start + k - 1 - r
                 y = memo.get(code)
                 if y is None:
                     y = window_image(automaton, row[-w:])[0]
                     if cube > 1:
                         memo[code] = y
-                if y != goals[k - 1]:
+                if y != goals[k - w]:
                     row.pop()
                     continue
             if k < width:
-                untried.append((enumerate(fresh()), code))
+                pairs = table.get(k)
+                untried.append((enumerate(fresh()), code, 1) if pairs is None
+                               else (iter(pairs), code, len(pairs) > 1))
                 break
-            if bgl is None:
-                around = [row[j % width] for j in range(width - 2 * r, width + 2 * r)]
-            else:
-                around = row[-2 * r :] + [bgr] * (2 * r)
-            if window_image(automaton, around) == goals[width : width + 2 * r]:
-                if bgl is None:
-                    return Configuration.periodic(tuple(row)), nodes
-                edges = Tail((bgl,), 0), Tail((bgr,), 0)
-                return Configuration(start, tuple(row[2 * r :]), *edges), nodes
+            if not periodic:
+                return Configuration(start, tuple(row), Tail(row[:1]), Tail(row[-1:])), nodes
+            cut = width - 2 * r  # the 2r image columns around the end, read round the start
+            around = [row[j % width] for j in range(cut, width + 2 * r)]
+            ends = goals[cut:width] if cut >= 0 else [goals[j % width] for j in range(cut, width)]
+            if window_image(automaton, around) == ends:
+                return Configuration.periodic(tuple(row)), nodes
             row.pop()
         else:  # the depth and the row entry that opened it
             untried.pop()

@@ -205,8 +205,11 @@ def test_preimage_ec_tries_only_the_matching_backgrounds():
             edges = level(bgl), level(bgr)
             if not equals(target, Configuration(-2 - r, inside, *edges)):
                 continue
+            # the window, then 2r columns a side fixed at the backgrounds
+            table = {j: ((bgl + 2, bgl),) for j in range(2 * r)}
+            table.update({4 + 4 * r - j: ((bgr + 2, bgr),) for j in range(2 * r)})
             found, n_nodes = analysis._preimage_dfs(
-                automaton, target, -2, 5, bgl, bgr, values, 10**7
+                automaton, target, -2 - 2 * r, 5 + 4 * r, table, False, values, 10**7
             )
             nodes += n_nodes
             if found is not None:

@@ -151,6 +151,32 @@ def test_class_minimum_matches_a_column_by_column_scan():
     assert naive_class_minimum(3, 5, 10, 0, 10, 1, 0, amax=2) == inf
 
 
+def test_class_minimum_matches_a_brute_force_scan_of_small_classes():
+    """The closed form against the column scan (cap 400) on 20,000 small
+    classes: first columns 0..6, periods 1..5, heights -6..6 with about 15%
+    infinities, rises -3..3, references -6..6 and the column cap clipped in
+    about 30% of draws. Here the minimum often lies just past a0 + 3L,
+    where the early answer from steps 0..2 must not stop."""
+    rng = Lcg64(1931)
+
+    def height():
+        if rng.below(20) < 3:
+            return (PLUS_INF, MINUS_INF)[rng.below(2)]
+        return rng.int_between(-6, 6)
+
+    decided = 0
+    for _ in range(20000):
+        a0, L, m = rng.below(7), 1 + rng.below(5), rng.int_between(-6, 6)
+        u0, su, v0, sv = height(), rng.int_between(-3, 3), height(), rng.int_between(-3, 3)
+        amax = a0 + rng.below(8 * L) if rng.below(10) < 3 else inf
+        want = naive_class_minimum(a0, L, u0, su, v0, sv, m, amax, cap=400)
+        if want is not None:
+            assert _class_minimum(a0, L, u0, su, v0, sv, m, amax) == want, (
+                a0, L, u0, su, v0, sv, m, amax)
+            decided += 1
+    assert decided > 19000
+
+
 def test_naive_gauge_is_the_least_gauge_whose_readings_differ():
     rng = Lcg64(2121)
     for _ in range(3000):

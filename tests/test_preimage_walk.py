@@ -57,10 +57,18 @@ def outcome(report):
 
 def reference(monkeypatch, *args):
     """The report of the same check run on the walk without a memo."""
-    # (automaton, target, start, width, bgl, bgr, values, budget), where the
-    # walk's `values` is (how many, iterator factory) and the naive one's
-    # the factory
-    naive = lambda *a: naive_preimage_dfs(*a[:6], a[6][1], a[7])
+    # the walk takes (automaton, target, start, width, table, periodic,
+    # values, budget), where an F or EC run spans 2r columns a side fixed at
+    # its backgrounds in `table` and `values` is (how many, iterator
+    # factory); the naive walk takes the window between those columns, the
+    # two backgrounds (None for a periodic run) and the factory
+    def naive(automaton, target, start, width, table, periodic, values, budget):
+        if periodic:
+            return naive_preimage_dfs(automaton, target, start, width, None, None, values[1], budget)
+        r, bgl, bgr = automaton.radius, table[0][0][1], table[width - 1][0][1]
+        args = start + 2 * r, width - 4 * r, bgl, bgr, values[1], budget
+        return naive_preimage_dfs(automaton, target, *args)
+
     with monkeypatch.context() as patch:
         patch.setattr(analysis, "_preimage_dfs", naive)
         return check_preimage_bounded(*args)
@@ -83,6 +91,35 @@ def test_reports_match_the_walk_without_a_memo(index, monkeypatch):
                 args = (automaton, target, klass, n, h, inf, budget)
                 got = outcome(check_preimage_bounded(*args))
                 assert got == outcome(reference(monkeypatch, *args)), (klass, n, h, inf, budget)
+
+
+@pytest.mark.parametrize("index", range(len(RULES)))
+def test_a_table_of_every_height_walks_as_the_free_columns(index, monkeypatch):
+    # each run walked twice: as the check builds it, and with every column
+    # that has no entry given the full (index, height) tuple of `values`
+    walk, runs = analysis._preimage_dfs, []
+
+    def both(automaton, target, start, width, table, periodic, values, budget):
+        every = tuple(enumerate(values[1]()))
+        full = {j: table.get(j, every) for j in range(width)}
+        free = walk(automaton, target, start, width, table, periodic, values, budget)
+        got = walk(automaton, target, start, width, full, periodic, values, budget)
+        keys = [None if c is None else c.canonical_key() for c, _ in (free, got)]
+        assert keys[0] == keys[1] and free[1] == got[1], (start, width, periodic, budget)
+        runs.append(periodic)
+        return got
+
+    automaton = RULES[index]
+    rng = random.Random(200 + index)
+    for klass, n, h, inf in PLANS:
+        for target in targets(rng, automaton, klass, n, h, inf):
+            for budget in (37, 10**7):
+                args = (automaton, target, klass, n, h, inf, budget)
+                want = outcome(check_preimage_bounded(*args))
+                with monkeypatch.context() as patch:
+                    patch.setattr(analysis, "_preimage_dfs", both)
+                    assert outcome(check_preimage_bounded(*args)) == want, (klass, n, h, budget)
+    assert True in runs and False in runs
 
 
 def wide_target(rng, automaton, n):
