@@ -21,10 +21,10 @@ as the clipped reading of i + t by i is the negation of that of i by i + t.
 The global map adds the delta to every finite column; infinite columns
 never change. `apply` realises one synchronous step exactly on the
 core-plus-tails representation: tail windows shift rigidly under the map,
-so the image keeps each period length and slope, and only a bounded
-neighbourhood of the core needs explicit evaluation. `_orbit` is the one
-orbit loop, behind `iterate` and the nilpotency probe; it reads the core
-cap, which `config` owns, once per orbit.
+so the image keeps each period length and slope, and one kernel call on
+the core and one period of each tail beyond r gives the whole raw image,
+which is canonicalized once. `_orbit` is the one orbit loop, behind
+`iterate` and the nilpotency probe; it reads the core cap once per orbit.
 """
 
 from __future__ import annotations
@@ -257,19 +257,19 @@ def apply(automaton: SandAutomaton, c: Configuration) -> Configuration:
     copy of the one a full period earlier (shifted by the slope, which the
     readings cancel), so their deltas repeat with the tail period and the
     image tail keeps the same length and slope (infinities stay put).
-    One flat read covers the core image, r columns either side of it, and
-    one period of each tail image beyond that. The raw image is built
-    unchecked from the kernel's values, and `canonicalize` reduces it
-    through the module-global `config._canonicalize`.
+    One kernel call turns one flat run into one tuple: the core image, r
+    columns either side and one period of each tail image, which is the
+    input tail object when its word is unchanged. The raw image is built
+    once from it and goes through the module-global `config._canonicalize`.
     """
     r, left, right = automaton.radius, c.left, c.right
     pl, pr = len(left.values), len(right.values)
-    # img[k] is the image of column core_start - r - pl + k
     hs = left.window(0, 2 * r + pl)[::-1] + c.core + right.window(0, 2 * r + pr)
-    img = window_image(automaton, hs)
-    left = _tail(tuple(img[pl - 1 :: -1]), left.slope)
-    right = _tail(tuple(img[-pr:]), right.slope)
-    return _configuration(c.core_start - r, tuple(img[pl:-pr]), left, right).canonicalize()
+    img = tuple(window_image(automaton, hs))
+    lw, rw = img[pl - 1 :: -1], img[-pr:]
+    left = left if lw == left.values else _tail(lw, left.slope)
+    right = right if rw == right.values else _tail(rw, right.slope)
+    return _configuration(c.core_start - r, img[pl:-pr], left, right).canonicalize()
 
 
 def _orbit(automaton: SandAutomaton, c: Configuration, steps: int, max_core):

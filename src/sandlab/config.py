@@ -16,8 +16,8 @@ exact. Instances are immutable; all operations return new objects.
 
 `canonicalize` computes a unique minimal representative per sequence.
 Equality (`equals`, also wired to ==) of the underlying bi-infinite
-sequences, whatever representation built them, is one comparison of
-canonical keys; hashes are taken from the same key.
+sequences, whatever representation built them, compares the canonical
+forms field by field; hashes are taken from the same fields' key.
 
 `Tail.window` reads tail columns as whole period copies, and
 canonicalization works on slices, never on single columns. `_tail` and
@@ -286,9 +286,7 @@ class Configuration:
     # -- equality and hashing ----------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, Configuration):
-            return NotImplemented
-        return equals(self, other)
+        return equals(self, other) if isinstance(other, Configuration) else NotImplemented
 
     def __hash__(self):
         return hash(self.canonical_key())
@@ -326,8 +324,13 @@ def _configuration(core_start: int, core: tuple, left: Tail, right: Tail) -> Con
 
 def equals(x: Configuration, y: Configuration) -> bool:
     """True iff x and y denote the same bi-infinite sequence: canonical
-    forms are unique per sequence, so their keys decide."""
-    return x.canonical_key() == y.canonical_key()
+    forms are unique per sequence, so their fields decide, read one by one
+    (tails by values and slope, not as objects)."""
+    x, y = x._canon or x.canonicalize(), y._canon or y.canonicalize()
+    a, b, u, v = x.left, x.right, y.left, y.right
+    return x is y or (x.core_start == y.core_start and x.core == y.core
+                      and (a is u or a.slope == u.slope and a.values == u.values)
+                      and (b is v or b.slope == v.slope and b.values == v.values))
 
 
 def first_difference(x: Configuration, y: Configuration):
@@ -457,14 +460,14 @@ def has_infinite_column(c: Configuration) -> bool:
 # (slope 0; rotations of a primitive word are pairwise distinct, so this
 # is unique).
 #
-# Tests run on slices: a word is q-periodic when its last p - q entries equal
-# its first p - q (raised by the slope share when sloped); both core edges
-# are trimmed on one flat tuple (left period reversed, core, right period),
-# an edge column going while it equals the column one period further out less
-# that tail's slope, and the new tails are the period-long slices next to the
-# kept core, save that a level tail trimmed by whole periods (as in every
-# finite-class step) is kept as it is; an empty core is anchored by one
-# rotation scan or one pl + pr column read per side.
+# Tests run on slices: a word longer than 1 is q-periodic when its last p - q
+# entries equal its first p - q (raised by the slope share when sloped); both
+# core edges are trimmed on one flat tuple (left period reversed, core, right
+# period) with one comparison per column, an edge column going while it plus
+# that tail's slope equals the column one period further out, and the new tails
+# are the period-long slices next to the kept core, save that a level tail
+# trimmed by whole periods (as in every finite-class step) is kept as it is; an
+# empty core is anchored by one rotation scan or one pl + pr column read a side.
 
 
 def _reduce_tail(tail: Tail) -> Tail:
@@ -494,34 +497,31 @@ def _reduce_tail(tail: Tail) -> Tail:
 
 
 def _canonicalize(c: Configuration) -> Configuration:
-    left = _reduce_tail(c.left)
-    right = _reduce_tail(c.right)
+    left = c.left if len(c.left.values) == 1 else _reduce_tail(c.left)
+    right = c.right if len(c.right.values) == 1 else _reduce_tail(c.right)
     pl, pr, ls, rs = len(left.values), len(right.values), left.slope, right.slope
     flat = left.values[::-1] + c.core + right.values
     lo, hi = pl, pl + len(c.core)  # the kept core is flat[lo:hi]
-    while hi > lo and flat[hi - 1] == (
-            w if (w := flat[hi - 1 + pr]).__class__ is Infinity else w - rs):
+    while hi > lo and flat[hi - 1] + rs == flat[hi - 1 + pr]:
         hi -= 1
-    while lo < hi and flat[lo] == (w if (w := flat[lo - pl]).__class__ is Infinity else w - ls):
+    while lo < hi and flat[lo] + ls == flat[lo - pl]:
         lo += 1
-    start, cut = c.core_start + lo - pl, pl + len(c.core) - hi  # cut: columns trimmed right
+    start = c.core_start + lo - pl  # trimmed: lo - pl columns left, len(flat) - pr - hi right
     left = left if not ls and lo % pl == 0 else _tail(flat[lo - pl : lo][::-1], ls)
-    right = right if not rs and cut % pr == 0 else _tail(flat[hi : hi + pr], rs)
+    right = right if not rs and (len(flat) - hi) % pr == 0 else _tail(flat[hi : hi + pr], rs)
     if lo < hi:
         return _configuration(start, flat[lo:hi], left, right)
 
-    if left == right.mirror():
+    if ls == -rs and left.values == right.window(-pr, pr)[::-1]:  # left == right.mirror()
         # globally affine-periodic: anchor 0 (slope != 0) or the anchor in
-        # [0, p) whose period window is least
-        base = 0
-        if right.slope == 0:  # the least rotation of the word at 0..p-1
-            base = _least_rotation(right.window(-start, len(right.values)))
+        # [0, p) whose period window is least: the word at 0..p-1's least rotation
+        base = 0 if right.slope else _least_rotation(right.window(-start, pr))
         right = right.rebased(base - start)
         return _configuration(base, (), right.mirror(), right)
     # not globally affine-periodic: the least valid anchor is where the two
     # sides part, within pl + pr columns left of the core (sides that agree
     # that far agree everywhere, by Fine and Wilf)
-    m = len(left.values) + len(right.values)
+    m = pl + pr
     pairs = enumerate(zip(left.window(0, m), reversed(right.window(-m, m))))
     n = next((k for k, (u, v) in pairs if u != v), m)
     if n == m:  # pragma: no cover

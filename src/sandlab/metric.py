@@ -9,7 +9,7 @@ gauge at which their difference vectors at position 0 disagree; equal
 configurations are at distance 0.
 
 Distances are kept exact: a Distance is a flag for zero plus the exponent
-l, never a float. Equal canonical keys give 0 at once; otherwise `distance`
+l, never a float. Equal canonical forms give 0 at once; otherwise `distance`
 reads the canonical forms and scans no gauges, as the exponent grows with
 the heights: a column j gives max(|j|, least gauge separating its heights).
 It walks the runs of `config._runs` outward from column 0, nearest first: a

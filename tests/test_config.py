@@ -8,6 +8,7 @@ with hand-computed sequences and randomized rebuild round-trips.
 
 import itertools
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -37,7 +38,13 @@ from sandlab.formats import emit_config_file
 from sandlab.heights import MINUS_INF, PLUS_INF, Infinity
 from sandlab.rng import Lcg64, sample_configuration
 
-from naive_scan import naive_canonical_form, naive_equals, naive_reduced_tail
+from naive_scan import (
+    naive_canonical_form,
+    naive_equals,
+    naive_image_heights,
+    naive_reduced_tail,
+    random_rule,
+)
 
 
 def test_finite_constructor_heights():
@@ -330,12 +337,13 @@ def _moved(tail, k):
     return Tail(tail.window(k, len(tail.values)), tail.slope)
 
 
-def _seeded(rng, klass):
-    """A configuration of one of the four classes, with some infinities."""
+def _seeded(rng, klass, infinities=True):
+    """A configuration of one of the four classes, with some infinities
+    unless `infinities` is false."""
 
     def word():
         return tuple(
-            (PLUS_INF, MINUS_INF)[rng.below(2)] if rng.below(6) == 0
+            (PLUS_INF, MINUS_INF)[rng.below(2)] if infinities and rng.below(6) == 0
             else rng.int_between(-3, 3)
             for _ in range(1 + rng.below(3))
         )
@@ -384,6 +392,61 @@ def test_canonical_form_matches_column_by_column_reference_on_orbits():
                 c = apply(rule, c)
                 assert _fields(c) == want
     assert infinite > 5
+
+
+def _reference_step(rule, c):
+    """One step read column by column: the canonical form the reference
+    gives the image of the core widened by r with one image period of each
+    tail, and those two image words, each read outward."""
+    r, a, b = rule.radius, c.core_start, c.core_end
+    pl, pr = len(c.left.values), len(c.right.values)
+    left = naive_image_heights(rule, c, a - r - pl, a - r - 1)[::-1]
+    right = naive_image_heights(rule, c, b + r + 1, b + r + pr)
+    raw = Configuration(a - r, naive_image_heights(rule, c, a - r, b + r),
+                        Tail(left, c.left.slope), Tail(right, c.right.slope))
+    return naive_canonical_form(raw), left, right
+
+
+def test_each_step_matches_the_column_reference_and_keeps_only_unchanged_tails():
+    """6-step orbits of the zoo rules and of seeded radius-2 rules, from
+    seeded configurations of all four classes with and without infinities
+    and from built ones: level and sloped tails, the zero tail S leaves
+    unchanged, and the period-2 word (2, 0) that S maps to the constant 1.
+    `apply` gives the reference's canonical fields, and an input tail object
+    comes back only when its image word is unchanged."""
+    rng, rnd = Lcg64(3232), random.Random(3232)
+    rules = [zoo.make(name) for name in sorted(zoo.ZOO)] + [random_rule(rnd, 2) for _ in range(3)]
+    built = [
+        Configuration.finite({0: 5, 2: 1}),
+        Configuration(0, (4,), Tail((2, 0)), Tail((2, 0))),
+        Configuration(-1, (1, PLUS_INF), Tail((3,), 2), Tail((1, 0, 2), -1)),
+        Configuration(1, (), Tail((7,)), Tail((MINUS_INF, 2))),
+    ]
+    S = zoo.make("S")
+    step = apply(S, built[0])
+    assert step.left is built[0].left and step.right is built[0].right
+    shrunk = apply(S, built[1])
+    assert (shrunk.left.values, shrunk.right.values) == ((1,), (1,))
+    seen = dict.fromkeys(["kept", "unchanged", "changed", "shrunk", "sloped", "infinite"], 0)
+    for rule in rules:
+        starts = [_seeded(rng, klass, infinities) for klass in ("finite", "periodic", "affine",
+                  "general") for infinities in (False, True) for _ in range(3)]
+        for c in starts + built:
+            for _ in range(6):
+                want, *words = _reference_step(rule, c)
+                d = apply(rule, c)
+                assert _fields(d) == _fields(want), (rule, c)
+                for out, given, word in ((d.left, c.left, words[0]), (d.right, c.right, words[1])):
+                    unchanged = word == given.values
+                    if out is given:
+                        assert unchanged and given.slope == 0, (rule, c)
+                        seen["kept"] += 1
+                    seen["unchanged" if unchanged else "changed"] += 1
+                    seen["shrunk"] += len(out.values) < len(given.values)
+                    seen["sloped"] += given.slope != 0
+                seen["infinite"] += has_infinite_column(c)
+                c = d
+    assert min(seen.values()) > 10, seen
 
 
 def test_apply_builds_hashable_self_canonical_images_on_orbits():
@@ -782,6 +845,50 @@ def test_equals_and_first_difference_match_naive_scan():
             assert col is None
         else:
             assert col is not None and x.height(col) != y.height(col)
+
+
+def test_equality_operators_and_hash_agree_with_canonical_keys():
+    """`equals`, ==, != and hash against a comparison of `canonical_key()`
+    on seeded pairs and on pairs equal under different representations: a
+    shifted and re-raised affine sequence, a repeated period word and an
+    affine sequence written as a general one, each also with one tail slope
+    or one column changed."""
+    rng = Lcg64(5151)
+    pairs = []
+    for k in range(200):
+        x = sample_configuration(rng, height=2, include_infinities=k % 2 == 0)
+        pairs += [(x, sample_configuration(rng, height=2, include_infinities=k % 2 == 0)),
+                  (x, _fresh(x)), (x, x.shift(k % 3)), (x, x.raise_by(k % 2))]
+        c = x.canonicalize()  # a slope changed on a canonical form
+        left, right = Tail(c.left.values, k % 3 - 1), Tail(c.right.values, 1 - k % 3)
+        pairs += [(x, Configuration(c.core_start, c.core, c.left, right)),
+                  (x, Configuration(c.core_start, c.core, left, c.right))]
+    for values, slope in (((3, -1, 4), 2), ((0, PLUS_INF), -3), ((5,), 7), ((1, 2), 0)):
+        c = Configuration.affine(values, slope)
+        p = len(values)
+        for other in (c.shift(p).raise_by(slope), Configuration.affine(values * 3, 3 * slope),
+                      _spelt_out(c, -4, 5, 1, 1), _spelt_out(c, 2, 1, 2, 1)):
+            pairs.append((other, c))
+            pairs.append((Configuration(other.core_start, other.core, other.left,
+                                        Tail(other.right.values, other.right.slope + 1)), c))
+            core = other.core or (0,)
+            pairs.append((Configuration(other.core_start, (core[0] + 1, *core[1:]),
+                                        other.left, other.right), c))
+    same_count = slope_only = 0
+    for x, y in pairs:
+        kx, ky = x.canonical_key(), y.canonical_key()
+        same = kx == ky
+        same_count += same
+        slope_only += not same and kx[:3] + kx[4:5] == ky[:3] + ky[4:5]
+        x, y = _fresh(x), _fresh(y)  # nothing canonicalized yet
+        assert equals(x, y) is same and equals(y, x) is same, (x, y)
+        assert (x == y) is same and (x != y) is not same, (x, y)
+        if same:
+            assert hash(x) == hash(y)
+    assert 100 < same_count < len(pairs) - 100 and slope_only > 50
+    zero = Configuration(0, ())
+    assert (zero == 0) is False and (zero != 0) is True and (0 == zero) is False
+    assert zero.__eq__(0) is NotImplemented
 
 
 def test_equals_reads_only_around_the_cores(monkeypatch):

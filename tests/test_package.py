@@ -169,7 +169,7 @@ def test_canonical_form_is_cached_once():
     assert canon.core == (1,) and canon.core_start == 2
     fresh = Configuration.finite({2: 1})
     assert fresh._canon is None
-    # equality compares canonical keys, so it caches both canonical forms
+    # equality compares canonical forms, so it caches both
     assert equals(c, fresh) and c._canon is canon and fresh._canon is not None
     fresh.canonicalize()
     assert equals(c, fresh) and c == fresh and hash(c) == hash(fresh)
