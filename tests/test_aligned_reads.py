@@ -328,10 +328,17 @@ def _slope_apart(rng, p=40):
             Configuration(start, core, left, Tail(right, slope + 1)))
 
 
-def test_a_tail_slope_pair_minimises_at_most_one_class_in_full(monkeypatch):
-    """The first class that separates sets a best candidate no later class
-    of the run can beat, so each later one scores its first column only
-    (one gauge) or returns at once, and builds no candidate set."""
+def _parting_starts(x, y):
+    """The class starts of the canonical pair's runs whose two sides rise
+    apart, as (|j|, L)."""
+    x, y = x.canonicalize(), y.canonicalize()
+    return [(abs(j), L) for a, b, L, dx, dy in config._runs(x, y) if dx != dy
+            for j in (range(a, a + L) if b == inf else range(b, b - L, -1))]
+
+
+def _counted_candidate_sets(monkeypatch):
+    """Spy on `_class_minimum`: one entry per call, True where the call
+    read more than one gauge, so built a candidate set."""
     gauges, full = [0], []
 
     def counted_gauge(*args):
@@ -345,15 +352,68 @@ def test_a_tail_slope_pair_minimises_at_most_one_class_in_full(monkeypatch):
         return g
 
     separating_gauge, class_minimum = metric._separating_gauge, metric._class_minimum
-    rng = Lcg64(4040)
-    pairs = [_slope_apart(rng) for _ in range(30)]
     monkeypatch.setattr(metric, "_separating_gauge", counted_gauge)
     monkeypatch.setattr(metric, "_class_minimum", counted_class)
+    return full
+
+
+def test_a_tail_slope_pair_minimises_at_most_one_class_in_full(monkeypatch):
+    """Every class of the run where the two sides part starts level, as the
+    tails' first periods agree. The first one that separates sets a best
+    candidate that no later class can beat: each later one is skipped as a
+    level start whose step 1 is already past that best, so a pair makes at
+    most one `_class_minimum` call, however many classes its run has."""
+    rng = Lcg64(4040)
+    pairs = [_slope_apart(rng) for _ in range(30)]
+    full = _counted_candidate_sets(monkeypatch)
     for x, y in pairs:
+        assert min(L for _, L in _parting_starts(x, y)) > 1
         full.clear()
         d = distance(x, y)
         assert d == whole_window_distance(x, y)
-        assert len(full) > 1 and sum(full) <= 1, (x, y, full)
+        assert len(full) <= 1, (x, y, full)
+
+
+def _infinite_centre_apart(rng):
+    """A configuration with column 0 infinite, so `distance` reads its
+    heights against m = 0, raised by 10^9..10^35 and with about one tail
+    entry in twelve infinite, and the same one with its right tail climbing
+    one more per period."""
+    lift = 10 ** rng.int_between(9, 35) + rng.below(10**6)
+    word = lambda n: tuple((PLUS_INF, MINUS_INF)[rng.below(2)] if rng.below(12) == 0
+                           else lift + rng.int_between(-6, 6) for _ in range(n))
+    core = list(word(1 + rng.below(10)))
+    start = -rng.below(len(core))
+    core[-start] = (PLUS_INF, MINUS_INF)[rng.below(2)]
+    left = word(1 + rng.below(40)), rng.int_between(-2, 2)
+    right, slope = word(1 + rng.below(40)), rng.int_between(-2, 2)
+    return (Configuration.general(start, tuple(core), left, (right, slope)),
+            Configuration.general(start, tuple(core), left, (right, slope + 1)))
+
+
+def test_an_infinite_column_0_pair_builds_few_candidate_sets(monkeypatch):
+    """With column 0 infinite every class gauge is about the heights
+    themselves, so no class start is cut off by its column. A class whose
+    lower bound from its heights is no better than the best candidate so
+    far still returns before it builds a candidate set: at most a quarter
+    of the classes the walk must visit (those of the parting run nearer
+    than the answer) build one. The reference scans each class's first 30
+    columns and takes the closed form without a bound past them."""
+    rng = Lcg64(3535)
+    pairs = [_infinite_centre_apart(rng) for _ in range(40)]
+    scan = naive_scan.naive_class_minimum
+    monkeypatch.setattr(naive_scan, "naive_class_minimum", lambda *args: scan(*args, cap=30))
+    full = _counted_candidate_sets(monkeypatch)
+    built = walked = 0
+    for x, y in pairs:
+        assert x.height(0) in (PLUS_INF, MINUS_INF)
+        full.clear()
+        d = distance(x, y)
+        built += sum(full)
+        walked += sum(j < d.exponent for j, _ in _parting_starts(x, y))
+        assert d == whole_window_distance(x, y) == distance(y, x), (x, y)
+        assert d.exponent > 10**8
+    assert walked > 500 and built <= walked / 4, (built, walked)
 
 
 def test_a_tail_slope_pair_scores_three_steps_of_one_class(monkeypatch):

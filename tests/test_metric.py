@@ -6,7 +6,7 @@ import pytest
 
 from sandlab.config import Configuration, Tail
 from sandlab.errors import DomainError
-from sandlab.heights import MINUS_INF, PLUS_INF
+from sandlab.heights import MINUS_INF, PLUS_INF, Infinity
 from sandlab.metric import Distance, _class_minimum, _separating_gauge, distance
 from sandlab.rng import Lcg64, sample_configuration
 
@@ -156,25 +156,66 @@ def test_class_minimum_matches_a_brute_force_scan_of_small_classes():
     classes: first columns 0..6, periods 1..5, heights -6..6 with about 15%
     infinities, rises -3..3, references -6..6 and the column cap clipped in
     about 30% of draws. Here the minimum often lies just past a0 + 3L,
-    where the early answer from steps 0..2 must not stop."""
+    where the early answer from steps 0..2 must not stop. Then 4,000 tall
+    classes at reference 0 (scan cap 40): heights and rises are those small
+    draws times up to 10^35, plus -6..6, so the finite heights cross 0
+    within a few steps. Each draw also has a best candidate `bound`: below
+    it the answer is the clipped minimum, at or above it any answer >= bound
+    will do."""
     rng = Lcg64(1931)
 
-    def height():
+    def height(scale, tall):
         if rng.below(20) < 3:
             return (PLUS_INF, MINUS_INF)[rng.below(2)]
-        return rng.int_between(-6, 6)
+        return rng.int_between(-6, 6) * scale + rng.int_between(-6, 6) * tall
 
-    decided = 0
-    for _ in range(20000):
-        a0, L, m = rng.below(7), 1 + rng.below(5), rng.int_between(-6, 6)
-        u0, su, v0, sv = height(), rng.int_between(-3, 3), height(), rng.int_between(-3, 3)
+    decided, cut, one_infinity = [0, 0], 0, 0
+    for k in range(24000):
+        tall = k >= 20000
+        scale = 10 ** rng.below(36) if tall else 1
+        a0, L, m = rng.below(7), 1 + rng.below(5), 0 if tall else rng.int_between(-6, 6)
+        u0, v0 = height(scale, tall), height(scale, tall)
+        su, sv = (rng.int_between(-3, 3) * scale + rng.int_between(-3, 3) * tall for _ in "uv")
         amax = a0 + rng.below(8 * L) if rng.below(10) < 3 else inf
-        want = naive_class_minimum(a0, L, u0, su, v0, sv, m, amax, cap=400)
-        if want is not None:
-            assert _class_minimum(a0, L, u0, su, v0, sv, m, amax) == want, (
-                a0, L, u0, su, v0, sv, m, amax)
-            decided += 1
-    assert decided > 19000
+        bound = a0 + rng.below(12 * L) if rng.below(4) else inf
+        want = naive_class_minimum(a0, L, u0, su, v0, sv, m, amax, cap=40 if tall else 400)
+        if want is None:
+            continue
+        args = (a0, L, u0, su, v0, sv, m, amax)
+        assert _class_minimum(*args) == want, args
+        got = _class_minimum(*args, bound)
+        assert got == want if want < bound else got >= bound, (args, bound, got)
+        decided[tall] += 1
+        cut += want < inf and want >= bound
+        one_infinity += isinstance(u0, Infinity) != isinstance(v0, Infinity)
+    assert decided[0] > 19000 and decided[1] > 3000 and cut > 1200 and one_infinity > 5000
+
+
+def test_a_level_class_just_inside_the_best_is_still_scored():
+    """Pairs whose cores differ at one column raised well above column 0,
+    so the core sets a best candidate of a few dozen columns at most, and
+    whose right tails agree over their first period and then part in
+    slope: each tail class starts level, and one whose next column, L
+    further out, is still inside that best must be scored, as it can beat
+    it there."""
+    rng = Lcg64(4242)
+    tail_won = 0
+    for _ in range(400):
+        word = lambda n: [rng.int_between(-3, 3) for _ in range(n)]
+        core, left, right = word(2 + rng.below(7)), word(1 + rng.below(4)), word(1 + rng.below(5))
+        start, slope = -rng.below(len(core)), rng.int_between(-2, 2)
+        j = rng.below(len(core) - 1)
+        j += j >= -start  # any core column but column 0
+        core[j] += 3 + rng.below(20)
+        x = Configuration.general(start, tuple(core), (left, 0), (right, slope))
+        core[j] += 1
+        y = Configuration.general(start, tuple(core), (left, 0), (right, slope + 1))
+        d = distance(x, y)
+        assert d.exponent == naive_distance_exponent(x, y, 80), (x, y)
+        j += start  # the bumped column, whose candidate a tail class may beat
+        core_best = max(abs(j), _separating_gauge(x.height(j), y.height(j), x.height(0)))
+        tail_won += d.exponent < core_best
+    assert tail_won > 250
 
 
 def test_naive_gauge_is_the_least_gauge_whose_readings_differ():
