@@ -10,13 +10,14 @@ include the respective infinity).
 That first-match scan defines the rule; evaluation reads it through a
 memo. The 2r readings of a column, left to right, are the digits of one
 base-(2r+3) reading code (-infinity -> 0, d -> d + r + 1, +infinity ->
-2r + 2), and equal tables share one dict from code to delta (`_shared`).
-A miss ANDs one precomputed bit set of matching lines per digit; the
-lowest bit left is the first match (`_lookup`). `window_image`, the one
-evaluator, maps a flat run of heights to the images of its inner columns
-with a kernel compiled once per radius (`_kernel`): one window is read in
-straight-line code, and a longer run reads each height difference once,
-as the clipped reading of i + t by i is the negation of that of i by i + t.
+2r + 2), and each automaton keeps one dict from code to delta (`memo`;
+`zoo.make` gives one automaton per name). A miss ANDs one bit set of
+matching lines per digit, built on the first miss; the lowest bit left is
+the first match (`_lookup`). `window_image`, the one evaluator, maps a
+flat run of heights to the images of its inner columns with a kernel
+compiled once per radius (`_kernel`): one window is read in straight-line
+code, and a longer run reads each height difference once, as the clipped
+reading of i + t by i is the negation of that of i by i + t.
 
 The global map adds the delta to every finite column; infinite columns
 never change. `apply` realises one synchronous step exactly on the
@@ -28,8 +29,6 @@ which is canonicalized once. `_orbit` is the one orbit loop, behind
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .config import Configuration, Value, _check_int, _configuration, _core_cap, _tail, equals
 from .errors import CoreBoundExceeded, DomainError, RuleError
@@ -72,8 +71,8 @@ class SandAutomaton(Value):
     The radius is checked here, once per automaton; the table and default
     are taken as given (`validate_rule` checks them).
     `memo` maps reading codes to deltas, filled on first use from the
-    match bit sets `masks` (`_lookup`), which are private here and shared
-    by equal tables in `validate_rule`; equality, hashing and repr ignore both.
+    match bit sets `masks`, which the first miss builds (`_lookup`); both
+    belong to this automaton, and equality, hashing and repr ignore them.
     """
 
     _fields = ("radius", "rules", "default_delta")
@@ -97,7 +96,7 @@ def validate_rule(radius: int, lines, default_delta: int = 0) -> SandAutomaton:
     """
     part = "radius"
     try:
-        automaton = SandAutomaton(radius, (), default_delta)
+        _check_int("radius", radius, 1, MAX_RADIUS)
         part = "default"
         _check_int("default delta", default_delta, -radius, radius)
         rules = []
@@ -116,10 +115,7 @@ def validate_rule(radius: int, lines, default_delta: int = 0) -> SandAutomaton:
             rules.append(Rule(pattern, _check_int("delta", delta, -radius, radius)))
     except DomainError as exc:
         raise RuleError(f"rule {part}: {exc}" if type(part) is int else str(exc), part) from None
-    automaton.rules = tuple(rules)
-    if (2 * radius + 3) ** (2 * radius) <= SHARED_CODES:
-        automaton.memo, automaton.masks = _shared(automaton)
-    return automaton
+    return SandAutomaton(radius, tuple(rules), default_delta)
 
 
 def _build_masks(automaton: SandAutomaton) -> tuple:
@@ -137,18 +133,6 @@ def _build_masks(automaton: SandAutomaton) -> tuple:
                     row[digit] &= ~(1 << i)
     automaton.masks = tuple(map(tuple, rows))
     return automaton.masks
-
-
-#: tables that share a memo: the TABLE_CAP used last, each of at most
-#: SHARED_CODES reading codes (radius <= 2, as 7**4 = 2401 and 9**6 > 2**16)
-TABLE_CAP, SHARED_CODES = 16, 1 << 16
-
-
-@lru_cache(maxsize=TABLE_CAP)
-def _shared(automaton: SandAutomaton) -> tuple:
-    """The memo and masks of every automaton `validate_rule` builds for an
-    equal table (equal deltas); an evicted table's automata keep theirs."""
-    return automaton.memo, _build_masks(automaton)
 
 
 def _lookup(automaton: SandAutomaton, code: int) -> int:

@@ -24,6 +24,8 @@ periodic pre-image from an arbitrary one.
 
 from __future__ import annotations
 
+from functools import cache
+
 from . import witnesses
 from .automaton import SandAutomaton, apply
 from .config import (
@@ -41,8 +43,11 @@ from .errors import DomainError
 ZOO = ("S", "Sr", "L", "X", "Y")
 
 
+@cache
 def make(name: str) -> SandAutomaton:
-    """The named zoo automaton, read from its bundled rule file."""
+    """The named zoo automaton, read from its bundled rule file on the
+    first call; every later call returns that automaton, so each name has
+    one delta memo per process. An unknown name raises and is not kept."""
     if name not in ZOO:
         raise DomainError(f"unknown zoo automaton {name!r}; have {sorted(ZOO)}")
     return witnesses.load_rule(name)

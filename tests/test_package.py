@@ -43,7 +43,7 @@ REMOVED = {
 }
 SUBMODULES = [*EXPORTS, "cli", "witnesses"]
 #: lines in src/sandlab/**/*.py, the count ROADMAP aim 2 tracks
-SOURCE_BUDGET = 2607
+SOURCE_BUDGET = 2596
 
 
 def test_exported_names_resolve_to_their_submodule_objects():

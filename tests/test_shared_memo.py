@@ -1,42 +1,70 @@
-"""Equal rule tables share one memo of deltas and one set of match bit
-sets, process-wide and bounded; tables that differ, tables past radius 2
-and automata built directly keep their own, and sharing changes no
-answer: not a delta, not a report."""
+"""The zoo hands out one automaton per name, so every use of a name shares
+one memo of deltas and one set of match bit sets per process; a table
+parsed or validated apart, or an automaton built directly, keeps its own,
+builds its masks once, on its first miss, and gives the same answers:
+not a delta, not a report."""
 
 import random
 
+import pytest
+
 from naive_scan import code_readings, first_match_delta
+from sandlab import automaton as automaton_module
 from sandlab import zoo
 from sandlab.analysis import check_injective_bounded, check_preimage_bounded
-from sandlab.automaton import (
-    POS,
-    TABLE_CAP,
-    WILDCARD,
-    SandAutomaton,
-    _lookup,
-    _shared,
-    validate_rule,
-)
+from sandlab.automaton import POS, WILDCARD, SandAutomaton, _lookup, validate_rule
+from sandlab.errors import DomainError
 from sandlab.formats import emit_rule_file, parse_rule_file
 from sandlab.heights import PLUS_INF
 
 from test_preimage_walk import PLANS, targets
+
+SWEEP = [("F", w, h, inf) for w in (1, 2) for h in (1, 2) for inf in (False, True)]
+SWEEP += [("P", p, 1, inf) for p in (2, 4) for inf in (False, True)]
 
 
 def lines_of(a):
     return [(rule.pattern, rule.delta) for rule in a.rules]
 
 
-def test_equal_tables_share_one_memo_and_one_set_of_masks():
-    x = zoo.make("X")
-    again, parsed = zoo.make("X"), parse_rule_file(emit_rule_file(x))
-    assert again.memo is x.memo and parsed.memo is x.memo
-    assert again.masks is x.masks and parsed.masks is x.masks
-    assert validate_rule(2, lines_of(x), 0).memo is x.memo
+def test_each_zoo_name_gives_one_automaton():
+    for name in zoo.ZOO:
+        assert zoo.make(name) is zoo.make(name)
+    held = zoo.make.cache_info().currsize
+    with pytest.raises(DomainError):
+        zoo.make("Z")
+    assert zoo.make.cache_info().currsize == held  # a refused name is not kept
+    assert zoo.make("S").radius == 1 and zoo.make.cache_info().currsize == held
+
+
+def test_a_second_sweep_over_fresh_zoo_calls_adds_no_memo_entry():
+    def memo_sizes():
+        for name in zoo.ZOO:
+            for klass, n, h, inf in SWEEP[:5]:
+                check_injective_bounded(zoo.make(name), klass, n, h, inf)
+        return [len(zoo.make(name).memo) for name in zoo.ZOO]
+
+    first = memo_sizes()
+    assert all(first)
+    assert memo_sizes() == first == memo_sizes()
+
+
+def test_a_parsed_or_validated_table_equals_the_zoo_automaton_and_keeps_its_own_memo():
+    for name in zoo.ZOO:
+        a = zoo.make(name)
+        _lookup(a, 0)
+        parsed = parse_rule_file(emit_rule_file(a))
+        rebuilt = validate_rule(a.radius, lines_of(a), a.default_delta)
+        for b in (parsed, rebuilt):
+            assert b == a and b.memo is not a.memo and b.memo == {} and b.masks is None
+            assert _lookup(b, 0) == a.memo[0] and b.masks == a.masks
+            assert b.masks is not a.masks and zoo.make(name) is a
+    assert {zoo.make(name).radius for name in zoo.ZOO} == {1, 2}
 
 
 def test_tables_that_differ_anywhere_do_not_share():
     x = zoo.make("X")
+    _lookup(x, 0)
     lines = lines_of(x)
     (pattern, delta), rest = lines[0], lines[1:]
     variants = [
@@ -47,6 +75,8 @@ def test_tables_that_differ_anywhere_do_not_share():
     for a in variants:
         assert a != x and a.memo is not x.memo and a.masks is not x.masks
     r1, r2 = validate_rule(1, [], 0), validate_rule(2, [], 0)  # the radius
+    assert r1.memo is not r2.memo and r1.masks is None is r2.masks
+    _lookup(r1, 0), _lookup(r2, 0)
     assert r1.memo is not r2.memo and r1.masks != r2.masks
 
 
@@ -59,15 +89,15 @@ def test_a_radius_3_table_and_a_direct_build_keep_private_memos():
     assert direct == s and direct.memo is not s.memo and direct.masks is None
 
 
-def test_the_cache_keeps_at_most_its_cap_and_an_evicted_table_stays_right():
+def test_a_validated_table_memoises_exact_deltas_of_its_own():
     first = validate_rule(1, [((1, -1), 1), ((POS, WILDCARD), -1)], 0)
     for code in range(0, 25, 3):
         _lookup(first, code)
     held = dict(first.memo)
-    # TABLE_CAP tables used after `first`, each unequal to it
-    for k in range(TABLE_CAP):
-        validate_rule(1, [((k % 3 - 1, k // 3 % 3 - 1), k // 9 - 1)], 0)
-        assert _shared.cache_info().currsize <= TABLE_CAP
+    for k in range(16):  # other tables, one of them equal to `first`
+        other = validate_rule(1, [((k % 3 - 1, k // 3 % 3 - 1), k // 9 - 1)], 0)
+        for code in range(25):
+            _lookup(other, code)
     assert validate_rule(1, lines_of(first), 0).memo is not first.memo
     assert first.memo == held and first.masks is not None
     for code in range(25):
@@ -77,13 +107,25 @@ def test_the_cache_keeps_at_most_its_cap_and_an_evicted_table_stays_right():
     assert len(first.memo) == 25
 
 
+def test_masks_are_built_at_most_once_per_automaton(monkeypatch):
+    builds, build = [], automaton_module._build_masks
+    monkeypatch.setattr(automaton_module, "_build_masks", lambda a: builds.append(a) or build(a))
+    validated = [
+        validate_rule(a.radius, lines_of(a), a.default_delta) for a in map(zoo.make, zoo.ZOO)
+    ]
+    validated.append(validate_rule(3, [((PLUS_INF, *[WILDCARD] * 5), 1)], 0))
+    for a in [*map(zoo.make, zoo.ZOO), *validated] * 2:
+        for klass, n, h, inf in SWEEP[:4]:
+            check_injective_bounded(a, klass, n, h, inf)
+    counts = [sum(b is a for b in builds) for a in [*map(zoo.make, zoo.ZOO), *validated]]
+    assert max(counts) <= 1 and counts[len(zoo.ZOO):] == [1] * len(validated), counts
+
+
 def test_cold_private_and_warm_shared_automata_give_the_same_reports():
-    sweep = [("F", w, h, inf) for w in (1, 2) for h in (1, 2) for inf in (False, True)]
-    sweep += [("P", p, 1, inf) for p in (2, 4) for inf in (False, True)]
     for name in zoo.ZOO:
         warm = zoo.make(name)
         cold = lambda: SandAutomaton(warm.radius, warm.rules, warm.default_delta)
-        for klass, n, h, inf in sweep:
+        for klass, n, h, inf in SWEEP:
             check_injective_bounded(warm, klass, n, h, inf)
             report = check_injective_bounded(warm, klass, n, h, inf)
             assert report == check_injective_bounded(cold(), klass, n, h, inf), (name, klass, n, h)
